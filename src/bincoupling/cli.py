@@ -85,30 +85,32 @@ def cmd_cutpoints(args) -> int:
     return EXIT_OK
 
 
-def _filtered_sweep(args, prefixes: tuple[str, ...]) -> int:
+def _sweep_and_emit(args, prefixes: tuple[str, ...] | None = None) -> int:
+    """Run the configured sweep, keep the checks named by the prefixes (all
+    when None), and emit in the --format flag's format, else the config's
+    output_format, whose default is csv."""
     config = _load(args)
     records, constants = run_sweep(config)
-    records = [r for r in records if r.check_name.startswith(prefixes)]
-    return _emit(records, constants, args.format, args.out, config)
+    if prefixes is not None:
+        records = [r for r in records if r.check_name.startswith(prefixes)]
+    fmt = args.format or config.output_format
+    return _emit(records, constants, fmt, args.out, config)
 
 
 def cmd_theorem1(args) -> int:
-    return _filtered_sweep(args, ("thm1_", "eq11_"))
+    return _sweep_and_emit(args, ("thm1_", "eq11_"))
 
 
 def cmd_theorem2(args) -> int:
-    return _filtered_sweep(args, ("thm2_", "sandwich_", "defining_eq"))
+    return _sweep_and_emit(args, ("thm2_", "sandwich_", "defining_eq"))
 
 
 def cmd_tusnady(args) -> int:
-    return _filtered_sweep(args, ("tusnady_",))
+    return _sweep_and_emit(args, ("tusnady_",))
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
-    fmt = args.format or config.output_format
-    records, constants = run_sweep(config)
-    return _emit(records, constants, fmt, args.out, config)
+    return _sweep_and_emit(args)
 
 
 def cmd_lemma1(args) -> int:
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("tusnady", cmd_tusnady)):
         p = sub.add_parser(name, help=f"{name} checks over a sweep")
         _add_sweep_args(p)
-        p.set_defaults(func=func, format_default="csv")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("lemma1", help="hazard-rate increment inequalities")
     p.add_argument("--grid", default="-8:8:0.001", metavar="a:b:step")
@@ -210,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", None) is None and hasattr(args, "format"):
-        args.format = "csv"
     try:
         return args.func(args)
     except (DomainError, RangeError, OSError) as exc:

@@ -26,7 +26,7 @@ from .approx import (
     tusnady_bounds,
 )
 from .binom_exact import log_tail_exact_all
-from .cutpoints import CutpointTable, build_table, epsilon_of
+from .cutpoints import N_MAX_TABLE, CutpointTable, build_table, epsilon_of
 from .errors import DomainError, SmallEpsilonRegime
 from .normal_tail import psi
 
@@ -337,8 +337,8 @@ def coupling_check(n: int, table: CutpointTable | None = None
     endpoint.  The infinite sentinel beyond beta_n is excluded: no constant
     bounds |X - Y| on the top cell's unbounded side.
     """
-    if not (1 <= n <= 4096):
-        raise DomainError(f"n must be in [1, 4096], got {n}")
+    if not (1 <= n <= N_MAX_TABLE):
+        raise DomainError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
     table = table or build_table(n)
     max_excess = -math.inf
     c = _CONSTANT_FLOOR

@@ -149,6 +149,29 @@ class TestLambdaN:
         lam = lambda_n(n).lam
         assert 1.0 / (12 * n + 1) <= lam <= 1.0 / (12 * n)
 
+    def test_against_50_digit_reference(self):
+        # the closed-form routes (lgamma below 12, series from 12) against
+        # log n! minus the Stirling lead in 50-digit arithmetic, with
+        # Robbins' bracket held strictly
+        with mp.workdps(50):
+            for n in range(1, 4097):
+                lam = lambda_n(n).lam
+                nn = mp.mpf(n)
+                lead = (nn + mp.mpf(1) / 2) * mp.log(nn) - nn \
+                    + mp.log(2 * mp.pi) / 2
+                ref = mp.loggamma(nn + 1) - lead
+                assert abs(float(mp.mpf(lam) - ref)) <= 1e-13, n
+                assert 1.0 / (12 * n + 1) < lam < 1.0 / (12 * n), n
+
+    def test_route_seam(self):
+        # n = 11 is the last lgamma value and n = 12 the first series value;
+        # since log 12! - log 11! = log 12, the leads leave an exact gap of
+        # lambda_11 - lambda_12 = 11.5 log(12/11) - 1
+        lam11, lam12 = lambda_n(11).lam, lambda_n(12).lam
+        assert lam12 < lam11
+        assert lam11 - lam12 == pytest.approx(11.5 * math.log(12 / 11) - 1.0,
+                                              abs=1e-13)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lambda_n(0)

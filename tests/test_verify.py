@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bincoupling
 from bincoupling import (
     DomainError,
     SweepConfig,
@@ -17,6 +22,7 @@ from bincoupling.cli import (
     EXIT_OK,
     main,
 )
+from bincoupling.cutpoints import N_MAX_TABLE
 from bincoupling.verify import ENV_MAX_WORKERS, select_ks
 
 
@@ -196,6 +202,8 @@ class TestCouplingCheck:
             coupling_check(0)
         with pytest.raises(DomainError):
             coupling_check(5000)
+        with pytest.raises(DomainError):
+            coupling_check(N_MAX_TABLE + 1)
 
 
 class TestCli:
@@ -230,6 +238,25 @@ class TestCli:
                      "--format", "json"]) == EXIT_OK
         doc = json.loads(capsysbinary.readouterr().out)
         assert doc["meta"]["config"]["n_values"] == [28]
+
+    @pytest.mark.parametrize("sub", ["sweep", "tusnady"])
+    def test_config_output_format_takes_effect(self, sub, tmp_path,
+                                               capsysbinary):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_values = 28\nk_policy = all\n"
+                       "output_format = json\n")
+        assert main([sub, "--config", str(cfg)]) == EXIT_OK
+        doc = json.loads(capsysbinary.readouterr().out)
+        assert doc["meta"]["config"]["n_values"] == [28]
+
+    def test_format_flag_overrides_config(self, tmp_path, capsysbinary):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_values = 28\nk_policy = all\n"
+                       "output_format = json\n")
+        assert main(["sweep", "--config", str(cfg),
+                     "--format", "csv"]) == EXIT_OK
+        assert capsysbinary.readouterr().out.startswith(
+            b"n,k,check,passed,slack")
 
     def test_theorem_subcommands(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -266,3 +293,20 @@ class TestCli:
         cfg.write_text("n_values = 28\nk_policy = all\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", "/nonexistent-dir/report.csv"]) == EXIT_IO_ERROR
+
+
+def test_sweep_imports_neither_mpmath_nor_quadrature():
+    # mpmath is a test-only dependency and scipy.integrate serves only the
+    # beta-integral cross-check; a fresh CLI process running the default
+    # sweep must load neither
+    code = ("import sys, bincoupling.cli\n"
+            "bincoupling.cli.run_sweep()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'mpmath' or m.startswith('mpmath.')\n"
+            "             or m == 'scipy.integrate'))\n")
+    src = str(pathlib.Path(bincoupling.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert out.stdout.strip() == "[]"

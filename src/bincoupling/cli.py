@@ -19,6 +19,7 @@ from .verify import (
     ConstantsReport,
     SweepConfig,
     VerificationRecord,
+    _fmt,
     coupling_check,
     emit_report,
     load_config,
@@ -29,10 +30,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO_ERROR = 3
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def _emit(records: list[VerificationRecord], constants: ConstantsReport,

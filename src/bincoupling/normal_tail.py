@@ -143,7 +143,8 @@ def inverse_psi(L: float) -> float:
 
     log2 = math.log(2.0)
     if L >= log2:
-        lo, hi = 0.0, math.sqrt(2.0 * L) + 2.0
+        # the root lies in [0, X_MAX]; no iterate may leave the envelope
+        lo, hi = 0.0, min(math.sqrt(2.0 * L) + 2.0, X_MAX)
         if L > 2.5:
             # same formula as inv_tail_asymptotic(e^{-L}), stated in L so it
             # works even where e^{-L} underflows

@@ -51,7 +51,7 @@ def _verdict(num: int, ok: bool, desc: str) -> None:
 def timed_sweep():
     """Default sweep, single process and single thread, wall-clock timed."""
     t0 = time.perf_counter()
-    records, constants = run_sweep(SweepConfig(parallelism=1))
+    records, constants = run_sweep(SweepConfig())
     return records, constants, time.perf_counter() - t0
 
 

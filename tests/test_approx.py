@@ -136,7 +136,7 @@ class TestHAux:
 class TestTheorem1:
     def test_residual_small_n28(self):
         t = log_tail_exact(28, 15)
-        b = theorem1_breakdown(28, 15, t)
+        b = theorem1_breakdown(28, 15, t.log_prob)
         N = 27
         assert math.isfinite(b.r_k)
         assert abs(N * b.r_k) <= 10 * math.log(N)
@@ -144,21 +144,17 @@ class TestTheorem1:
 
     def test_extreme_epsilon_no_overflow(self):
         t = log_tail_exact(100, 99)
-        b = theorem1_breakdown(100, 99, t)
+        b = theorem1_breakdown(100, 99, t.log_prob)
         assert b.epsilon == pytest.approx(97 / 99, rel=1e-15)
         assert math.isfinite(b.r_k)
 
     def test_k_equals_n_rejected(self):
         with pytest.raises(DomainError):
-            theorem1_breakdown(28, 28, log_tail_exact(28, 28))
+            theorem1_breakdown(28, 28, log_tail_exact(28, 28).log_prob)
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
-            theorem1_breakdown(27, 15, log_tail_exact(27, 15))
-
-    def test_mismatched_tail_rejected(self):
-        with pytest.raises(DomainError):
-            theorem1_breakdown(28, 15, log_tail_exact(28, 16))
+            theorem1_breakdown(27, 15, log_tail_exact(27, 15).log_prob)
 
 
 class TestTheorem2:
@@ -189,8 +185,9 @@ class TestTheorem2:
         n, k = 64, 50
         table = build_table(n)
         z = table.record(k).z
-        b = full_breakdown(n, k, log_tail_exact(n, k), z)
-        ref = theorem1_breakdown(n, k, log_tail_exact(n, k))
+        lt = log_tail_exact(n, k).log_prob
+        b = full_breakdown(n, k, lt, z)
+        ref = theorem1_breakdown(n, k, lt)
         assert b.r_k == ref.r_k
         assert b.w_k == theorem2_w(n, k)
         assert b.theta_k == z - b.w_k
@@ -206,7 +203,7 @@ class TestLowerBound11:
 
     def test_eta_short_for_n28(self):
         for k in range(15, 28):
-            b = theorem1_breakdown(28, k, log_tail_exact(28, k))
+            b = theorem1_breakdown(28, k, log_tail_exact(28, k).log_prob)
             assert b.eta <= 0.5
             # eta solves eta^2/2 + eta eps = log(N)/N
             lhs = 0.5 * b.eta ** 2 + b.eta * b.epsilon

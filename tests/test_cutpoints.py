@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 
 import pytest
@@ -59,6 +60,14 @@ class TestBuildTable:
         table = build_table(n)
         for rec in table.records:
             assert psi(rec.z) == pytest.approx(-rec.log_tail, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 28, 29, 1000, 4096])
+    def test_log_tail_matches_reference(self, n):
+        # the sweep reads its exact tails from the table alone, so the
+        # one-pass tails must equal the per-k reference bit for bit
+        table = build_table(n)
+        for k in range(1, n + 1):
+            assert table.record(k).log_tail == log_tail_exact(n, k).log_prob
 
     @pytest.mark.parametrize("n", [2, 28, 29, 100])
     def test_symmetry(self, n):
@@ -137,18 +146,25 @@ class TestCouple:
             assert upper_tail(rec.z) == pytest.approx(exact, rel=1e-9)
 
 
-_TABLE_57 = build_table(57)
+_cached_table = functools.cache(build_table)
 
 
-@given(st.floats(min_value=-30.0, max_value=90.0))
+@given(st.integers(min_value=1, max_value=300), st.data())
 @settings(max_examples=300)
-def test_couple_returns_enclosing_cell(y):
-    k = couple(_TABLE_57, y)
-    assert 0 <= k <= 57
+def test_couple_returns_enclosing_cell(n, data):
+    table = _cached_table(n)
+    betas = table.betas
+    # Tusnady's bracket and symmetry put every cutpoint in [-n/2, 3n/2]; a
+    # draw equal to one is a tie, which belongs to the cell below it
+    y = data.draw(st.one_of(st.floats(min_value=-n - 1.0,
+                                      max_value=2.0 * n + 1.0),
+                            st.sampled_from(betas)))
+    k = couple(table, y)
+    assert k == sum(b < y for b in betas)
     if k >= 1:
-        assert _TABLE_57.record(k).beta < y
-    if k < 57:
-        assert y <= _TABLE_57.record(k + 1).beta
+        assert table.record(k).beta < y
+    if k < n:
+        assert y <= table.record(k + 1).beta
 
 
 class TestExportCsv:

@@ -16,6 +16,7 @@ from bincoupling import (
     rho,
     upper_tail,
 )
+from bincoupling.normal_tail import X_MAX
 
 # frozen 50-digit quadrature oracle values (tools/gen_normal_tail_fixture.py)
 PHI_1 = 0.24197072451914337
@@ -198,7 +199,10 @@ def test_psi_increment_bracket(x, delta):
     assert inc <= rho(x) * delta + delta * delta / 2 + 1e-10
 
 
-@given(st.floats(min_value=0.5, max_value=60.0))
+# L < log 2 takes the negative-x branch of the solver, L >= log 2 the other
+@given(st.one_of(st.floats(min_value=1e-12, max_value=math.log(2.0)),
+                 st.floats(min_value=math.log(2.0), max_value=psi(X_MAX))))
 @settings(max_examples=200)
 def test_inverse_psi_is_inverse(L):
-    assert psi(inverse_psi(L)) == pytest.approx(L, rel=1e-10)
+    # the documented accuracy, |psi(x) - L| <= 1e-10 max(1, L)
+    assert psi(inverse_psi(L)) == pytest.approx(L, rel=1e-10, abs=1e-10)

@@ -23,7 +23,8 @@ from bincoupling.cli import (
     main,
 )
 from bincoupling.cutpoints import N_MAX_TABLE
-from bincoupling.verify import ENV_MAX_WORKERS, select_ks
+from bincoupling import verify
+from bincoupling.verify import select_ks
 
 
 SMALL = SweepConfig(n_values=(28, 29, 64), k_policy="all")
@@ -74,8 +75,6 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             SweepConfig(n_values=(28, 0))
         with pytest.raises(DomainError):
-            SweepConfig(parallelism=-1)
-        with pytest.raises(DomainError):
             SweepConfig(tolerances={"cutpoint": 0.0})
 
 
@@ -87,21 +86,20 @@ class TestLoadConfig:
             "n_values = 28, 64, 256\n"
             "k_policy = stride:3\n"
             "output_format = json\n"
-            "parallelism = 2\n"
             "tolerance.symmetry = 1e-7\n")
         cfg = load_config(str(p))
         assert cfg.n_values == (28, 64, 256)
         assert cfg.k_policy == "stride:3"
         assert cfg.output_format == "json"
-        assert cfg.parallelism == 2
         assert cfg.tolerances["symmetry"] == 1e-7
         assert cfg.tolerances["cutpoint"] == 1e-9  # default retained
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        p.write_text("n_value = 28\n")
-        with pytest.raises(DomainError):
-            load_config(str(p))
+        for line in ("n_value = 28\n", "parallelism = 2\n"):
+            p.write_text(line)
+            with pytest.raises(DomainError):
+                load_config(str(p))
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -137,19 +135,6 @@ class TestRunSweep:
         records, _ = small_sweep
         keys = [(r.check_name, r.n, r.k) for r in records]
         assert keys == sorted(keys)
-
-    def test_deterministic_across_parallelism(self, monkeypatch):
-        serial = SweepConfig(n_values=(28, 64), k_policy="all", parallelism=1)
-        parallel = SweepConfig(n_values=(28, 64), k_policy="all",
-                               parallelism=4)
-        r1, c1 = run_sweep(serial)
-        r2, c2 = run_sweep(parallel)
-        assert emit_report(r1, c1, "json", serial) == \
-            emit_report(r2, c2, "json", serial)
-        monkeypatch.setenv(ENV_MAX_WORKERS, "1")
-        r3, c3 = run_sweep(parallel)
-        assert emit_report(r3, c3, "json", serial) == \
-            emit_report(r1, c1, "json", serial)
 
     def test_reruns_are_byte_identical(self, small_sweep):
         records, constants = small_sweep
@@ -230,6 +215,37 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("n,k,check,passed,slack")
+
+    def test_broken_invariant_is_a_failed_record(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # (28, 25) has x >= X_SPLIT, so the sandwich rows are lost there too
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_values = 28\nk_policy = all\n")
+        clean, broken = tmp_path / "clean.csv", tmp_path / "broken.csv"
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(clean)]) == EXIT_OK
+
+        real = verify.lower_bound_11
+
+        def faulty(n, k):
+            if (n, k) == (28, 25):
+                raise AssertionError("injected")
+            return real(n, k)
+
+        monkeypatch.setattr(verify, "lower_bound_11", faulty)
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(broken)]) == EXIT_CHECK_FAILED
+
+        def rows(path):
+            lines = path.read_text().splitlines()[1:]
+            return {tuple(line.split(",")[:4]) for line in lines}
+
+        ok, bad = rows(clean), rows(broken)
+        assert bad - ok == {("28", "25", "invariant", "false")}
+        lost = {row[:3] for row in ok - bad}
+        assert ("28", "25", "sandwich_upper") in lost
+        assert all(row[:2] == ("28", "25") for row in lost)
+        assert "FAILED invariant at (n=28, k=25)" in capsys.readouterr().err
 
     def test_sweep_json_stdout(self, tmp_path, capsysbinary):
         cfg = tmp_path / "sweep.cfg"

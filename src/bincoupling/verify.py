@@ -23,6 +23,7 @@ from .approx import (
     theorem2_theta,
     tusnady_bounds,
 )
+from .binom_exact import log_tail_exact_all
 from .cutpoints import N_MAX_TABLE, CutpointTable, build_table, epsilon_of
 from .errors import DomainError, SmallEpsilonRegime
 from .normal_tail import psi
@@ -138,6 +139,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float]
     records: list[VerificationRecord] = []
     raws: list[_RawSweepRow] = []
     table = build_table(n)
+    tails = log_tail_exact_all(n)
     N = n - 1
 
     for k in select_ks(n, k_policy):
@@ -170,12 +172,13 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float]
         # failed check there, not the end of the sweep
         try:
             raw.x = epsilon_of(n, k) * math.sqrt(N)
-            b = theorem1_breakdown(n, k, rec.log_tail)
+            lt = tails[k].log_prob
+            b = theorem1_breakdown(n, k, lt)
             raw.n_r_k = N * b.r_k
 
             lo, up = lower_bound_11(n, k)
-            s_lo = rec.log_tail - lo
-            s_up = up - rec.log_tail
+            s_lo = lt - lo
+            s_up = up - lt
             records.append(VerificationRecord(
                 n, k, "eq11_lower", s_lo >= -tol["log_tail"], s_lo))
             records.append(VerificationRecord(

@@ -94,12 +94,15 @@ def _sweep_and_emit(args, prefixes: tuple[str, ...] | None = None) -> int:
     return _emit(records, constants, fmt, args.out, config)
 
 
+# a failed "invariant" record at (n, k) stands for the eq. (11) and sandwich
+# rows the expansion could not produce there, so both theorems keep it
 def cmd_theorem1(args) -> int:
-    return _sweep_and_emit(args, ("thm1_", "eq11_"))
+    return _sweep_and_emit(args, ("thm1_", "eq11_", "invariant"))
 
 
 def cmd_theorem2(args) -> int:
-    return _sweep_and_emit(args, ("thm2_", "sandwich_", "defining_eq"))
+    return _sweep_and_emit(args, ("thm2_", "sandwich_", "defining_eq",
+                                  "invariant"))
 
 
 def cmd_tusnady(args) -> int:

@@ -61,7 +61,7 @@ class TestBuildTable:
         for rec in table.records:
             assert psi(rec.z) == pytest.approx(-rec.log_tail, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [1, 2, 28, 29, 1000, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 28, 29, 1000])
     def test_log_tail_matches_reference(self, n):
         # the sweep reads its exact tails from the table alone, so the
         # one-pass tails must equal the per-k reference bit for bit

@@ -247,6 +247,13 @@ class TestCli:
         assert all(row[:2] == ("28", "25") for row in lost)
         assert "FAILED invariant at (n=28, k=25)" in capsys.readouterr().err
 
+        # the filtered certificates whose rows go missing keep the failure
+        for sub in ("theorem1", "theorem2"):
+            out = tmp_path / f"{sub}.csv"
+            assert main([sub, "--config", str(cfg),
+                         "--out", str(out)]) == EXIT_CHECK_FAILED
+            assert ("28", "25", "invariant", "false") in rows(out)
+
     def test_sweep_json_stdout(self, tmp_path, capsysbinary):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_values = 28\nk_policy = all\n")

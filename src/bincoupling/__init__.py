@@ -8,7 +8,6 @@ from .approx import (
     delta_sandwich,
     eq4_extreme,
     eq5_bounds,
-    full_breakdown,
     gamma_eps,
     h_aux,
     h_third,
@@ -27,7 +26,6 @@ from .binom_exact import (
     log_tail_beta_integral,
     log_tail_exact,
     log_tail_exact_all,
-    tail_beta_integral,
 )
 from .cutpoints import (
     CutpointRecord,
@@ -39,8 +37,6 @@ from .cutpoints import (
 )
 from .errors import DomainError, RangeError, SmallEpsilonRegime
 from .normal_tail import (
-    NormalEval,
-    evaluate,
     inv_tail_asymptotic,
     inverse_psi,
     phi,
@@ -66,15 +62,15 @@ from .verify import (  # noqa: E402
 
 __all__ = [
     "ApproxBreakdown", "TusnadyCheck", "delta_sandwich", "eq4_extreme",
-    "eq5_bounds", "full_breakdown", "gamma_eps", "h_aux", "h_third",
+    "eq5_bounds", "gamma_eps", "h_aux", "h_third",
     "laplace_pieces", "lower_bound_11", "s_eps", "theorem1_breakdown",
     "theorem2_theta", "theorem2_w", "tusnady_bounds",
     "ExactTail", "StirlingLambda", "lambda_n", "log_tail_beta_integral",
-    "log_tail_exact", "log_tail_exact_all", "tail_beta_integral",
+    "log_tail_exact", "log_tail_exact_all",
     "CutpointRecord", "CutpointTable", "build_table", "couple",
     "epsilon_of", "export_csv",
     "DomainError", "RangeError", "SmallEpsilonRegime",
-    "NormalEval", "evaluate", "inv_tail_asymptotic", "inverse_psi",
+    "inv_tail_asymptotic", "inverse_psi",
     "phi", "psi", "r_remainder", "rho", "upper_tail",
     "DEFAULT_N_VALUES", "ConstantsReport", "SweepConfig",
     "VerificationRecord", "coupling_check", "emit_report", "load_config",

@@ -17,12 +17,14 @@ The main objects:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .binom_exact import lambda_n
+import numpy as np
+
+from .binom_exact import lambda_n, lambda_table
 from .cutpoints import epsilon_of
 from .errors import DomainError, SmallEpsilonRegime
-from .normal_tail import psi, rho
+from .normal_tail import psi, psi_array, rho, rho_array
 
 __all__ = [
     "ApproxBreakdown",
@@ -35,12 +37,13 @@ __all__ = [
     "theorem1_breakdown",
     "theorem2_w",
     "theorem2_theta",
-    "full_breakdown",
     "lower_bound_11",
     "delta_sandwich",
     "tusnady_bounds",
     "eq4_extreme",
     "eq5_bounds",
+    "ExpansionArrays",
+    "expansion_arrays",
 ]
 
 _GAMMA_SEAM = 0.05
@@ -164,8 +167,6 @@ class ApproxBreakdown:
     ell_N: float     # log(N)/N
     eta: float
     kappa_sq: float
-    w_k: float = math.nan
-    theta_k: float = math.nan
 
 
 def _eta_kappa(n: int, k: int) -> tuple[float, float, float]:
@@ -214,14 +215,6 @@ def theorem2_w(n: int, k: int) -> float:
 def theorem2_theta(n: int, k: int, z_k: float) -> float:
     """Residual theta = z_k - w_k of the cutpoint formula."""
     return float(z_k) - theorem2_w(n, k)
-
-
-def full_breakdown(n: int, k: int, log_tail: float,
-                   z_k: float) -> ApproxBreakdown:
-    """theorem1_breakdown plus the cutpoint terms w and theta."""
-    b = theorem1_breakdown(n, k, log_tail)
-    w = theorem2_w(n, k)
-    return replace(b, w_k=w, theta_k=float(z_k) - w)
 
 
 def lower_bound_11(n: int, k: int) -> tuple[float, float]:
@@ -284,6 +277,125 @@ def delta_sandwich(n: int, k: int, z_k: float) -> tuple[float, float, float]:
             raise AssertionError(
                 f"quadratic identity violated at (n={n}, k={k}): {resid}")
     return d1, d2, beta
+
+
+@dataclass(frozen=True)
+class ExpansionArrays:
+    """The expansion's terms for one n over an array of k, as arrays.
+
+    Each entry is what the scalar reference functions give at that k.  The
+    three ``breaks_*`` masks mark where an internal identity fails: the
+    entropy identity of laplace_pieces, the eta/kappa conditions of
+    lower_bound_11 and the quadratic identity of delta_sandwich.  Values
+    behind a broken identity are not to be used.
+    """
+
+    x: np.ndarray           # e sqrt(N)
+    r_k: np.ndarray         # theorem1_breakdown's r_k
+    eq11_lower: np.ndarray  # lower_bound_11's (lower, upper)
+    eq11_upper: np.ndarray
+    theta: np.ndarray       # theorem2_theta; nan where e = 0
+    # delta_sandwich's (d1, d2, beta); the bracket applies where beta > 0
+    d1: np.ndarray
+    d2: np.ndarray
+    beta_shift: np.ndarray
+    breaks_pieces: np.ndarray
+    breaks_eq11: np.ndarray
+    breaks_sandwich: np.ndarray
+
+
+def _gamma_array(e: np.ndarray) -> np.ndarray:
+    """gamma_eps elementwise for 0 <= e < 1, with the same series below the
+    seam (summed term by term in the same order) and closed form above."""
+    g = np.empty_like(e)
+    small = e < _GAMMA_SEAM
+    e2 = e[small] * e[small]
+    total = np.zeros_like(e2)
+    term_pow = np.ones_like(e2)
+    active = np.ones(e2.shape, dtype=bool)
+    r = 0
+    while active.any():
+        term = term_pow / ((2 * r + 3) * (2 * r + 4))
+        total = np.where(active, total + term, total)
+        active &= ~(term < 1e-17)
+        term_pow = term_pow * e2
+        r += 1
+    g[small] = total
+    eb = e[~small]
+    g[~small] = ((1.0 + eb) * np.log1p(eb) + (1.0 - eb) * np.log1p(-eb)
+                 - eb * eb) / (2.0 * eb ** 4)
+    return g
+
+
+def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
+                     z: np.ndarray) -> ExpansionArrays:
+    """Array form of theorem1_breakdown, lower_bound_11, theorem2_theta and
+    delta_sandwich at every k of ``ks`` (n >= 28, n/2 < k <= n - 1), with the
+    exact log tails and the cutpoints z at those k.  lambda is taken from
+    one table per n."""
+    if n < 28:
+        raise DomainError(f"n must be >= 28, got {n}")
+    ks = np.asarray(ks)
+    if ks.size and not (ks.min() > n / 2 and ks.max() <= n - 1):
+        raise DomainError(f"k must satisfy n/2 < k <= n-1 for n = {n}")
+    N = n - 1
+    K = ks - 1
+    e = (2 * K - N) / N
+    g = _gamma_array(e)
+    lam = lambda_table(N)
+    lam_tail = lam[N - K]  # lambda_{n-k}
+    e4 = e ** 4
+    log1m_e2 = np.log1p(-e * e)
+    log2 = math.log(2.0)
+
+    # laplace_pieces: the entropy identity and Delta
+    h_diff = -0.5 * e * e - e4 * g
+    h_mode = 0.5 * ((1.0 + e) * (np.log1p(e) - log2)
+                    + (1.0 - e) * (np.log1p(-e) - log2))
+    breaks_pieces = (np.abs(-log2 - h_mode - h_diff)
+                     > 1e-12 * np.maximum(1.0, np.abs(h_diff)))
+    delta = (math.log1p(1.0 / N) + (lam[N] - lam[K] - lam_tail)
+             - 0.5 * log1m_e2 - N * e4 * g)
+
+    # theorem1_breakdown
+    x = e * math.sqrt(N)
+    psi_x = psi_array(x)
+    r_k = (log_tail + psi_x) - (-N * e4 * g - 0.5 * log1m_e2 - lam_tail)
+
+    # lower_bound_11, with the eta and kappa of _eta_kappa
+    ell = math.log(N) / N
+    eta = 2.0 * ell / (e + np.sqrt(e * e + 2.0 * ell))
+    h3 = (1.0 - e) / (1.0 + eta) ** 3 - (1.0 + e) / (1.0 - eta) ** 3
+    kappa_sq = 1.0 - eta * h3 / 3.0
+    breaks_eq11 = ((eta > 0.5)
+                   | (kappa_sq > 1.0 + 6.0 * eta * (eta + e) + 1e-12)
+                   | (np.abs(0.5 * eta * eta + eta * e - ell)
+                      > 1e-12 * max(1.0, ell)))
+    eq11_upper = delta - psi_x
+    bracket = np.log1p(-np.exp(-N * e * eta - 0.5 * N * kappa_sq * eta * eta))
+    eq11_lower = delta - 0.5 * np.log(kappa_sq) - psi_x + bracket
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # theorem2_theta: z - w, undefined at e = 0
+        xs = x * np.sqrt(1.0 + 2.0 * e * e * g)
+        w = xs + (log1m_e2 + 2.0 * lam_tail) / (2.0 * xs)
+        theta = np.where(e > 0.0, z - w, math.nan)
+
+        # delta_sandwich, where beta_shift > 0
+        beta_shift = psi_array(z) - psi_x
+        rx = rho_array(x)
+        d1 = 2.0 * beta_shift / (np.sqrt(x * x + 2.0 * beta_shift) + x)
+        d2 = 2.0 * beta_shift / (np.sqrt(rx * rx + 2.0 * beta_shift) + rx)
+        quad_tol = 1e-10 * np.maximum(1.0, beta_shift)
+        breaks_sandwich = (
+            (np.abs(d1 * x + 0.5 * d1 * d1 - beta_shift) > quad_tol)
+            | (np.abs(d2 * rx + 0.5 * d2 * d2 - beta_shift) > quad_tol))
+
+    return ExpansionArrays(
+        x=x, r_k=r_k, eq11_lower=eq11_lower, eq11_upper=eq11_upper,
+        theta=theta, d1=d1, d2=d2, beta_shift=beta_shift,
+        breaks_pieces=breaks_pieces, breaks_eq11=breaks_eq11,
+        breaks_sandwich=breaks_sandwich)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -24,9 +26,9 @@ __all__ = [
     "StirlingLambda",
     "log_tail_exact",
     "log_tail_exact_all",
-    "tail_beta_integral",
     "log_tail_beta_integral",
     "lambda_n",
+    "lambda_table",
     "log_big_int",
 ]
 
@@ -161,12 +163,6 @@ def log_tail_beta_integral(n: int, k: int) -> float:
     return log_pref + shift + math.log(val)
 
 
-def tail_beta_integral(n: int, k: int) -> float:
-    """The beta-integral tail as a probability (may underflow for huge n;
-    use log_tail_beta_integral for the deep tail)."""
-    return math.exp(log_tail_beta_integral(n, k))
-
-
 def lambda_n(n: int) -> StirlingLambda:
     """Stirling correction lambda_n in closed form; absolute error <= 1e-13.
 
@@ -180,9 +176,28 @@ def lambda_n(n: int) -> StirlingLambda:
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     if n < _SERIES_MIN_N:
-        lead = (n + 0.5) * math.log(n) - n + LOG_SQRT_2PI
-        return StirlingLambda(n=n, lam=math.lgamma(n + 1) - lead)
-    inv2 = 1.0 / (float(n) * n)
+        return StirlingLambda(n=n, lam=_lambda_lgamma(n))
+    return StirlingLambda(n=n, lam=_lambda_series(float(n)))
+
+
+def lambda_table(m: int) -> np.ndarray:
+    """lambda_j for j = 0 .. m as one array (entry 0 is nan), by the same two
+    routes and operations as lambda_n, so each entry equals lambda_n(j).lam."""
+    if not (0 <= m <= N_MAX_EXACT):
+        raise DomainError(f"m must be in [0, {N_MAX_EXACT}], got {m}")
+    lam = np.concatenate(([math.nan],
+                          _lambda_series(np.arange(1.0, m + 1.0))))
+    for j in range(1, min(m + 1, _SERIES_MIN_N)):
+        lam[j] = _lambda_lgamma(j)
+    return lam
+
+
+def _lambda_lgamma(n: int) -> float:
+    return math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + LOG_SQRT_2PI)
+
+
+def _lambda_series(n):
+    # n is a float or a float array
+    inv2 = 1.0 / (n * n)
     c1, c2, c3, c4, c5 = _STIRLING_COEFFS
-    lam = (c1 + inv2 * (c2 + inv2 * (c3 + inv2 * (c4 + inv2 * c5)))) / n
-    return StirlingLambda(n=n, lam=lam)
+    return (c1 + inv2 * (c2 + inv2 * (c3 + inv2 * (c4 + inv2 * c5)))) / n

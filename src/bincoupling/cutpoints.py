@@ -6,9 +6,10 @@ The cutpoints beta_1 < ... < beta_n are defined by matching tails,
 
 with sentinels beta_0 = -inf and beta_{n+1} = +inf.  In standardized units
 z_k = 2(beta_k - n/2)/sqrt(n) this is psi(z_k) = -log tail, solved by the
-safeguarded Newton inverse of psi.  Only k > n/2 is solved directly; the
-lower half follows from the reflection beta_{n-k+1} = n - beta_k, which
-makes the symmetry identity exact rather than a second round-off path.
+safeguarded Newton inverse of psi, run on every k of one n at once.  Only
+k > n/2 is solved directly; the lower half follows from the reflection
+beta_{n-k+1} = n - beta_k, which makes the symmetry identity exact rather
+than a second round-off path.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .binom_exact import log_tail_exact_all
 from .errors import DomainError, RangeError
-from .normal_tail import inverse_psi
+from .normal_tail import inverse_psi_array
 
 __all__ = [
     "CutpointRecord",
@@ -45,19 +48,36 @@ class CutpointRecord:
     log_tail: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutpointTable:
+    """Cutpoints of one n as arrays over k = 1 .. n (entry k - 1), with
+    beta strictly increasing."""
+
     n: int
-    records: tuple[CutpointRecord, ...]  # k = 1 .. n, strictly increasing beta
+    epsilon: np.ndarray  # (2(k-1) - (n-1)) / (n-1); 0 by convention at n = 1
+    z: np.ndarray
+    beta: np.ndarray
+    log_tail: np.ndarray
+    # beta as Python floats, built once for the coupling map's bisection
+    betas: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.epsilon, self.z, self.beta, self.log_tail):
+            a.flags.writeable = False
+        object.__setattr__(self, "betas", tuple(self.beta.tolist()))
 
     def record(self, k: int) -> CutpointRecord:
         if not (1 <= k <= self.n):
             raise DomainError(f"k must be in [1, {self.n}], got {k}")
-        return self.records[k - 1]
+        i = k - 1
+        return CutpointRecord(
+            n=self.n, k=k, epsilon=float(self.epsilon[i]),
+            z=float(self.z[i]), beta=self.betas[i],
+            log_tail=float(self.log_tail[i]))
 
     @property
-    def betas(self) -> list[float]:
-        return [rec.beta for rec in self.records]
+    def records(self) -> tuple[CutpointRecord, ...]:
+        return tuple(self.record(k) for k in range(1, self.n + 1))
 
 
 def epsilon_of(n: int, k: int) -> float:
@@ -70,36 +90,25 @@ def epsilon_of(n: int, k: int) -> float:
     return (2 * (k - 1) - (n - 1)) / (n - 1)
 
 
-def _epsilon_raw(n: int, k: int) -> float:
-    if n == 1:
-        return 0.0
-    return (2 * (k - 1) - (n - 1)) / (n - 1)
-
-
 def build_table(n: int) -> CutpointTable:
     """Cutpoints for all k = 1..n from the exact big-integer tails."""
     if not (1 <= n <= N_MAX_TABLE):
         raise RangeError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
     tails = log_tail_exact_all(n)
-    sqrt_n = math.sqrt(n)
+    log_tail = np.array([t.log_prob for t in tails[1:]])
+    ks = np.arange(1, n + 1)
+    epsilon = ((2 * (ks - 1) - (n - 1)) / (n - 1) if n > 1
+               else np.zeros(1))
 
-    upper: dict[int, CutpointRecord] = {}
-    for k in range(n // 2 + 1, n + 1):
-        lt = tails[k].log_prob
-        z = inverse_psi(-lt) if lt < 0.0 else 0.0
-        upper[k] = CutpointRecord(n=n, k=k, epsilon=_epsilon_raw(n, k), z=z,
-                                  beta=n / 2 + sqrt_n * z / 2, log_tail=lt)
-
-    records: list[CutpointRecord] = []
-    for k in range(1, n + 1):
-        if k in upper:
-            records.append(upper[k])
-        else:
-            mirror = upper[n - k + 1]
-            records.append(CutpointRecord(
-                n=n, k=k, epsilon=_epsilon_raw(n, k), z=-mirror.z,
-                beta=n - mirror.beta, log_tail=tails[k].log_prob))
-    return CutpointTable(n=n, records=tuple(records))
+    # upper half k > n/2 solved directly (tail <= 1/2), lower half mirrored
+    m = n // 2
+    z_up = inverse_psi_array(-log_tail[m:])
+    beta_up = n / 2 + math.sqrt(n) * z_up / 2
+    # k = m, m - 1, ..., 1 mirror the entries of n - m + 1, ..., n
+    z = np.concatenate([-z_up[n - 2 * m:][::-1], z_up])
+    beta = np.concatenate([n - beta_up[n - 2 * m:][::-1], beta_up])
+    return CutpointTable(n=n, epsilon=epsilon, z=z, beta=beta,
+                         log_tail=log_tail)
 
 
 def couple(table: CutpointTable, y: float) -> int:

@@ -17,26 +17,28 @@ Symbols, for a standard normal Z:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError, RangeError
 
 __all__ = [
-    "NormalEval",
     "phi",
     "upper_tail",
     "psi",
     "rho",
     "r_remainder",
+    "psi_array",
+    "rho_array",
     "inverse_psi",
+    "inverse_psi_array",
     "inv_tail_asymptotic",
-    "evaluate",
     "X_MAX",
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 # Validated accuracy envelope for psi / rho / inverse_psi.  Outside it the
@@ -89,7 +91,7 @@ def rho(x: float) -> float:
         # tail is 1 to within ~1e-148; avoids overflow in erfcx(-u)
         return phi(x)
     # phi(x)/tail(x) = sqrt(2/pi) / erfcx(x/sqrt(2))
-    return math.sqrt(2.0 / math.pi) / float(sp.erfcx(x * INV_SQRT_2))
+    return SQRT_2_OVER_PI / float(sp.erfcx(x * INV_SQRT_2))
 
 
 def r_remainder(x: float) -> float:
@@ -98,22 +100,15 @@ def r_remainder(x: float) -> float:
     return rho(x) - x
 
 
-@dataclass(frozen=True)
-class NormalEval:
-    """All tail quantities bundled at one abscissa."""
-
-    x: float
-    phi: float
-    tail: float
-    psi: float
-    rho: float
-    r: float
+def psi_array(x: np.ndarray) -> np.ndarray:
+    """psi elementwise, by the same scipy call as the scalar psi, so the two
+    agree bit for bit.  The caller keeps x finite and inside the envelope."""
+    return -sp.log_ndtr(-x)
 
 
-def evaluate(x: float) -> NormalEval:
-    rh = rho(x)
-    return NormalEval(x=x, phi=phi(x), tail=upper_tail(x), psi=psi(x),
-                      rho=rh, r=rh - x)
+def rho_array(x: np.ndarray) -> np.ndarray:
+    """rho elementwise for x > -26, by the same formula as the scalar rho."""
+    return SQRT_2_OVER_PI / sp.erfcx(x * INV_SQRT_2)
 
 
 def inv_tail_asymptotic(p: float) -> float:
@@ -178,4 +173,43 @@ def inverse_psi(L: float) -> float:
         x = x_new
     if abs(psi(x) - L) > 1e-10 * max(1.0, L):
         raise RangeError(f"inverse_psi failed to converge for L = {L}")
+    return x
+
+
+def inverse_psi_array(L: np.ndarray) -> np.ndarray:
+    """inverse_psi elementwise, to the same contract
+    |psi(x) - L| <= 1e-10 * max(1, L).
+
+    Entries with L >= log 2 (roots x >= 0) run the scalar solver's Newton
+    iteration together: the same seed, bracket, step and stopping rule, one
+    numpy pass per iteration.  The rest, and any entry that misses the
+    contract, are solved by the scalar inverse_psi.
+    """
+    L = np.asarray(L, dtype=float)
+    if L.size and not (np.isfinite(L).all() and L.min() > 0.0):
+        raise DomainError("L must be positive and finite")
+    vec = L >= math.log(2.0)
+    # the other entries sit out the Newton pass with a harmless stand-in L
+    Lv = np.where(vec, L, 1.0)
+    y = np.sqrt(2.0 * Lv)
+    x = np.where(Lv > 2.5, y - np.log(y) / y, 0.5)
+    lo = np.zeros_like(Lv)
+    hi = np.minimum(y + 2.0, X_MAX)
+    x = np.minimum(np.maximum(x, lo), hi)
+    tol = 1e-12 * np.maximum(1.0, Lv)
+    active = vec.copy()
+    for _ in range(200):
+        f = psi_array(x) - Lv
+        hi = np.where(active & (f > 0.0), np.minimum(hi, x), hi)
+        lo = np.where(active & (f <= 0.0), np.maximum(lo, x), lo)
+        x_new = x - f / rho_array(x)
+        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new,
+                         0.5 * (lo + hi))
+        active &= (np.abs(f) > tol) & (x_new != x)
+        if not active.any():
+            break
+        x = np.where(active, x_new, x)
+    missed = ~vec | (np.abs(psi_array(x) - Lv) > 1e-10 * np.maximum(1.0, Lv))
+    for i in np.flatnonzero(missed):
+        x[i] = inverse_psi(L[i])
     return x

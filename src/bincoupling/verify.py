@@ -14,19 +14,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
-from .approx import (
-    delta_sandwich,
-    lower_bound_11,
-    theorem1_breakdown,
-    theorem2_theta,
-    tusnady_bounds,
-)
+from .approx import expansion_arrays
 from .binom_exact import log_tail_exact_all
-from .cutpoints import N_MAX_TABLE, CutpointTable, build_table, epsilon_of
-from .errors import DomainError, SmallEpsilonRegime
-from .normal_tail import psi
+from .cutpoints import N_MAX_TABLE, CutpointTable, build_table
+from .errors import DomainError
+from .normal_tail import psi_array
 
 __all__ = [
     "SweepConfig",
@@ -79,8 +78,9 @@ class SweepConfig:
             raise DomainError("tolerances must be positive")
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
+    """One check at one (n, k); an immutable row of the report."""
+
     n: int
     k: int
     check_name: str
@@ -120,135 +120,149 @@ def select_ks(n: int, policy: str) -> list[int]:
     return sorted(ks)
 
 
-@dataclass
-class _RawSweepRow:
-    """Per-(n, k) raw quantities the constant fits need."""
-
-    n: int
-    k: int
-    x: float             # epsilon sqrt(N)
-    n_r_k: float = math.nan      # N r_k
-    n_theta_k: float = math.nan  # N theta_k
-    d_eq5: float = math.nan      # beta_k - k + 1/2
-    t_eq5: float = math.nan      # |k - n/2|^3 / n^2
+# one check's records for one n (or for the whole sweep), as arrays
+_Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float]
-                 ) -> tuple[list[VerificationRecord], list[_RawSweepRow],
-                            float]:
+def _add(checks: dict[str, list[_Chunk]], name: str, n, ks: np.ndarray,
+         slack: np.ndarray, passed: np.ndarray) -> None:
+    checks.setdefault(name, []).append(
+        (np.broadcast_to(n, ks.shape), ks, passed, slack))
+
+
+def _to_records(checks: dict[str, list[_Chunk]]) -> list[VerificationRecord]:
+    """Records sorted by (check, n, k); equal keys keep the order in which
+    they were added, as a stable sort of all records would."""
     records: list[VerificationRecord] = []
-    raws: list[_RawSweepRow] = []
+    for name in sorted(checks):
+        n, k, passed, slack = (np.concatenate(c) for c in zip(*checks[name]))
+        order = np.lexsort((k, n))
+        records.extend(map(VerificationRecord, n[order].tolist(),
+                           k[order].tolist(), repeat(name, len(order)),
+                           passed[order].tolist(), slack[order].tolist()))
+    return records
+
+
+def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
+                 checks: dict[str, list[_Chunk]]
+                 ) -> tuple[dict[str, np.ndarray], float]:
+    """Add every check of one n to ``checks``; return the coupling constant
+    of this n and the raw quantities the constant fits need, one array over
+    k each: x = epsilon sqrt(N), n_r_k = N r_k, n_theta_k = N theta_k (nan
+    where the expansion does not apply), d_eq5 = beta_k - k + 1/2,
+    t_eq5 = |k - n/2|^3 / n^2, log_N = log(n - 1) and log_n = log(n)."""
     table = build_table(n)
+    # the expansion reads its exact tails from a second pass (the table's
+    # log_tail holds the same values)
     tails = log_tail_exact_all(n)
     N = n - 1
+    ks = np.array(select_ks(n, k_policy))
+    z = table.z[ks - 1]
+    beta = table.beta[ks - 1]
+    log_tail = table.log_tail[ks - 1]
 
-    for k in select_ks(n, k_policy):
-        rec = table.record(k)
-        raw = _RawSweepRow(n=n, k=k, x=math.nan)
-        raws.append(raw)
-        raw.d_eq5 = rec.beta - k + 0.5
-        raw.t_eq5 = abs(k - n / 2) ** 3 / n ** 2
+    # defining equation psi(z_k) = -log tail, re-checked post hoc
+    d = log_tail < 0.0
+    s = (tol["log_tail"] * np.maximum(1.0, -log_tail[d])
+         - np.abs(psi_array(z[d]) + log_tail[d]))
+    _add(checks, "defining_eq", n, ks[d], s, s >= 0)
 
-        # defining equation psi(z_k) = -log tail, re-checked post hoc
-        if rec.log_tail < 0.0:
-            resid = psi(rec.z) + rec.log_tail
-            s = tol["log_tail"] * max(1.0, -rec.log_tail) - abs(resid)
-            records.append(VerificationRecord(n, k, "defining_eq", s >= 0, s))
+    # symmetry beta_{n-k+1} + beta_k = n
+    s = tol["symmetry"] - np.abs(table.beta[n - ks] + beta - n)
+    _add(checks, "symmetry", n, ks, s, s >= 0)
 
-        # symmetry beta_{n-k+1} + beta_k = n
-        sym = abs(table.record(n - k + 1).beta + rec.beta - n)
-        s = tol["symmetry"] - sym
-        records.append(VerificationRecord(n, k, "symmetry", s >= 0, s))
+    # Tusnady's bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))
+    for name, s in (("tusnady_lower", beta - (ks - 1)),
+                    ("tusnady_upper",
+                     1.5 * n - np.sqrt(2.0 * n * (n - ks)) - beta)):
+        _add(checks, name, n, ks, s, s >= -tol["cutpoint"])
 
-        tc = tusnady_bounds(n, k, rec.beta, tol=tol["cutpoint"])
-        records.append(VerificationRecord(
-            n, k, "tusnady_lower", tc.holds_lower, tc.slack_lower))
-        records.append(VerificationRecord(
-            n, k, "tusnady_upper", tc.holds_upper, tc.slack_upper))
+    fit = {"n": np.full(ks.shape, n), "k": ks,
+           "x": np.full(ks.shape, math.nan),
+           "n_r_k": np.full(ks.shape, math.nan),
+           "n_theta_k": np.full(ks.shape, math.nan),
+           "d_eq5": beta - ks + 0.5, "t_eq5": np.abs(ks - n / 2) ** 3 / n ** 2,
+           "log_N": np.full(ks.shape, math.log(N) if N > 0 else math.nan),
+           "log_n": np.full(ks.shape, math.log(n))}
 
-        if not (n >= 28 and n / 2 < k <= n - 1):
-            continue
+    dom = (ks > n / 2) & (ks <= n - 1) if n >= 28 else np.zeros_like(ks, bool)
+    if dom.any():
+        ek = ks[dom]
+        lt = np.array([tails[k].log_prob for k in ek.tolist()])
+        ex = expansion_arrays(n, ek, lt, z[dom])
         # an internal identity of the expansion failing at one (n, k) is a
-        # failed check there, not the end of the sweep
-        try:
-            raw.x = epsilon_of(n, k) * math.sqrt(N)
-            lt = tails[k].log_prob
-            b = theorem1_breakdown(n, k, lt)
-            raw.n_r_k = N * b.r_k
+        # failed check there, in place of the rows that rest on it
+        ok_r = ~ex.breaks_pieces
+        ok_11 = ok_r & ~ex.breaks_eq11
+        in_sw = ok_11 & (ex.x >= X_SPLIT) & (ex.beta_shift > 0.0)
+        ok_sw = in_sw & ~ex.breaks_sandwich
+        broken = ~ok_11 | (in_sw & ex.breaks_sandwich)
 
-            lo, up = lower_bound_11(n, k)
-            s_lo = lt - lo
-            s_up = up - lt
-            records.append(VerificationRecord(
-                n, k, "eq11_lower", s_lo >= -tol["log_tail"], s_lo))
-            records.append(VerificationRecord(
-                n, k, "eq11_upper", s_up >= -tol["log_tail"], s_up))
+        for name, s in (("eq11_lower", lt - ex.eq11_lower),
+                        ("eq11_upper", ex.eq11_upper - lt)):
+            s = s[ok_11]
+            _add(checks, name, n, ek[ok_11], s, s >= -tol["log_tail"])
 
-            if b.epsilon > 0.0:
-                raw.n_theta_k = N * theorem2_theta(n, k, rec.z)
+        x, zs = ex.x[ok_sw], z[dom][ok_sw]
+        s_lo = zs - (x + ex.d2[ok_sw])
+        s_up = (x + ex.d1[ok_sw]) - zs
+        gap = 4.0 * ex.beta_shift[ok_sw] / x ** 3 - s_up
+        for name, s in (("sandwich_lower", s_lo), ("sandwich_upper", s_up),
+                        ("sandwich_gap", gap)):
+            _add(checks, name, n, ek[ok_sw], s, s >= -tol["cutpoint"])
 
-            if raw.x < X_SPLIT:
-                continue
-            try:
-                d1, d2, beta_shift = delta_sandwich(n, k, rec.z)
-            except SmallEpsilonRegime:
-                continue
-            s_lo = rec.z - (raw.x + d2)
-            s_up = (raw.x + d1) - rec.z
-            gap = 4.0 * beta_shift / raw.x ** 3 - s_up
-            for name, slack in (("sandwich_lower", s_lo),
-                                ("sandwich_upper", s_up),
-                                ("sandwich_gap", gap)):
-                records.append(VerificationRecord(
-                    n, k, name, slack >= -tol["cutpoint"], slack))
-        except AssertionError:
-            records.append(VerificationRecord(
-                n, k, "invariant", False, math.nan))
+        n_broken = int(broken.sum())
+        _add(checks, "invariant", n, ek[broken], np.full(n_broken, math.nan),
+             np.zeros(n_broken, dtype=bool))
+
+        fit["x"][dom] = ex.x
+        fit["n_r_k"][dom] = np.where(ok_r, N * ex.r_k, math.nan)
+        fit["n_theta_k"][dom] = np.where(ok_11, N * ex.theta, math.nan)
 
     max_excess, c_coupling = coupling_check(n, table=table)
-    records.append(VerificationRecord(
-        n, 0, "coupling_k_minus_beta", max_excess <= 1.0 + tol["cutpoint"],
-        1.0 - max_excess))
-    return records, raws, c_coupling
+    s = 1.0 - max_excess
+    _add(checks, "coupling_k_minus_beta", n, np.zeros(1, dtype=int),
+         np.array([s]), np.array([max_excess <= 1.0 + tol["cutpoint"]]))
+    return fit, c_coupling
 
 
-def _fit_constants(raws: list[_RawSweepRow],
+def _max(a: np.ndarray) -> float:
+    return float(a.max(initial=_CONSTANT_FLOOR))
+
+
+def _fit_constants(fit: dict[str, np.ndarray],
                    c_coupling: float) -> ConstantsReport:
-    def fit_half(rows: list[_RawSweepRow]) -> tuple[float, float, float]:
-        c1t = c2t = c2r = _CONSTANT_FLOOR
-        for r in rows:
-            if not math.isnan(r.n_r_k):
-                log_n = math.log(r.n - 1)
-                c1t = max(c1t, r.n_r_k, -r.n_r_k / log_n)
-            if not math.isnan(r.n_theta_k):
-                log_n = math.log(r.n - 1)
-                need = max(-r.n_theta_k / (r.x + 1.0),
-                           r.n_theta_k / (r.x + log_n))
-                c2t = max(c2t, need)
-                if r.x >= X_SPLIT:
-                    c2r = max(c2r, need)
-        return c1t, c2t, c2r
+    def fit_half(rows: np.ndarray) -> tuple[float, float, float]:
+        has_r = rows & ~np.isnan(fit["n_r_k"])
+        nr = fit["n_r_k"][has_r]
+        c1t = max(_max(nr), _max(-nr / fit["log_N"][has_r]))
+        has_t = rows & ~np.isnan(fit["n_theta_k"])
+        nt, x = fit["n_theta_k"][has_t], fit["x"][has_t]
+        need = np.maximum(-nt / (x + 1.0), nt / (x + fit["log_N"][has_t]))
+        return c1t, _max(need), _max(need[x >= X_SPLIT])
 
-    c_thm1, c_thm2, c_thm2_tail = fit_half(raws)
+    every = np.ones(fit["n"].shape, dtype=bool)
+    c_thm1, c_thm2, c_thm2_tail = fit_half(every)
 
     # Eq. (5): the quadruple is anchored on the cubic-dominated rows, then
     # the sqrt(n) terms absorb whatever is left near the center
-    big = [r for r in raws if r.t_eq5 >= 1.0]
-    if big:
-        c4 = max(max(r.d_eq5 / r.t_eq5 for r in big), _CONSTANT_FLOOR)
-        c2 = max(min(r.d_eq5 / r.t_eq5 for r in big), _CONSTANT_FLOOR)
+    d, t, sqrt_n = fit["d_eq5"], fit["t_eq5"], np.sqrt(fit["n"])
+    big = t >= 1.0
+    if big.any():
+        ratio_dt = d[big] / t[big]
+        c4 = max(float(ratio_dt.max()), _CONSTANT_FLOOR)
+        c2 = max(float(ratio_dt.min()), _CONSTANT_FLOOR)
     else:
         c2, c4 = _CONSTANT_FLOOR, 1.0
-    c1 = max(max(math.sqrt(r.n) * (c2 * r.t_eq5 - r.d_eq5) for r in raws),
-             _CONSTANT_FLOOR)
-    c3 = max(max(math.sqrt(r.n) * (r.d_eq5 - c4 * r.t_eq5) / math.log(r.n)
-                 for r in raws), _CONSTANT_FLOOR)
+    c1 = _max(sqrt_n * (c2 * t - d))
+    # at n = 1 the C3 term log(n)/sqrt(n) is 0: that row does not bound C3
+    pos = fit["log_n"] > 0.0
+    c3 = _max(sqrt_n[pos] * (d[pos] - c4 * t[pos]) / fit["log_n"][pos])
 
     mid = 384  # splits the default sweep into {<=256} and {>=512}
-    low = [r for r in raws if r.n <= mid]
-    high = [r for r in raws if r.n > mid]
+    low, high = fit["n"] <= mid, fit["n"] > mid
     ratio = 1.0
-    if low and high:
+    if low.any() and high.any():
         for a, b in zip(fit_half(low), fit_half(high)):
             if a > _CONSTANT_FLOOR and b > _CONSTANT_FLOOR:
                 ratio = max(ratio, a / b, b / a)
@@ -262,46 +276,40 @@ def run_sweep(config: SweepConfig | None = None
               ) -> tuple[list[VerificationRecord], ConstantsReport]:
     """Run every check over the configured grid and fit the constants.
 
-    Output is deterministic: per-n work is pure, and records are sorted
-    before reporting.
+    Output is deterministic: per-n work is pure, and records are sorted by
+    (check, n, k).
     """
     config = config or SweepConfig()
     tol = {**DEFAULT_TOLERANCES, **config.tolerances}
-    records: list[VerificationRecord] = []
-    raws: list[_RawSweepRow] = []
+    checks: dict[str, list[_Chunk]] = {}
+    fits = []
     c_coupling = _CONSTANT_FLOOR
     for n in config.n_values:
-        recs, rws, c_cpl = _sweep_one_n(n, config.k_policy, tol)
-        records.extend(recs)
-        raws.extend(rws)
+        fit, c_cpl = _sweep_one_n(n, config.k_policy, tol, checks)
+        fits.append(fit)
         c_coupling = max(c_coupling, c_cpl)
+    fit = {key: np.concatenate([f[key] for f in fits]) for key in fits[0]}
 
-    constants = _fit_constants(raws, c_coupling)
+    c = _fit_constants(fit, c_coupling)
 
     # residual brackets under the fitted constants; feasible by construction,
     # recorded so the report shows the margins
-    for r in raws:
-        if not math.isnan(r.n_r_k):
-            log_n = math.log(r.n - 1)
-            s = min(constants.c_thm1 - r.n_r_k,
-                    r.n_r_k + constants.c_thm1 * log_n)
-            records.append(VerificationRecord(
-                r.n, r.k, "thm1_residual", s >= -tol["fit"], s))
-        if not math.isnan(r.n_theta_k):
-            log_n = math.log(r.n - 1)
-            s = min(constants.c_thm2 * (r.x + log_n) - r.n_theta_k,
-                    r.n_theta_k + constants.c_thm2 * (r.x + 1.0))
-            records.append(VerificationRecord(
-                r.n, r.k, "thm2_residual", s >= -tol["fit"], s))
-        s = min(r.d_eq5 - (-constants.c1_eq5 / math.sqrt(r.n)
-                           + constants.c2_eq5 * r.t_eq5),
-                (constants.c3_eq5 * math.log(r.n) / math.sqrt(r.n)
-                 + constants.c4_eq5 * r.t_eq5) - r.d_eq5)
-        records.append(VerificationRecord(
-            r.n, r.k, "eq5_window", s >= -tol["fit"], s))
+    n, k, x, log_N = fit["n"], fit["k"], fit["x"], fit["log_N"]
+    has_r = ~np.isnan(fit["n_r_k"])
+    nr = fit["n_r_k"][has_r]
+    s = np.minimum(c.c_thm1 - nr, nr + c.c_thm1 * log_N[has_r])
+    _add(checks, "thm1_residual", n[has_r], k[has_r], s, s >= -tol["fit"])
+    has_t = ~np.isnan(fit["n_theta_k"])
+    nt, xt = fit["n_theta_k"][has_t], x[has_t]
+    s = np.minimum(c.c_thm2 * (xt + log_N[has_t]) - nt,
+                   nt + c.c_thm2 * (xt + 1.0))
+    _add(checks, "thm2_residual", n[has_t], k[has_t], s, s >= -tol["fit"])
+    d, t, sqrt_n = fit["d_eq5"], fit["t_eq5"], np.sqrt(n)
+    s = np.minimum(d - (-c.c1_eq5 / sqrt_n + c.c2_eq5 * t),
+                   (c.c3_eq5 * fit["log_n"] / sqrt_n + c.c4_eq5 * t) - d)
+    _add(checks, "eq5_window", n, k, s, s >= -tol["fit"])
 
-    records.sort(key=lambda r: (r.check_name, r.n, r.k))
-    return records, constants
+    return _to_records(checks), c
 
 
 def coupling_check(n: int, table: CutpointTable | None = None
@@ -318,18 +326,12 @@ def coupling_check(n: int, table: CutpointTable | None = None
     if not (1 <= n <= N_MAX_TABLE):
         raise DomainError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
     table = table or build_table(n)
-    max_excess = -math.inf
-    c = _CONSTANT_FLOOR
-    for k in range(n // 2 + 1, n + 1):
-        beta_k = table.record(k).beta
-        max_excess = max(max_excess, k - beta_k)
-        endpoints = [k - beta_k]
-        if k < n:
-            endpoints.append(table.record(k + 1).beta - k)
-        scale = 1.0 + abs(k - n / 2) ** 3 / n ** 2
-        for e in endpoints:
-            c = max(c, e / scale)
-    return max_excess, c
+    k = np.arange(n // 2 + 1, n + 1)
+    below = k - table.beta[k - 1]            # k - beta_k
+    above = table.beta[k[:-1]] - k[:-1]      # beta_{k+1} - k, for k < n
+    scale = 1.0 + np.abs(k - n / 2) ** 3 / n ** 2
+    c = max(_max(below / scale), _max(above / scale[:-1]))
+    return float(below.max()), c
 
 
 def _fmt(x: float) -> str:
@@ -340,47 +342,56 @@ def emit_report(records: list[VerificationRecord],
                 constants: ConstantsReport,
                 fmt: str,
                 config: SweepConfig | None = None) -> bytes:
-    """Byte-stable CSV or JSON report, rows sorted by (check, n, k)."""
+    """Byte-stable CSV or JSON report, rows sorted by (check, n, k).
+
+    The JSON report is what json.dumps(doc, indent=2, sort_keys=True) gives,
+    with the record rows formatted directly.
+    """
     if not records:
         raise DomainError("no records to report")
-    rows = sorted(records, key=lambda r: (r.check_name, r.n, r.k))
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"unknown format {fmt!r}")
+    rows = sorted(records, key=attrgetter("check_name", "n", "k"))
     if fmt == "csv":
         lines = ["n,k,check,passed,slack"]
         lines.extend(f"{r.n},{r.k},{r.check_name},"
-                     f"{'true' if r.passed else 'false'},{_fmt(r.slack)}"
+                     f"{'true' if r.passed else 'false'},{r.slack:.17g}"
                      for r in rows)
         lines.append("")
         return "\n".join(lines).encode()
-    if fmt == "json":
-        doc = {
-            "meta": {
-                "config": {
-                    "n_values": list(config.n_values) if config else None,
-                    "k_policy": config.k_policy if config else None,
-                    "tolerances": config.tolerances if config else None,
-                },
-                "versions": {"bincoupling": __version__,
-                             "python": sys.version.split()[0]},
+    head = {
+        "meta": {
+            "config": {
+                "n_values": list(config.n_values) if config else None,
+                "k_policy": config.k_policy if config else None,
+                "tolerances": config.tolerances if config else None,
             },
-            "records": [
-                {"n": r.n, "k": r.k, "check": r.check_name,
-                 "passed": r.passed, "slack": _fmt(r.slack)}
-                for r in rows
-            ],
-            "constants": {
-                "c_thm1": _fmt(constants.c_thm1),
-                "c_thm2": _fmt(constants.c_thm2),
-                "c_thm2_tail_regime": _fmt(constants.c_thm2_tail_regime),
-                "c1_eq5": _fmt(constants.c1_eq5),
-                "c2_eq5": _fmt(constants.c2_eq5),
-                "c3_eq5": _fmt(constants.c3_eq5),
-                "c4_eq5": _fmt(constants.c4_eq5),
-                "c_coupling": _fmt(constants.c_coupling),
-                "stability_ratio": _fmt(constants.stability_ratio),
-            },
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-    raise DomainError(f"unknown format {fmt!r}")
+            "versions": {"bincoupling": __version__,
+                         "python": sys.version.split()[0]},
+        },
+        "constants": {
+            "c_thm1": _fmt(constants.c_thm1),
+            "c_thm2": _fmt(constants.c_thm2),
+            "c_thm2_tail_regime": _fmt(constants.c_thm2_tail_regime),
+            "c1_eq5": _fmt(constants.c1_eq5),
+            "c2_eq5": _fmt(constants.c2_eq5),
+            "c3_eq5": _fmt(constants.c3_eq5),
+            "c4_eq5": _fmt(constants.c4_eq5),
+            "c_coupling": _fmt(constants.c_coupling),
+            "stability_ratio": _fmt(constants.stability_ratio),
+        },
+    }
+    # "records" sorts after "constants" and "meta": close the head's last
+    # member and append the list, indented as json.dumps would
+    names = {r.check_name: json.dumps(r.check_name) for r in rows}
+    body = ",\n".join(
+        f'    {{\n      "check": {names[r.check_name]},\n'
+        f'      "k": {r.k},\n      "n": {r.n},\n'
+        f'      "passed": {"true" if r.passed else "false"},\n'
+        f'      "slack": "{r.slack:.17g}"\n    }}'
+        for r in rows)
+    text = json.dumps(head, indent=2, sort_keys=True)
+    return (text[:-2] + ',\n  "records": [\n' + body + "\n  ]\n}\n").encode()
 
 
 def load_config(path: str) -> SweepConfig:

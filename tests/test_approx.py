@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from bincoupling import (
@@ -11,7 +12,6 @@ from bincoupling import (
     epsilon_of,
     eq4_extreme,
     eq5_bounds,
-    full_breakdown,
     gamma_eps,
     h_aux,
     h_third,
@@ -26,6 +26,7 @@ from bincoupling import (
     theorem2_w,
     tusnady_bounds,
 )
+from bincoupling.approx import _gamma_array
 
 
 def gamma_oracle(e: float) -> float:
@@ -50,6 +51,14 @@ class TestGamma:
         # both branches against the high-precision closed form near the seam
         for e in (0.005, 0.02, 0.049999, 0.050001, 0.08, 0.5, 0.99):
             assert gamma_eps(e) == pytest.approx(gamma_oracle(e), rel=1e-12)
+
+    def test_array_form_matches_scalar(self):
+        # both branches, the seam and e = 0, element by element
+        es = [0.0, 1e-4, 0.005, 0.02, 0.049999, 0.05, 0.050001, 0.08, 0.5,
+              0.99]
+        got = _gamma_array(np.array(es))
+        for e, g in zip(es, got):
+            assert g == pytest.approx(gamma_eps(e), rel=1e-14, abs=0.0)
 
     def test_increasing(self):
         es = [i / 200 for i in range(201)]
@@ -181,16 +190,14 @@ class TestTheorem2:
         with pytest.raises(DomainError):
             theorem2_w(29, 15)  # eps = 0 for odd n at k = (n+1)/2
 
-    def test_full_breakdown_merges_both_views(self):
+    def test_tail_and_cutpoint_views_at_one_k(self):
+        # the tail residual and the cutpoint residual at one table cutpoint
         n, k = 64, 50
-        table = build_table(n)
-        z = table.record(k).z
-        lt = log_tail_exact(n, k).log_prob
-        b = full_breakdown(n, k, lt, z)
-        ref = theorem1_breakdown(n, k, lt)
-        assert b.r_k == ref.r_k
-        assert b.w_k == theorem2_w(n, k)
-        assert b.theta_k == z - b.w_k
+        z = build_table(n).record(k).z
+        b = theorem1_breakdown(n, k, log_tail_exact(n, k).log_prob)
+        assert b.r_k == b.an_exact - b.an_main
+        w = theorem2_w(n, k)
+        assert theorem2_theta(n, k, z) == z - w
 
 
 class TestLowerBound11:

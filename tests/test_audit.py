@@ -1,0 +1,107 @@
+"""50-digit audit of the certificate's closest calls.
+
+The three smallest-slack records of each of the two-root sandwich and the
+eq. (11) log-tail sandwich, from an n = 4096 sweep over every k, are
+recomputed in 50-digit arithmetic: the exact big-integer tail, z_k from
+findroot on psi, and every term of the slack.  The float slack must have
+the same sign and lie within 1e-11 of the 50-digit one, a hundredth of the
+checks' 1e-9 tolerance, so no check passes only by its tolerance.
+"""
+
+import mpmath as mp
+import pytest
+
+from bincoupling import SweepConfig, build_table, run_sweep
+
+N_AUDIT = 4096
+CHECKS = ("sandwich_lower", "sandwich_upper", "eq11_lower", "eq11_upper")
+PER_CHECK = 3
+BOUND = 1e-11
+DPS = 50
+
+
+def psi_mp(x):
+    return -mp.log(mp.erfc(x / mp.sqrt(2)) / 2)
+
+
+def rho_mp(x):
+    return mp.sqrt(2 / mp.pi) * mp.exp(-x * x / 2) / mp.erfc(x / mp.sqrt(2))
+
+
+def lambda_mp(m: int):
+    return mp.loggamma(m + 1) - ((m + mp.mpf(1) / 2) * mp.log(m) - m
+                                 + mp.log(mp.sqrt(2 * mp.pi)))
+
+
+def gamma_mp(e):
+    return ((1 + e) * mp.log(1 + e) + (1 - e) * mp.log(1 - e) - e * e) \
+        / (2 * e ** 4)
+
+
+def log_tail_mp(n: int, k: int):
+    num, c = 0, 1  # C(n, j) for j = n, n - 1, ..., k
+    for j in range(n, k - 1, -1):
+        num += c
+        c = c * j // (n - j + 1)
+    return mp.log(num) - n * mp.log(2)
+
+
+def slack_mp(check: str, n: int, k: int, z_float: float):
+    with mp.workdps(DPS):
+        return _slack_mp(check, n, k, z_float)
+
+
+def _slack_mp(check: str, n: int, k: int, z_float: float):
+    N, K = n - 1, k - 1
+    e = mp.mpf(2 * K - N) / N
+    x = e * mp.sqrt(N)
+    lt = log_tail_mp(n, k)
+    if check.startswith("eq11"):
+        delta = (mp.log(1 + mp.mpf(1) / N)
+                 + lambda_mp(N) - lambda_mp(K) - lambda_mp(N - K)
+                 - mp.log(1 - e * e) / 2 - N * e ** 4 * gamma_mp(e))
+        ell = mp.log(N) / N
+        eta = 2 * ell / (e + mp.sqrt(e * e + 2 * ell))
+        h3 = (1 - e) / (1 + eta) ** 3 - (1 + e) / (1 - eta) ** 3
+        kappa_sq = 1 - eta * h3 / 3
+        if check == "eq11_upper":
+            return delta - psi_mp(x) - lt
+        lower = (delta - mp.log(kappa_sq) / 2 - psi_mp(x)
+                 + mp.log(1 - mp.exp(-N * e * eta
+                                     - N * kappa_sq * eta * eta / 2)))
+        return lt - lower
+    z = mp.findroot(lambda t: psi_mp(t) + lt, mp.mpf(z_float))
+    beta = psi_mp(z) - psi_mp(x)
+    if check == "sandwich_upper":
+        d1 = 2 * beta / (mp.sqrt(x * x + 2 * beta) + x)
+        return x + d1 - z
+    rx = rho_mp(x)
+    d2 = 2 * beta / (mp.sqrt(rx * rx + 2 * beta) + rx)
+    return z - (x + d2)
+
+
+@pytest.fixture(scope="module")
+def audited():
+    records, _ = run_sweep(SweepConfig(n_values=(N_AUDIT,), k_policy="all"))
+    table = build_table(N_AUDIT)
+    rows = []
+    for check in CHECKS:
+        tight = sorted((r for r in records if r.check_name == check),
+                       key=lambda r: r.slack)[:PER_CHECK]
+        assert len(tight) == PER_CHECK
+        rows.extend((r, slack_mp(check, r.n, r.k, table.record(r.k).z))
+                    for r in tight)
+    return rows
+
+
+def test_tightest_records_agree_with_50_digits(audited):
+    for r, ref in audited:
+        where = (r.check_name, r.n, r.k, r.slack, float(ref))
+        assert r.passed and ref > 0, where
+        assert abs(r.slack - ref) <= BOUND, where
+
+
+def test_closest_call_is_the_known_sandwich_record(audited):
+    r, ref = min(audited, key=lambda pair: pair[0].slack)
+    assert (r.check_name, r.n, r.k) == ("sandwich_lower", 4096, 2145)
+    assert ref == pytest.approx(1.7618e-10, rel=1e-4)

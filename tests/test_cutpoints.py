@@ -13,7 +13,9 @@ from bincoupling import (
     couple,
     epsilon_of,
     export_csv,
+    inverse_psi,
     log_tail_exact,
+    log_tail_exact_all,
     psi,
     upper_tail,
 )
@@ -109,6 +111,53 @@ class TestBuildTable:
             build_table(4097)
         with pytest.raises(RangeError):
             build_table(0)
+
+
+def scalar_table(n: int) -> list[tuple[float, float]]:
+    """(z_k, beta_k) for k = 1..n by the scalar reference: inverse_psi per
+    upper-half k, the lower half mirrored."""
+    tails = log_tail_exact_all(n)
+    upper = {}
+    for k in range(n // 2 + 1, n + 1):
+        z = inverse_psi(-tails[k].log_prob)
+        upper[k] = (z, n / 2 + math.sqrt(n) * z / 2)
+    return [upper[k] if k in upper else
+            (-upper[n - k + 1][0], n - upper[n - k + 1][1])
+            for k in range(1, n + 1)]
+
+
+class TestVectorSolve:
+    @pytest.mark.parametrize("n", [28, 29, 64, 1000, 3001, 4096])
+    def test_matches_scalar_inverse_psi(self, n):
+        table = build_table(n)
+        for k in range(n // 2 + 1, n + 1):
+            ref = inverse_psi(-table.record(k).log_tail)
+            assert abs(table.record(k).z - ref) <= 1e-10
+
+    def test_arrays_and_records_agree(self):
+        table = build_table(29)
+        assert len(table.z) == len(table.beta) == len(table.log_tail) == 29
+        for k in range(1, 30):
+            rec = table.record(k)
+            assert (rec.epsilon, rec.z, rec.beta, rec.log_tail) == (
+                table.epsilon[k - 1], table.z[k - 1], table.beta[k - 1],
+                table.log_tail[k - 1])
+        assert table.records == tuple(table.record(k) for k in range(1, 30))
+        assert table.betas is table.betas  # cached once per table
+
+
+@given(st.integers(min_value=1, max_value=4096))
+@settings(max_examples=15, deadline=None)
+def test_vector_table_is_monotone_symmetric_and_matches_scalar(n):
+    table = build_table(n)
+    beta = table.beta
+    assert (beta[1:] > beta[:-1]).all()
+    assert abs(beta[::-1] + beta - n).max() <= 1e-8
+    ref = scalar_table(n)
+    for k in range(1, n + 1):
+        z_ref, beta_ref = ref[k - 1]
+        assert abs(table.z[k - 1] - z_ref) <= 1e-10
+        assert abs(beta[k - 1] - beta_ref) <= 1e-10 * math.sqrt(n)
 
 
 class TestCouple:

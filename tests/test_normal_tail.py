@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bincoupling import (
     DomainError,
     RangeError,
-    evaluate,
     inv_tail_asymptotic,
     inverse_psi,
     phi,
@@ -126,15 +125,16 @@ class TestRhoAndRemainder:
             rho(-201.0)
 
 
-class TestBundledEval:
+class TestTailQuantities:
     def test_consistency(self):
+        # phi, upper_tail, psi, rho and r agree with one another at one x
         for x in (-3.0, 0.0, 1.5, 8.0, 20.0):
-            ev = evaluate(x)
-            assert ev.r == ev.rho - ev.x
-            assert ev.rho > 0.0 and ev.r > 0.0
-            if ev.tail > 1e-300:
-                assert ev.rho == pytest.approx(ev.phi / ev.tail, rel=1e-12)
-                assert ev.psi == pytest.approx(-math.log(ev.tail), rel=1e-12)
+            rh, r, tail = rho(x), r_remainder(x), upper_tail(x)
+            assert r == rh - x
+            assert rh > 0.0 and r > 0.0
+            if tail > 1e-300:
+                assert rh == pytest.approx(phi(x) / tail, rel=1e-12)
+                assert psi(x) == pytest.approx(-math.log(tail), rel=1e-12)
 
 
 class TestInversePsi:

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -10,6 +13,7 @@ import bincoupling
 from bincoupling import (
     DomainError,
     SweepConfig,
+    VerificationRecord,
     coupling_check,
     emit_report,
     load_config,
@@ -22,8 +26,18 @@ from bincoupling.cli import (
     EXIT_OK,
     main,
 )
-from bincoupling.cutpoints import N_MAX_TABLE
+from bincoupling.approx import (
+    delta_sandwich,
+    lower_bound_11,
+    theorem1_breakdown,
+    theorem2_theta,
+    tusnady_bounds,
+)
+from bincoupling.binom_exact import log_tail_exact_all
+from bincoupling.cutpoints import N_MAX_TABLE, build_table, epsilon_of
 from bincoupling import verify
+from bincoupling.errors import SmallEpsilonRegime
+from bincoupling.normal_tail import psi
 from bincoupling.verify import select_ks
 
 
@@ -131,6 +145,13 @@ class TestRunSweep:
         assert not any(name.startswith(("thm1_", "thm2_", "eq11_"))
                        for name in names)
 
+    def test_n1_sweeps_without_dividing_by_log_1(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, constants = run_sweep(SweepConfig(n_values=(1, 2)))
+        assert all(r.passed for r in records)
+        assert math.isfinite(constants.c3_eq5)
+
     def test_sorted_output(self, small_sweep):
         records, _ = small_sweep
         keys = [(r.check_name, r.n, r.k) for r in records]
@@ -159,6 +180,37 @@ class TestEmitReport:
         assert len(doc["records"]) == len(records)
         assert float(doc["constants"]["c_thm1"]) == constants.c_thm1
         assert float(doc["constants"]["stability_ratio"]) >= 1.0
+
+    def test_json_bytes_equal_json_dumps(self, small_sweep):
+        # the direct emitter must give json.dumps' bytes, failed rows with
+        # a nan slack included
+        records, constants = small_sweep
+        records = records + [VerificationRecord(28, 25, "invariant", False,
+                                                math.nan)]
+        fmt = lambda x: format(x, ".17g")  # noqa: E731
+        doc = {
+            "meta": {
+                "config": {"n_values": [28, 29, 64], "k_policy": "all",
+                           "tolerances": SMALL.tolerances},
+                "versions": {"bincoupling": bincoupling.__version__,
+                             "python": sys.version.split()[0]},
+            },
+            "records": [
+                {"n": r.n, "k": r.k, "check": r.check_name,
+                 "passed": r.passed, "slack": fmt(r.slack)}
+                for r in sorted(records,
+                                key=lambda r: (r.check_name, r.n, r.k))
+            ],
+            "constants": {
+                name: fmt(getattr(constants, name))
+                for name in ("c_thm1", "c_thm2", "c_thm2_tail_regime",
+                             "c1_eq5", "c2_eq5", "c3_eq5", "c4_eq5",
+                             "c_coupling", "stability_ratio")
+            },
+        }
+        want = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        assert emit_report(records, constants, "json", SMALL) == want
+        assert b'"slack": "nan"' in want
 
     def test_empty_rejected(self, small_sweep):
         _, constants = small_sweep
@@ -225,14 +277,15 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(clean)]) == EXIT_OK
 
-        real = verify.lower_bound_11
+        real = verify.expansion_arrays
 
-        def faulty(n, k):
-            if (n, k) == (28, 25):
-                raise AssertionError("injected")
-            return real(n, k)
+        def faulty(n, ks, log_tail, z):
+            # the eq. (11) identity check reports a violation at (28, 25)
+            ex = real(n, ks, log_tail, z)
+            return dataclasses.replace(
+                ex, breaks_eq11=ex.breaks_eq11 | ((n == 28) & (ks == 25)))
 
-        monkeypatch.setattr(verify, "lower_bound_11", faulty)
+        monkeypatch.setattr(verify, "expansion_arrays", faulty)
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(broken)]) == EXIT_CHECK_FAILED
 
@@ -316,6 +369,95 @@ class TestCli:
         cfg.write_text("n_values = 28\nk_policy = all\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", "/nonexistent-dir/report.csv"]) == EXIT_IO_ERROR
+
+
+def scalar_checks(n: int, tol: dict[str, float]):
+    """The checks of one n, k by k, through the scalar reference functions:
+    {(check, k): (passed, slack)}, {k: r_k}, {k: theta_k} and
+    coupling_check's (max_excess, C)."""
+    table = build_table(n)
+    tails = log_tail_exact_all(n)
+    N = n - 1
+    out, r_k, theta = {}, {}, {}
+    for k in select_ks(n, "all"):
+        rec = table.record(k)
+        if rec.log_tail < 0.0:
+            s = (tol["log_tail"] * max(1.0, -rec.log_tail)
+                 - abs(psi(rec.z) + rec.log_tail))
+            out["defining_eq", k] = (s >= 0, s)
+        s = tol["symmetry"] - abs(table.record(n - k + 1).beta + rec.beta - n)
+        out["symmetry", k] = (s >= 0, s)
+        tc = tusnady_bounds(n, k, rec.beta, tol=tol["cutpoint"])
+        out["tusnady_lower", k] = (tc.holds_lower, tc.slack_lower)
+        out["tusnady_upper", k] = (tc.holds_upper, tc.slack_upper)
+        if not (n >= 28 and n / 2 < k <= n - 1):
+            continue
+        x = epsilon_of(n, k) * math.sqrt(N)
+        lt = tails[k].log_prob
+        try:
+            b = theorem1_breakdown(n, k, lt)
+            r_k[k] = b.r_k
+            lo, up = lower_bound_11(n, k)
+            out["eq11_lower", k] = (lt - lo >= -tol["log_tail"], lt - lo)
+            out["eq11_upper", k] = (up - lt >= -tol["log_tail"], up - lt)
+            if b.epsilon > 0.0:
+                theta[k] = theorem2_theta(n, k, rec.z)
+            if x < verify.X_SPLIT:
+                continue
+            try:
+                d1, d2, shift = delta_sandwich(n, k, rec.z)
+            except SmallEpsilonRegime:
+                continue
+            s_up = x + d1 - rec.z
+            for name, s in (("sandwich_lower", rec.z - (x + d2)),
+                            ("sandwich_upper", s_up),
+                            ("sandwich_gap", 4.0 * shift / x ** 3 - s_up)):
+                out[name, k] = (s >= -tol["cutpoint"], s)
+        except AssertionError:
+            out["invariant", k] = (False, math.nan)
+    max_excess, c = -math.inf, verify._CONSTANT_FLOOR
+    for k in range(n // 2 + 1, n + 1):
+        beta_k = table.record(k).beta
+        max_excess = max(max_excess, k - beta_k)
+        scale = 1.0 + abs(k - n / 2) ** 3 / n ** 2
+        c = max(c, (k - beta_k) / scale)
+        if k < n:
+            c = max(c, (table.record(k + 1).beta - k) / scale)
+    return out, r_k, theta, (max_excess, c)
+
+
+@pytest.mark.parametrize("n", [12, 28, 29, 64, 1000, 3001, 4096])
+def test_kernels_match_scalar_reference(n):
+    tol = dict(verify.DEFAULT_TOLERANCES)
+    ref, r_k, theta, (max_excess, c_ref) = scalar_checks(n, tol)
+    checks = {}
+    fit, c = verify._sweep_one_n(n, "all", tol, checks)
+    got = {}
+    for name, chunks in checks.items():
+        for ns, ks, passed, slack in chunks:
+            assert (ns == n).all()
+            for k, p, s in zip(ks.tolist(), passed.tolist(), slack.tolist()):
+                got[name, k] = (p, s)
+    coupling = got.pop(("coupling_k_minus_beta", 0))
+    assert coupling == (max_excess <= 1.0 + tol["cutpoint"], 1.0 - max_excess)
+    assert c == pytest.approx(c_ref, rel=1e-12)
+
+    # the same checks run and are skipped, the same identities hold
+    assert got.keys() == ref.keys()
+    for key, (passed, slack) in ref.items():
+        assert got[key][0] == passed, key
+        if key[0] != "invariant":
+            assert abs(got[key][1] - slack) <= 1e-9 * max(1.0, abs(slack)), key
+
+    # the raw terms behind the fitted constants
+    N = n - 1
+    ks = fit["k"].tolist()
+    for name, want in (("n_r_k", r_k), ("n_theta_k", theta)):
+        have = {k: v / N for k, v in zip(ks, fit[name].tolist())
+                if not math.isnan(v)}
+        assert have.keys() == want.keys()
+        for k, v in want.items():
+            assert abs(have[k] - v) <= 1e-9 * max(1.0, abs(v)), (name, k)
 
 
 def test_sweep_imports_neither_mpmath_nor_quadrature():

@@ -3,7 +3,8 @@
 Tail probabilities P{Bin(n, 1/2) >= k} are kept as exact big integers
 (numerator over 2^n) with a double-precision natural log attached.  The
 beta-integral route evaluates the same tail by adaptive quadrature in the
-log domain and is used as an independent cross-check of the integer sums.
+log domain; it is a test-only cross-check of the integer sums and the one
+function here that needs scipy.
 
 The Stirling correction lambda_n has two closed-form routes: the five-term
 Stirling series for n >= 12 and math.lgamma minus the Stirling lead below.
@@ -87,10 +88,15 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def _log_ratio(num: int, n: int) -> float:
-    # the full space has probability exactly one; keep its log exact too
-    if num == 1 << n:
-        return 0.0
-    return log_big_int(num) - n * LOG_2
+    """log(num / 2^n) for 0 < num <= 2^n, as the log of num's leading 53
+    bits scaled into [1, 2) plus its binary exponent minus n, times log 2.
+
+    Taking log(num) - n log 2 instead would subtract two numbers near
+    0.69 n and lose about ulp(0.69 n); this way a power of two (the tails
+    1, 1/2 and 2^-n among them) gets its log exactly."""
+    e = num.bit_length() - 1
+    mant = (num >> (e - 52) if e > 52 else num << (52 - e)) / 2.0 ** 52
+    return math.log(mant) + (e - n) * LOG_2
 
 
 def log_tail_exact(n: int, k: int) -> ExactTail:
@@ -127,15 +133,15 @@ def log_tail_beta_integral(n: int, k: int) -> float:
 
     evaluated by adaptive quadrature with the integrand rescaled in the log
     domain.  Independent of the big-integer route; the two agree to 1e-8
-    relative in the log.
+    relative in the log.  A test-only cross-check: it needs scipy, which
+    the rest of the package does not import.
     """
     if not (1 <= n <= N_MAX_QUAD):
         raise DomainError(f"n must be in [1, {N_MAX_QUAD}], got {n}")
     if not (1 <= k <= n):
         raise DomainError(f"k must be in [1, {n}] (k = 0 has no "
                           f"beta-integral form), got {k}")
-    # scipy.integrate is imported here, its only use, to keep its import
-    # cost off every process that never cross-checks by quadrature
+    # scipy is a test-only dependency, imported here, its only use
     from scipy import integrate
 
     log_pref = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1)

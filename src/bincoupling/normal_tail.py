@@ -1,9 +1,20 @@
 """Standard-normal tail machinery.
 
-Everything here is built on the scaled complementary error function
-erfcx(u) = exp(u^2) erfc(u), so that the negative log-tail ``psi`` and the
-hazard rate ``rho`` stay accurate far past the point where the raw tail
-probability underflows (the cutpoint solver routinely needs psi at x > 50).
+Two routes keep the negative log-tail ``psi`` and the hazard rate ``rho``
+accurate far past the point where the raw tail probability underflows (the
+cutpoint solver routinely needs psi at x > 50):
+
+- the erfc route, P{Z > x} = erfc(x / sqrt 2) / 2 from math.erfc, for psi
+  up to x = 30 and rho up to x = 10;
+- beyond those seams the continued fraction of the Mills ratio
+  R(x) = tail(x) / phi(x) = 1/(x + 1/(x + 2/(x + 3/(x + ...))))
+  (Laplace; DLMF 7.9.3), so rho = 1/R and psi = x^2/2 + log sqrt(2 pi)
+  + log rho, with no tail probability formed at all.
+
+Left of 0, psi = -log1p(-P{Z > -x}) with P{Z > -x} = phi(x) / rho(-x).
+Against 40-digit values both stay within 4e-15 relative over [-8, 200];
+further left the rounding of x^2 in exp(-x^2/2) allows up to about x^2/2
+ulp, the left tail's own condition number.
 
 Symbols, for a standard normal Z:
 
@@ -19,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DomainError, RangeError
 
@@ -38,8 +48,18 @@ __all__ = [
 ]
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+LOG_SQRT_2PI = math.log(SQRT_2PI)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+
+# Above this x rho takes the continued fraction.  Below it the erfc route's
+# error grows like x^2 * 2^-53 (the rounding of u^2 in exp(-u^2)); it is
+# under 4e-15 relative up to x = 10, and the fraction needs 16 terms there.
+_RHO_SEAM = 10.0
+# Above this x psi takes the continued fraction.  The erfc route's error in
+# psi is absolute and psi ~ x^2/2, so it stays at a few ulp until
+# erfc(x/sqrt 2) nears underflow at x ~ 37.
+_PSI_SEAM = 30.0
 
 # Validated accuracy envelope for psi / rho / inverse_psi.  Outside it the
 # operations fail loudly rather than silently degrade.
@@ -76,22 +96,27 @@ def upper_tail(x: float) -> float:
 def psi(x: float) -> float:
     """Negative log of the upper tail, -log P{Z > x}.
 
-    Evaluated through the scaled tail (never by logging an underflowed
-    probability), so it stays accurate over the whole envelope |x| <= 200.
+    Never logs an underflowed probability: the erfc route up to x = 30 and
+    the continued fraction beyond keep it accurate over the whole envelope
+    |x| <= 200.
     """
     x = _check_envelope(x)
-    # log_ndtr(t) = log P{Z <= t}; P{Z > x} = P{Z <= -x}.
-    return -float(sp.log_ndtr(-x))
+    if x < 0.0:
+        # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
+        q = math.exp(-0.5 * x * x) / (SQRT_2PI * _rho_nonneg(-x))
+        return -math.log1p(-q)
+    if x <= _PSI_SEAM:
+        return -math.log(0.5 * math.erfc(x * INV_SQRT_2))
+    return 0.5 * x * x + LOG_SQRT_2PI + math.log(_rho_nonneg(x))
 
 
 def rho(x: float) -> float:
     """Hazard rate phi(x)/P{Z > x}, strictly increasing."""
     x = _check_envelope(x)
-    if x <= -26.0:
-        # tail is 1 to within ~1e-148; avoids overflow in erfcx(-u)
-        return phi(x)
-    # phi(x)/tail(x) = sqrt(2/pi) / erfcx(x/sqrt(2))
-    return SQRT_2_OVER_PI / float(sp.erfcx(x * INV_SQRT_2))
+    if x < 0.0:
+        return (SQRT_2_OVER_PI * math.exp(-0.5 * x * x)
+                / math.erfc(x * INV_SQRT_2))
+    return _rho_nonneg(x)
 
 
 def r_remainder(x: float) -> float:
@@ -100,15 +125,75 @@ def r_remainder(x: float) -> float:
     return rho(x) - x
 
 
+def _rho_nonneg(x: float) -> float:
+    """rho for x >= 0, unchecked."""
+    if x > _RHO_SEAM:
+        return _mills_cf(x, _cf_depth(x))
+    # phi/tail at the rounded u = x/sqrt 2, so the error of that rounding
+    # cancels between exp(-u^2) and erfc(u)
+    u = x * INV_SQRT_2
+    return SQRT_2_OVER_PI * math.exp(-u * u) / math.erfc(u)
+
+
+def _cf_depth(x: float) -> int:
+    # terms that leave the continued fraction at its converged double for
+    # every x >= 5 (26 at x = 5, 16 at 10, 7 at 100), checked on a dense grid
+    return 6 + int(100.0 / x)
+
+
+def _mills_cf(x, depth: int):
+    """1/R(x) = x + 1/(x + 2/(x + 3/(x + ...))) cut after depth terms and
+    evaluated from the bottom up; x is a float or a float array."""
+    t = x
+    for k in range(depth, 0, -1):
+        t = x + k / t
+    return t
+
+
 def psi_array(x: np.ndarray) -> np.ndarray:
-    """psi elementwise, by the same scipy call as the scalar psi, so the two
-    agree bit for bit.  The caller keeps x finite and inside the envelope."""
-    return -sp.log_ndtr(-x)
+    """psi elementwise, by the routes and seams of the scalar psi, with
+    math.erfc in a comprehension and the continued fraction in numpy.  The
+    caller keeps x finite and inside the envelope."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    neg = x < 0.0
+    xn = x[neg]
+    q = np.exp(-0.5 * xn * xn) / (SQRT_2PI * _rho_nonneg_array(-xn))
+    out[neg] = -np.log1p(-q)
+    far = x > _PSI_SEAM
+    xf = x[far]
+    out[far] = 0.5 * xf * xf + LOG_SQRT_2PI + np.log(_rho_nonneg_array(xf))
+    mid = ~(neg | far)
+    out[mid] = -np.log(0.5 * _erfc_array(x[mid] * INV_SQRT_2))
+    return out
 
 
 def rho_array(x: np.ndarray) -> np.ndarray:
-    """rho elementwise for x > -26, by the same formula as the scalar rho."""
-    return SQRT_2_OVER_PI / sp.erfcx(x * INV_SQRT_2)
+    """rho elementwise, by the routes and seam of the scalar rho."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    neg = x < 0.0
+    xn = x[neg]
+    out[neg] = (SQRT_2_OVER_PI * np.exp(-0.5 * xn * xn)
+                / _erfc_array(xn * INV_SQRT_2))
+    out[~neg] = _rho_nonneg_array(x[~neg])
+    return out
+
+
+def _rho_nonneg_array(x: np.ndarray) -> np.ndarray:
+    """rho_array for x >= 0, by the routes of _rho_nonneg."""
+    out = np.empty_like(x)
+    far = x > _RHO_SEAM
+    if far.any():
+        xf = x[far]
+        out[far] = _mills_cf(xf, _cf_depth(xf.min()))
+    u = x[~far] * INV_SQRT_2
+    out[~far] = SQRT_2_OVER_PI * np.exp(-u * u) / _erfc_array(u)
+    return out
+
+
+def _erfc_array(u: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, u.tolist()), float, u.size)
 
 
 def inv_tail_asymptotic(p: float) -> float:
@@ -146,7 +231,9 @@ def inverse_psi(L: float) -> float:
             y = math.sqrt(2.0 * L)
             x = y - math.log(y) / y
         else:
-            x = 0.5
+            # Newton's first step from x = 0, the root at L = log 2: psi is
+            # convex, so it lands on the root or right of it
+            x = (L - log2) / SQRT_2_OVER_PI
     else:
         # mirrored bracket: x < 0, lower tail P{Z <= x} = 1 - e^{-L}
         p_low = -math.expm1(-L)
@@ -192,7 +279,8 @@ def inverse_psi_array(L: np.ndarray) -> np.ndarray:
     # the other entries sit out the Newton pass with a harmless stand-in L
     Lv = np.where(vec, L, 1.0)
     y = np.sqrt(2.0 * Lv)
-    x = np.where(Lv > 2.5, y - np.log(y) / y, 0.5)
+    x = np.where(Lv > 2.5, y - np.log(y) / y,
+                 (Lv - math.log(2.0)) / SQRT_2_OVER_PI)
     lo = np.zeros_like(Lv)
     hi = np.minimum(y + 2.0, X_MAX)
     x = np.minimum(np.maximum(x, lo), hi)

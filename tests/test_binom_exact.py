@@ -80,6 +80,19 @@ class TestLogTailExact:
             ref = float(mp.log(mp.mpf(t.numerator)) - 1000 * mp.log(2))
         assert t.log_prob == pytest.approx(ref, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [29, 1001, 3001, 4095, 4096])
+    def test_log_near_center_against_mpmath(self, n):
+        # log tails near 1/2 carry no cancellation error of size ulp(0.69 n)
+        batch = log_tail_exact_all(n)
+        with mp.workdps(50):
+            for k in range(max(0, n // 2 - 40), min(n, n // 2 + 41) + 1):
+                ref = mp.log(mp.mpf(batch[k].numerator) / mp.mpf(2) ** n)
+                err = abs(batch[k].log_prob - ref)
+                assert err <= 5e-16 * max(1.0, abs(ref)), k
+        if n % 2:
+            # the odd-n center tail is exactly 1/2
+            assert batch[(n + 1) // 2].log_prob == -math.log(2.0)
+
 
 class TestLogBigInt:
     def test_small(self):

@@ -86,6 +86,14 @@ class TestBuildTable:
         assert table.record(m).beta + table.record(m + 1).beta == \
             pytest.approx(n, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [29, 1001, 3001, 4095])
+    def test_odd_center_is_exact(self, n):
+        # the center tail is exactly 1/2, so its cutpoint is exactly n/2
+        rec = build_table(n).record((n + 1) // 2)
+        assert rec.log_tail == -math.log(2.0)
+        assert rec.z == 0.0
+        assert rec.beta == n / 2
+
     @pytest.mark.parametrize("n", [28, 255, 1024])
     def test_strictly_increasing(self, n):
         table = build_table(n)

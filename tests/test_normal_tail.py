@@ -1,5 +1,7 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from bincoupling import (
     rho,
     upper_tail,
 )
-from bincoupling.normal_tail import X_MAX
+from bincoupling.normal_tail import X_MAX, psi_array, rho_array
 
 # frozen 50-digit quadrature oracle values (tools/gen_normal_tail_fixture.py)
 PHI_1 = 0.24197072451914337
@@ -135,6 +137,48 @@ class TestTailQuantities:
             if tail > 1e-300:
                 assert rh == pytest.approx(phi(x) / tail, rel=1e-12)
                 assert psi(x) == pytest.approx(-math.log(tail), rel=1e-12)
+
+
+def _mp_psi_rho(x: float):
+    """40-digit psi and rho; left of 0 the tail 1 - P{Z > -x} is logged
+    through log1p."""
+    with mp.workdps(40):
+        X = mp.mpf(x)
+        tail = mp.erfc(X / mp.sqrt(2)) / 2
+        if x < 0:
+            p = -mp.log1p(-mp.erfc(-X / mp.sqrt(2)) / 2)
+        else:
+            p = -mp.log(tail)
+        return p, mp.npdf(X) / tail
+
+
+class TestAgainstMpmath:
+    # a dense grid over [-8, 200], both sides of the seams between the erfc
+    # route and the continued fraction (psi at 30, rho at 10, and 5), and
+    # x <= -26 at points where x^2 is exact: elsewhere out there the
+    # rounding of x^2 in exp(-x^2/2) alone costs up to x^2/2 ulp, the left
+    # tail's own condition number
+    XS = np.unique(np.concatenate([
+        np.linspace(-8.0, 200.0, 2081),
+        *(s + np.linspace(-0.01, 0.01, 21) for s in (5.0, 10.0, 30.0)),
+        np.nextafter([10.0, 30.0], np.inf),
+        [-37.0, -32.5, -30.0, -26.0],
+    ]))
+
+    def test_relative_error(self):
+        psi_a, rho_a = psi_array(self.XS), rho_array(self.XS)
+        for i, x in enumerate(self.XS.tolist()):
+            p, r = _mp_psi_rho(x)
+            for have in (psi(x), psi_a[i]):
+                assert abs(have - p) <= 3e-14 * p, x
+            for have in (rho(x), rho_a[i]):
+                assert abs(have - r) <= 3e-14 * r, x
+
+    def test_scalar_and_array_agree(self):
+        psi_a, rho_a = psi_array(self.XS), rho_array(self.XS)
+        for i, x in enumerate(self.XS.tolist()):
+            assert abs(psi_a[i] - psi(x)) <= 1e-15 * psi(x), x
+            assert abs(rho_a[i] - rho(x)) <= 1e-15 * rho(x), x
 
 
 class TestInversePsi:

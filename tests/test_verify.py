@@ -460,15 +460,16 @@ def test_kernels_match_scalar_reference(n):
             assert abs(have[k] - v) <= 1e-9 * max(1.0, abs(v)), (name, k)
 
 
-def test_sweep_imports_neither_mpmath_nor_quadrature():
-    # mpmath is a test-only dependency and scipy.integrate serves only the
-    # beta-integral cross-check; a fresh CLI process running the default
-    # sweep must load neither
+def test_cli_sweep_and_coupling_import_neither_mpmath_nor_scipy():
+    # mpmath and scipy are test-only dependencies (scipy serves only the
+    # beta-integral cross-check); a fresh CLI process running the default
+    # sweep, a table build and a coupling must load neither
     code = ("import sys, bincoupling.cli\n"
+            "from bincoupling import build_table, couple\n"
             "bincoupling.cli.run_sweep()\n"
+            "couple(build_table(64), 32.3)\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'mpmath' or m.startswith('mpmath.')\n"
-            "             or m == 'scipy.integrate'))\n")
+            "             if m.split('.')[0] in ('mpmath', 'scipy')))\n")
     src = str(pathlib.Path(bincoupling.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -48,17 +48,11 @@ _SERIES_MIN_N = 12
 
 
 def log_big_int(m: int) -> float:
-    """Natural log of a positive integer of any size.
-
-    Splits m = mant * 2^e with mant holding a full double mantissa, so the
-    result is exact to the last bit of the double regardless of magnitude.
-    """
+    """Natural log of a positive integer of any size, from its leading 53
+    bits and its binary exponent (see _log_ratio), so no float overflows."""
     if m <= 0:
         raise DomainError("log_big_int needs a positive integer")
-    e = m.bit_length() - 53
-    if e <= 0:
-        return math.log(m)
-    return math.log(m >> e) + e * LOG_2
+    return _log_ratio(m, 0)
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,9 @@ def _check_nk(n: int, k: int) -> None:
 
 
 def _log_ratio(num: int, n: int) -> float:
-    """log(num / 2^n) for 0 < num <= 2^n, as the log of num's leading 53
-    bits scaled into [1, 2) plus its binary exponent minus n, times log 2.
+    """log(num / 2^n) for an integer num > 0, as the log of num's leading
+    53 bits scaled into [1, 2) plus its binary exponent minus n, times
+    log 2.
 
     Taking log(num) - n log 2 instead would subtract two numbers near
     0.69 n and lose about ulp(0.69 n); this way a power of two (the tails

@@ -51,9 +51,9 @@ __version__ = "0.1.0"
 # imported after __version__ is bound: the sweep harness embeds it in reports
 from .verify import (  # noqa: E402
     DEFAULT_N_VALUES,
+    CheckRows,
     ConstantsReport,
     SweepConfig,
-    VerificationRecord,
     coupling_check,
     emit_report,
     load_config,
@@ -72,8 +72,7 @@ __all__ = [
     "DomainError", "RangeError", "SmallEpsilonRegime",
     "inv_tail_asymptotic", "inverse_psi",
     "phi", "psi", "r_remainder", "rho", "upper_tail",
-    "DEFAULT_N_VALUES", "ConstantsReport", "SweepConfig",
-    "VerificationRecord", "coupling_check", "emit_report", "load_config",
-    "run_sweep",
+    "DEFAULT_N_VALUES", "CheckRows", "ConstantsReport", "SweepConfig",
+    "coupling_check", "emit_report", "load_config", "run_sweep",
     "__version__",
 ]

@@ -10,15 +10,16 @@ import argparse
 import math
 import sys
 
-from .approx import tusnady_bounds
+import numpy as np
+
 from .binom_exact import log_tail_exact
 from .cutpoints import build_table, export_csv
 from .errors import DomainError, RangeError
-from .normal_tail import psi, r_remainder, rho
+from .normal_tail import psi, rho
 from .verify import (
+    CheckRows,
     ConstantsReport,
     SweepConfig,
-    VerificationRecord,
     _fmt,
     coupling_check,
     emit_report,
@@ -32,9 +33,9 @@ EXIT_BAD_CONFIG = 2
 EXIT_IO_ERROR = 3
 
 
-def _emit(records: list[VerificationRecord], constants: ConstantsReport,
+def _emit(checks: dict[str, CheckRows], constants: ConstantsReport,
           fmt: str, out: str | None, config: SweepConfig) -> int:
-    payload = emit_report(records, constants, fmt, config)
+    payload = emit_report(checks, constants, fmt, config)
     try:
         if out:
             with open(out, "wb") as fh:
@@ -44,11 +45,13 @@ def _emit(records: list[VerificationRecord], constants: ConstantsReport,
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    failures = [r for r in records if not r.passed]
-    for r in failures:
-        print(f"FAILED {r.check_name} at (n={r.n}, k={r.k}), "
-              f"slack {_fmt(r.slack)}", file=sys.stderr)
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    status = EXIT_OK
+    for name, rows in checks.items():
+        for i in np.flatnonzero(~rows.passed):
+            print(f"FAILED {name} at (n={rows.n[i]}, k={rows.k[i]}), "
+                  f"slack {_fmt(rows.slack[i])}", file=sys.stderr)
+            status = EXIT_CHECK_FAILED
+    return status
 
 
 def _load(args) -> SweepConfig:
@@ -87,11 +90,12 @@ def _sweep_and_emit(args, prefixes: tuple[str, ...] | None = None) -> int:
     when None), and emit in the --format flag's format, else the config's
     output_format, whose default is csv."""
     config = _load(args)
-    records, constants = run_sweep(config)
+    checks, constants = run_sweep(config)
     if prefixes is not None:
-        records = [r for r in records if r.check_name.startswith(prefixes)]
+        checks = {name: rows for name, rows in checks.items()
+                  if name.startswith(prefixes)}
     fmt = args.format or config.output_format
-    return _emit(records, constants, fmt, args.out, config)
+    return _emit(checks, constants, fmt, args.out, config)
 
 
 # a failed "invariant" record at (n, k) stands for the eq. (11) and sandwich
@@ -133,18 +137,21 @@ def cmd_lemma1(args) -> int:
     prev_rho, prev_r = -math.inf, math.inf
     for i in range(n_pts):
         x = a + i * step
-        rh, rr, px = rho(x), r_remainder(x), psi(x)
+        rh, px = rho(x), psi(x)
+        rr = rh - x  # r(x)
         if not (rh > prev_rho and rr < prev_r):
             failures += 1
         prev_rho, prev_r = rh, rr
         for d in deltas:
-            inc = psi(x + d) - px
+            xd = x + d
+            inc = psi(xd) - px
+            rh_d = rho(xd)
             slacks = (
                 inc - d * rh,                    # (i) lower
-                d * rho(x + d) - inc,            # (i) upper
-                inc - (x + d) ** 2 / 2 + x * x / 2
-                - d * r_remainder(x + d),        # (ii) lower
-                d * rr - (inc - (x + d) ** 2 / 2 + x * x / 2),  # (ii) upper
+                d * rh_d - inc,                  # (i) upper
+                inc - xd ** 2 / 2 + x * x / 2
+                - d * (rh_d - xd),               # (ii) lower
+                d * rr - (inc - xd ** 2 / 2 + x * x / 2),  # (ii) upper
                 inc - x * d - d * d / 2,         # (iii) lower
                 rh * d + d * d / 2 - inc,        # (iii) upper
             )

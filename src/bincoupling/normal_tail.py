@@ -285,18 +285,22 @@ def inverse_psi_array(L: np.ndarray) -> np.ndarray:
     hi = np.minimum(y + 2.0, X_MAX)
     x = np.minimum(np.maximum(x, lo), hi)
     tol = 1e-12 * np.maximum(1.0, Lv)
-    active = vec.copy()
+    # each pass evaluates only the entries still iterating
+    act = np.flatnonzero(vec)
     for _ in range(200):
-        f = psi_array(x) - Lv
-        hi = np.where(active & (f > 0.0), np.minimum(hi, x), hi)
-        lo = np.where(active & (f <= 0.0), np.maximum(lo, x), lo)
-        x_new = x - f / rho_array(x)
-        x_new = np.where((lo <= x_new) & (x_new <= hi), x_new,
-                         0.5 * (lo + hi))
-        active &= (np.abs(f) > tol) & (x_new != x)
-        if not active.any():
+        if not act.size:
             break
-        x = np.where(active, x_new, x)
+        xa, lo_a, hi_a = x[act], lo[act], hi[act]
+        f = psi_array(xa) - Lv[act]
+        hi_a = np.where(f > 0.0, np.minimum(hi_a, xa), hi_a)
+        lo_a = np.where(f <= 0.0, np.maximum(lo_a, xa), lo_a)
+        x_new = xa - f / rho_array(xa)
+        x_new = np.where((lo_a <= x_new) & (x_new <= hi_a), x_new,
+                         0.5 * (lo_a + hi_a))
+        lo[act], hi[act] = lo_a, hi_a
+        go = (np.abs(f) > tol[act]) & (x_new != xa)
+        act = act[go]
+        x[act] = x_new[go]
     missed = ~vec | (np.abs(psi_array(x) - Lv) > 1e-10 * np.maximum(1.0, Lv))
     for i in np.flatnonzero(missed):
         x[i] = inverse_psi(L[i])

@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +27,7 @@ from .normal_tail import psi_array
 
 __all__ = [
     "SweepConfig",
-    "VerificationRecord",
+    "CheckRows",
     "ConstantsReport",
     "run_sweep",
     "coupling_check",
@@ -66,26 +64,27 @@ class SweepConfig:
     def __post_init__(self):
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise DomainError("n_values must be positive integers")
-        if self.k_policy != "all" and self.k_policy != "extremes_plus_grid" \
-                and not self.k_policy.startswith("stride:"):
-            raise DomainError(f"unknown k_policy {self.k_policy!r}")
-        if self.k_policy.startswith("stride:"):
-            if int(self.k_policy.split(":", 1)[1]) < 1:
-                raise DomainError("stride must be >= 1")
+        head, _, m = self.k_policy.partition(":")
+        if self.k_policy not in ("all", "extremes_plus_grid") and not (
+                head == "stride" and m.strip().isdecimal() and int(m) >= 1):
+            raise DomainError(f"unknown k_policy {self.k_policy!r}, expected "
+                              "all, extremes_plus_grid or stride:<m>, m >= 1")
         if self.output_format not in ("csv", "json"):
             raise DomainError(f"unknown output_format {self.output_format!r}")
+        unknown = sorted(self.tolerances.keys() - DEFAULT_TOLERANCES.keys())
+        if unknown:
+            raise DomainError(f"unknown tolerance {unknown[0]!r}")
         if any(t <= 0 for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive")
 
 
-class VerificationRecord(NamedTuple):
-    """One check at one (n, k); an immutable row of the report."""
+class CheckRows(NamedTuple):
+    """One check's rows of the report, as columns of equal length."""
 
-    n: int
-    k: int
-    check_name: str
-    passed: bool
-    slack: float
+    n: np.ndarray
+    k: np.ndarray
+    passed: np.ndarray
+    slack: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,31 +119,26 @@ def select_ks(n: int, policy: str) -> list[int]:
     return sorted(ks)
 
 
-# one check's records for one n (or for the whole sweep), as arrays
-_Chunk = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _add(checks: dict[str, list[_Chunk]], name: str, n, ks: np.ndarray,
+def _add(checks: dict[str, list[CheckRows]], name: str, n, ks: np.ndarray,
          slack: np.ndarray, passed: np.ndarray) -> None:
     checks.setdefault(name, []).append(
-        (np.broadcast_to(n, ks.shape), ks, passed, slack))
+        CheckRows(np.broadcast_to(n, ks.shape), ks, passed, slack))
 
 
-def _to_records(checks: dict[str, list[_Chunk]]) -> list[VerificationRecord]:
-    """Records sorted by (check, n, k); equal keys keep the order in which
-    they were added, as a stable sort of all records would."""
-    records: list[VerificationRecord] = []
-    for name in sorted(checks):
-        n, k, passed, slack = (np.concatenate(c) for c in zip(*checks[name]))
-        order = np.lexsort((k, n))
-        records.extend(map(VerificationRecord, n[order].tolist(),
-                           k[order].tolist(), repeat(name, len(order)),
-                           passed[order].tolist(), slack[order].tolist()))
-    return records
+def _sorted_rows(chunks: dict[str, list[CheckRows]]) -> dict[str, CheckRows]:
+    """The checks with rows, in name order, each check's chunks joined and
+    stably sorted by (n, k)."""
+    checks = {}
+    for name in sorted(chunks):
+        rows = CheckRows(*map(np.concatenate, zip(*chunks[name])))
+        if rows.n.size:
+            order = np.lexsort((rows.k, rows.n))
+            checks[name] = CheckRows(*(col[order] for col in rows))
+    return checks
 
 
 def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
-                 checks: dict[str, list[_Chunk]]
+                 checks: dict[str, list[CheckRows]]
                  ) -> tuple[dict[str, np.ndarray], float]:
     """Add every check of one n to ``checks``; return the coupling constant
     of this n and the raw quantities the constant fits need, one array over
@@ -273,15 +267,16 @@ def _fit_constants(fit: dict[str, np.ndarray],
 
 
 def run_sweep(config: SweepConfig | None = None
-              ) -> tuple[list[VerificationRecord], ConstantsReport]:
+              ) -> tuple[dict[str, CheckRows], ConstantsReport]:
     """Run every check over the configured grid and fit the constants.
 
-    Output is deterministic: per-n work is pure, and records are sorted by
-    (check, n, k).
+    Returns each check's rows as columns, keyed by check name in name
+    order, rows sorted by (n, k); a check without rows is left out.
+    Output is deterministic: per-n work is pure.
     """
     config = config or SweepConfig()
     tol = {**DEFAULT_TOLERANCES, **config.tolerances}
-    checks: dict[str, list[_Chunk]] = {}
+    checks: dict[str, list[CheckRows]] = {}
     fits = []
     c_coupling = _CONSTANT_FLOOR
     for n in config.n_values:
@@ -309,7 +304,7 @@ def run_sweep(config: SweepConfig | None = None
                    (c.c3_eq5 * fit["log_n"] / sqrt_n + c.c4_eq5 * t) - d)
     _add(checks, "eq5_window", n, k, s, s >= -tol["fit"])
 
-    return _to_records(checks), c
+    return _sorted_rows(checks), c
 
 
 def coupling_check(n: int, table: CutpointTable | None = None
@@ -338,25 +333,25 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def emit_report(records: list[VerificationRecord],
+def emit_report(checks: dict[str, CheckRows],
                 constants: ConstantsReport,
                 fmt: str,
                 config: SweepConfig | None = None) -> bytes:
-    """Byte-stable CSV or JSON report, rows sorted by (check, n, k).
+    """Byte-stable CSV or JSON report of the rows in the order given, which
+    is run_sweep's (check, n, k) order.
 
     The JSON report is what json.dumps(doc, indent=2, sort_keys=True) gives,
     with the record rows formatted directly.
     """
-    if not records:
+    if not checks:
         raise DomainError("no records to report")
     if fmt not in ("csv", "json"):
         raise DomainError(f"unknown format {fmt!r}")
-    rows = sorted(records, key=attrgetter("check_name", "n", "k"))
     if fmt == "csv":
         lines = ["n,k,check,passed,slack"]
-        lines.extend(f"{r.n},{r.k},{r.check_name},"
-                     f"{'true' if r.passed else 'false'},{r.slack:.17g}"
-                     for r in rows)
+        for name, rows in checks.items():
+            lines.extend(f"{n},{k},{name},{'true' if p else 'false'},{s:.17g}"
+                         for n, k, p, s in zip(*(c.tolist() for c in rows)))
         lines.append("")
         return "\n".join(lines).encode()
     head = {
@@ -369,29 +364,21 @@ def emit_report(records: list[VerificationRecord],
             "versions": {"bincoupling": __version__,
                          "python": sys.version.split()[0]},
         },
-        "constants": {
-            "c_thm1": _fmt(constants.c_thm1),
-            "c_thm2": _fmt(constants.c_thm2),
-            "c_thm2_tail_regime": _fmt(constants.c_thm2_tail_regime),
-            "c1_eq5": _fmt(constants.c1_eq5),
-            "c2_eq5": _fmt(constants.c2_eq5),
-            "c3_eq5": _fmt(constants.c3_eq5),
-            "c4_eq5": _fmt(constants.c4_eq5),
-            "c_coupling": _fmt(constants.c_coupling),
-            "stability_ratio": _fmt(constants.stability_ratio),
-        },
+        "constants": {name: _fmt(value)
+                      for name, value in asdict(constants).items()},
     }
     # "records" sorts after "constants" and "meta": close the head's last
     # member and append the list, indented as json.dumps would
-    names = {r.check_name: json.dumps(r.check_name) for r in rows}
-    body = ",\n".join(
-        f'    {{\n      "check": {names[r.check_name]},\n'
-        f'      "k": {r.k},\n      "n": {r.n},\n'
-        f'      "passed": {"true" if r.passed else "false"},\n'
-        f'      "slack": "{r.slack:.17g}"\n    }}'
-        for r in rows)
+    body = []
+    for name, rows in checks.items():
+        check = f'    {{\n      "check": {json.dumps(name)},\n'
+        body.extend(f'{check}      "k": {k},\n      "n": {n},\n'
+                    f'      "passed": {"true" if p else "false"},\n'
+                    f'      "slack": "{s:.17g}"\n    }}'
+                    for n, k, p, s in zip(*(c.tolist() for c in rows)))
     text = json.dumps(head, indent=2, sort_keys=True)
-    return (text[:-2] + ',\n  "records": [\n' + body + "\n  ]\n}\n").encode()
+    return (text[:-2] + ',\n  "records": [\n' + ",\n".join(body)
+            + "\n  ]\n}\n").encode()
 
 
 def load_config(path: str) -> SweepConfig:
@@ -411,16 +398,20 @@ def load_config(path: str) -> SweepConfig:
                 raise DomainError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key == "n_values":
-                kwargs["n_values"] = tuple(
-                    int(v) for v in value.replace(",", " ").split())
-            elif key == "k_policy":
-                kwargs["k_policy"] = value
-            elif key == "output_format":
-                kwargs["output_format"] = value
-            elif key.startswith("tolerance."):
-                tolerances[key.split(".", 1)[1]] = float(value)
-            else:
-                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                if key == "n_values":
+                    arg = {"n_values": tuple(
+                        int(v) for v in value.replace(",", " ").split())}
+                elif key in ("k_policy", "output_format"):
+                    arg = {key: value}
+                elif key.startswith("tolerance."):
+                    arg = {"tolerances": {key.split(".", 1)[1]: float(value)}}
+                else:
+                    raise DomainError(f"unknown key {key!r}")
+                SweepConfig(**arg)  # the line's value must be valid alone
+            except ValueError as exc:  # DomainError included
+                raise DomainError(f"{path}:{lineno}: {exc}") from None
+            tolerances.update(arg.pop("tolerances", {}))
+            kwargs.update(arg)
     kwargs["tolerances"] = tolerances
     return SweepConfig(**kwargs)

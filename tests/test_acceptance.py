@@ -51,8 +51,8 @@ def _verdict(num: int, ok: bool, desc: str) -> None:
 def timed_sweep():
     """Default sweep, single process and single thread, wall-clock timed."""
     t0 = time.perf_counter()
-    records, constants = run_sweep(SweepConfig())
-    return records, constants, time.perf_counter() - t0
+    checks, constants = run_sweep(SweepConfig())
+    return checks, constants, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +210,12 @@ def test_criterion_09_extreme_cutpoint_residual(default_tables):
 
 
 def test_criterion_10_window_quadruple(timed_sweep, default_tables):
-    records, constants, _ = timed_sweep
+    checks, constants, _ = timed_sweep
     quad = (constants.c1_eq5, constants.c2_eq5,
             constants.c3_eq5, constants.c4_eq5)
     ok = all(math.isfinite(c) and c > 0.0 for c in quad)
     # the fitted quadruple must actually be feasible on every swept row
-    ok &= all(r.passed for r in records if r.check_name == "eq5_window")
+    ok &= bool(checks["eq5_window"].passed.all())
     # and independently on every (n, k) of the table, via the raw predicate
     # with the tiniest of slack inflation for the anchor rows themselves
     slack_quad = (quad[0] * (1 + 1e-9), quad[1] * (1 - 1e-9),

@@ -19,6 +19,7 @@ from bincoupling import (
     psi,
     upper_tail,
 )
+from bincoupling import normal_tail
 
 # oracle: inverse_psi(-log(5/16)) recomputed by 50-digit root finding on the
 # quadrature tail
@@ -141,6 +142,24 @@ class TestVectorSolve:
         for k in range(n // 2 + 1, n + 1):
             ref = inverse_psi(-table.record(k).log_tail)
             assert abs(table.record(k).z - ref) <= 1e-10
+
+    def test_converged_entries_are_not_evaluated_again(self, monkeypatch):
+        # each Newton pass evaluates psi on the entries still iterating only;
+        # the last call is the closing contract check over every entry
+        sizes = []
+        real = normal_tail.psi_array
+
+        def counted(x):
+            sizes.append(x.size)
+            return real(x)
+
+        monkeypatch.setattr(normal_tail, "psi_array", counted)
+        build_table(4096)
+        passes = sizes[:-1]
+        assert sizes[-1] == 2048
+        assert passes == sorted(passes, reverse=True)
+        assert passes[-1] < 10
+        assert sum(sizes) <= 5 * 2048
 
     def test_arrays_and_records_agree(self):
         table = build_table(29)

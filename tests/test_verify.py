@@ -3,17 +3,19 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import bincoupling
 from bincoupling import (
+    CheckRows,
     DomainError,
     SweepConfig,
-    VerificationRecord,
     coupling_check,
     emit_report,
     load_config,
@@ -35,7 +37,7 @@ from bincoupling.approx import (
 )
 from bincoupling.binom_exact import log_tail_exact_all
 from bincoupling.cutpoints import N_MAX_TABLE, build_table, epsilon_of
-from bincoupling import verify
+from bincoupling import cli, normal_tail, verify
 from bincoupling.errors import SmallEpsilonRegime
 from bincoupling.normal_tail import psi
 from bincoupling.verify import select_ks
@@ -91,6 +93,16 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             SweepConfig(tolerances={"cutpoint": 0.0})
 
+    def test_rejects_unparsable_stride(self):
+        with pytest.raises(DomainError):
+            SweepConfig(k_policy="stride:abc")
+
+    def test_rejects_unknown_tolerance(self):
+        # a misspelt name would otherwise be ignored by every check and
+        # still be written into the report's meta
+        with pytest.raises(DomainError, match="cutpiont"):
+            SweepConfig(tolerances={"cutpiont": 1e-30})
+
 
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
@@ -115,6 +127,20 @@ class TestLoadConfig:
             with pytest.raises(DomainError):
                 load_config(str(p))
 
+    @pytest.mark.parametrize("line", [
+        "k_policy = stride:abc",
+        "n_values = 28, x",
+        "tolerance.cutpoint = abc",
+        "tolerance.cutpiont = 1e-30",
+    ])
+    def test_bad_value_names_its_line(self, line, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"# sweep\n{line}\n")
+        with pytest.raises(DomainError, match=f"^{re.escape(str(p))}:2: "):
+            load_config(str(p))
+        assert main(["sweep", "--config", str(p)]) == EXIT_BAD_CONFIG
+        assert f"error: {p}:2: " in capsys.readouterr().err
+
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("n_values 28\n")
@@ -124,23 +150,20 @@ class TestLoadConfig:
 
 class TestRunSweep:
     def test_small_sweep_checks(self, small_sweep):
-        records, constants = small_sweep
-        by_name = {}
-        for r in records:
-            by_name.setdefault(r.check_name, []).append(r)
+        checks, constants = small_sweep
         for name in ("defining_eq", "symmetry", "tusnady_lower",
                      "tusnady_upper", "eq11_lower", "eq11_upper",
                      "thm1_residual", "thm2_residual", "eq5_window",
                      "coupling_k_minus_beta"):
-            assert name in by_name, name
-            assert all(r.passed for r in by_name[name]), name
+            assert name in checks, name
+            assert checks[name].passed.all(), name
         assert constants.c_thm1 > 0.0
         assert constants.c_coupling <= 1.0
 
     def test_no_expansion_checks_at_k_equals_n(self, small_sweep):
-        records, _ = small_sweep
-        at_top = [r for r in records if r.n == 64 and r.k == 64]
-        names = {r.check_name for r in at_top}
+        checks, _ = small_sweep
+        names = {name for name, rows in checks.items()
+                 if ((rows.n == 64) & (rows.k == 64)).any()}
         assert "tusnady_upper" in names
         assert not any(name.startswith(("thm1_", "thm2_", "eq11_"))
                        for name in names)
@@ -148,45 +171,50 @@ class TestRunSweep:
     def test_n1_sweeps_without_dividing_by_log_1(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            records, constants = run_sweep(SweepConfig(n_values=(1, 2)))
-        assert all(r.passed for r in records)
+            checks, constants = run_sweep(SweepConfig(n_values=(1, 2)))
+        assert all(rows.passed.all() for rows in checks.values())
         assert math.isfinite(constants.c3_eq5)
 
     def test_sorted_output(self, small_sweep):
-        records, _ = small_sweep
-        keys = [(r.check_name, r.n, r.k) for r in records]
+        checks, _ = small_sweep
+        keys = [(name, n, k) for name, rows in checks.items()
+                for n, k in zip(rows.n.tolist(), rows.k.tolist())]
         assert keys == sorted(keys)
+        assert all(rows.n.size for rows in checks.values())
 
     def test_reruns_are_byte_identical(self, small_sweep):
-        records, constants = small_sweep
+        checks, constants = small_sweep
         again = run_sweep(SMALL)
-        assert emit_report(records, constants, "csv", SMALL) == \
+        assert emit_report(checks, constants, "csv", SMALL) == \
             emit_report(*again, "csv", SMALL)
 
 
 class TestEmitReport:
     def test_csv_shape(self, small_sweep):
-        records, constants = small_sweep
-        payload = emit_report(records, constants, "csv", SMALL).decode()
+        checks, constants = small_sweep
+        payload = emit_report(checks, constants, "csv", SMALL).decode()
         lines = payload.splitlines()
         assert lines[0] == "n,k,check,passed,slack"
-        assert len(lines) == len(records) + 1
+        assert len(lines) == _n_rows(checks) + 1
         assert all(line.count(",") == 4 for line in lines[1:])
 
     def test_json_shape(self, small_sweep):
-        records, constants = small_sweep
-        doc = json.loads(emit_report(records, constants, "json", SMALL))
+        checks, constants = small_sweep
+        doc = json.loads(emit_report(checks, constants, "json", SMALL))
         assert doc["meta"]["config"]["n_values"] == [28, 29, 64]
-        assert len(doc["records"]) == len(records)
+        assert len(doc["records"]) == _n_rows(checks)
         assert float(doc["constants"]["c_thm1"]) == constants.c_thm1
         assert float(doc["constants"]["stability_ratio"]) >= 1.0
 
     def test_json_bytes_equal_json_dumps(self, small_sweep):
         # the direct emitter must give json.dumps' bytes, failed rows with
         # a nan slack included
-        records, constants = small_sweep
-        records = records + [VerificationRecord(28, 25, "invariant", False,
-                                                math.nan)]
+        checks, constants = small_sweep
+        failed = CheckRows(np.array([28]), np.array([25]), np.array([False]),
+                           np.array([math.nan]))
+        checks = dict(sorted({**checks, "invariant": failed}.items()))
+        records = [(name, n, k, p, s) for name, rows in checks.items()
+                   for n, k, p, s in zip(*(col.tolist() for col in rows))]
         fmt = lambda x: format(x, ".17g")  # noqa: E731
         doc = {
             "meta": {
@@ -196,10 +224,9 @@ class TestEmitReport:
                              "python": sys.version.split()[0]},
             },
             "records": [
-                {"n": r.n, "k": r.k, "check": r.check_name,
-                 "passed": r.passed, "slack": fmt(r.slack)}
-                for r in sorted(records,
-                                key=lambda r: (r.check_name, r.n, r.k))
+                {"n": n, "k": k, "check": name, "passed": p, "slack": fmt(s)}
+                for name, n, k, p, s in sorted(records,
+                                               key=lambda r: r[:3])
             ],
             "constants": {
                 name: fmt(getattr(constants, name))
@@ -209,18 +236,22 @@ class TestEmitReport:
             },
         }
         want = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-        assert emit_report(records, constants, "json", SMALL) == want
+        assert emit_report(checks, constants, "json", SMALL) == want
         assert b'"slack": "nan"' in want
 
     def test_empty_rejected(self, small_sweep):
         _, constants = small_sweep
         with pytest.raises(DomainError):
-            emit_report([], constants, "csv", SMALL)
+            emit_report({}, constants, "csv", SMALL)
 
     def test_unknown_format_rejected(self, small_sweep):
-        records, constants = small_sweep
+        checks, constants = small_sweep
         with pytest.raises(DomainError):
-            emit_report(records, constants, "yaml", SMALL)
+            emit_report(checks, constants, "yaml", SMALL)
+
+
+def _n_rows(checks) -> int:
+    return sum(rows.n.size for rows in checks.values())
 
 
 class TestCouplingCheck:
@@ -337,17 +368,46 @@ class TestCli:
     def test_theorem_subcommands(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_values = 28, 64\nk_policy = all\n")
-        for sub in ("theorem1", "theorem2", "tusnady"):
+        full = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg),
+                     "--out", str(full)]) == EXIT_OK
+        head, *rows = full.read_text().splitlines(keepends=True)
+        for sub, prefixes in (
+                ("theorem1", ("thm1_", "eq11_", "invariant")),
+                ("theorem2", ("thm2_", "sandwich_", "defining_eq",
+                              "invariant")),
+                ("tusnady", ("tusnady_",))):
             out = tmp_path / f"{sub}.csv"
             assert main([sub, "--config", str(cfg),
                          "--out", str(out)]) == EXIT_OK
             body = out.read_text()
             assert body.startswith("n,k,check,passed,slack")
             assert ",false," not in body
+            # the sweep's rows of these checks, in the sweep's order
+            kept = [row for row in rows
+                    if row.split(",")[2].startswith(prefixes)]
+            assert len(kept) > 0, sub
+            assert body == head + "".join(kept)
 
     def test_lemma1_default_grid_passes(self, capsys):
         assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK
         assert "0 failures" in capsys.readouterr().out
+
+    def test_lemma1_evaluates_rho_once_per_abscissa(self, monkeypatch,
+                                                     capsys):
+        # rho at x and at x + d for the four increments; r(x) is rho(x) - x
+        calls = []
+        real = normal_tail.rho
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(cli, "rho", counted)
+        monkeypatch.setattr(normal_tail, "rho", counted)
+        assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK
+        assert "601 points" in capsys.readouterr().out
+        assert len(calls) <= 5 * 601
 
     def test_lemma1_bad_grid(self, capsys):
         assert main(["lemma1", "--grid=3:1:0.1"]) == EXIT_BAD_CONFIG

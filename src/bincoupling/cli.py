@@ -13,10 +13,11 @@ import sys
 import numpy as np
 
 from .binom_exact import log_tail_exact
-from .cutpoints import build_table, export_csv
+from .cutpoints import build_table, export_csv, table_csv
 from .errors import DomainError, RangeError
 from .normal_tail import psi, rho
 from .verify import (
+    CHECKS,
     CheckRows,
     ConstantsReport,
     SweepConfig,
@@ -72,49 +73,23 @@ def cmd_tails(args) -> int:
 def cmd_cutpoints(args) -> int:
     table = build_table(args.n)
     if args.csv:
-        try:
-            export_csv(table, args.csv)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
-        return EXIT_OK
-    print("n,k,epsilon,z,beta,log_tail")
-    for rec in table.records:
-        print(f"{rec.n},{rec.k},{_fmt(rec.epsilon)},{_fmt(rec.z)},"
-              f"{_fmt(rec.beta)},{_fmt(rec.log_tail)}")
+        export_csv(table, args.csv)
+    else:
+        sys.stdout.write(table_csv(table))
     return EXIT_OK
 
 
-def _sweep_and_emit(args, prefixes: tuple[str, ...] | None = None) -> int:
-    """Run the configured sweep, keep the checks named by the prefixes (all
-    when None), and emit in the --format flag's format, else the config's
-    output_format, whose default is csv."""
+def cmd_sweep(args) -> int:
+    """Run the configured sweep and emit it in the --format flag's format,
+    else the config's output_format, whose default is csv.  A subcommand
+    other than sweep keeps the checks whose CHECKS entry names it."""
     config = _load(args)
     checks, constants = run_sweep(config)
-    if prefixes is not None:
+    if args.command != "sweep":
         checks = {name: rows for name, rows in checks.items()
-                  if name.startswith(prefixes)}
+                  if args.command in CHECKS[name][1]}
     fmt = args.format or config.output_format
     return _emit(checks, constants, fmt, args.out, config)
-
-
-# a failed "invariant" record at (n, k) stands for the eq. (11) and sandwich
-# rows the expansion could not produce there, so both theorems keep it
-def cmd_theorem1(args) -> int:
-    return _sweep_and_emit(args, ("thm1_", "eq11_", "invariant"))
-
-
-def cmd_theorem2(args) -> int:
-    return _sweep_and_emit(args, ("thm2_", "sandwich_", "defining_eq",
-                                  "invariant"))
-
-
-def cmd_tusnady(args) -> int:
-    return _sweep_and_emit(args, ("tusnady_",))
-
-
-def cmd_sweep(args) -> int:
-    return _sweep_and_emit(args)
 
 
 def cmd_lemma1(args) -> int:
@@ -194,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the table as CSV")
     p.set_defaults(func=cmd_cutpoints)
 
-    for name, func in (("theorem1", cmd_theorem1),
-                       ("theorem2", cmd_theorem2),
-                       ("tusnady", cmd_tusnady)):
-        p = sub.add_parser(name, help=f"{name} checks over a sweep")
-        _add_sweep_args(p)
-        p.set_defaults(func=func)
-
     p = sub.add_parser("lemma1", help="hazard-rate increment inequalities")
     p.add_argument("--grid", default="-8:8:0.001", metavar="a:b:step")
     p.set_defaults(func=cmd_lemma1)
@@ -209,9 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_coupling)
 
-    p = sub.add_parser("sweep", help="full verification sweep")
-    _add_sweep_args(p)
-    p.set_defaults(func=cmd_sweep)
+    for name in ("sweep", "theorem1", "theorem2", "tusnady"):
+        p = sub.add_parser(name, help=f"{name} checks over a sweep"
+                           if name != "sweep" else "full verification sweep")
+        _add_sweep_args(p)
+        p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -14,7 +14,6 @@ than a second round-off path.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -32,6 +31,7 @@ __all__ = [
     "build_table",
     "couple",
     "export_csv",
+    "table_csv",
     "N_MAX_TABLE",
 ]
 
@@ -74,10 +74,6 @@ class CutpointTable:
             n=self.n, k=k, epsilon=float(self.epsilon[i]),
             z=float(self.z[i]), beta=self.betas[i],
             log_tail=float(self.log_tail[i]))
-
-    @property
-    def records(self) -> tuple[CutpointRecord, ...]:
-        return tuple(self.record(k) for k in range(1, self.n + 1))
 
 
 def epsilon_of(n: int, k: int) -> float:
@@ -122,14 +118,18 @@ def couple(table: CutpointTable, y: float) -> int:
     return bisect_left(table.betas, y)
 
 
+def table_csv(table: CutpointTable) -> str:
+    """The table as CSV with LF line ends and 17-significant-digit floats."""
+    cols = (table.epsilon.tolist(), table.z.tolist(), table.betas,
+            table.log_tail.tolist())
+    lines = ["n,k,epsilon,z,beta,log_tail"]
+    lines.extend(f"{table.n},{k},{e:.17g},{z:.17g},{b:.17g},{t:.17g}"
+                 for k, e, z, b, t in zip(range(1, table.n + 1), *cols))
+    lines.append("")
+    return "\n".join(lines)
+
+
 def export_csv(table: CutpointTable, path: str) -> None:
-    """Write the table as CSV with 17-significant-digit floats."""
+    """Write table_csv(table) to path."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "k", "epsilon", "z", "beta", "log_tail"])
-        for rec in table.records:
-            writer.writerow([
-                rec.n, rec.k,
-                format(rec.epsilon, ".17g"), format(rec.z, ".17g"),
-                format(rec.beta, ".17g"), format(rec.log_tail, ".17g"),
-            ])
+        fh.write(table_csv(table))

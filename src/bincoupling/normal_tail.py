@@ -14,7 +14,8 @@ cutpoint solver routinely needs psi at x > 50):
 Left of 0, psi = -log1p(-P{Z > -x}) with P{Z > -x} = phi(x) / rho(-x).
 Against 40-digit values both stay within 4e-15 relative over [-8, 200];
 further left the rounding of x^2 in exp(-x^2/2) allows up to about x^2/2
-ulp, the left tail's own condition number.
+ulp, the left tail's own condition number.  The envelope ends at
+X_MIN = -37.5, where psi and rho are still normal floats.
 
 Symbols, for a standard normal Z:
 
@@ -44,6 +45,7 @@ __all__ = [
     "inverse_psi",
     "inverse_psi_array",
     "inv_tail_asymptotic",
+    "X_MIN",
     "X_MAX",
 ]
 
@@ -61,8 +63,10 @@ _RHO_SEAM = 10.0
 # erfc(x/sqrt 2) nears underflow at x ~ 37.
 _PSI_SEAM = 30.0
 
-# Validated accuracy envelope for psi / rho / inverse_psi.  Outside it the
-# operations fail loudly rather than silently degrade.
+# Validated accuracy envelope [X_MIN, X_MAX] for psi / rho / inverse_psi.
+# Outside it the operations fail loudly rather than silently degrade: left
+# of X_MIN psi and rho become subnormal, and past x ~ -38.5 they are 0.0.
+X_MIN = -37.5
 X_MAX = 200.0
 
 
@@ -75,8 +79,9 @@ def _check_finite(x: float) -> float:
 
 def _check_envelope(x: float) -> float:
     x = _check_finite(x)
-    if abs(x) > X_MAX:
-        raise RangeError(f"|x| = {abs(x)} exceeds validated envelope {X_MAX}")
+    if not X_MIN <= x <= X_MAX:
+        edge = f"X_MIN = {X_MIN}" if x < X_MIN else f"X_MAX = {X_MAX}"
+        raise RangeError(f"x = {x} is past the envelope's edge {edge}")
     return x
 
 
@@ -98,7 +103,7 @@ def psi(x: float) -> float:
 
     Never logs an underflowed probability: the erfc route up to x = 30 and
     the continued fraction beyond keep it accurate over the whole envelope
-    |x| <= 200.
+    [X_MIN, X_MAX] = [-37.5, 200].
     """
     x = _check_envelope(x)
     if x < 0.0:
@@ -237,7 +242,7 @@ def inverse_psi(L: float) -> float:
     else:
         # mirrored bracket: x < 0, lower tail P{Z <= x} = 1 - e^{-L}
         p_low = -math.expm1(-L)
-        lo = -(math.sqrt(2.0 * math.log(1.0 / p_low)) + 2.0)
+        lo = max(-(math.sqrt(2.0 * math.log(1.0 / p_low)) + 2.0), X_MIN)
         hi = 0.0
         x = -0.5
     x = min(max(x, lo), hi)
@@ -264,34 +269,31 @@ def inverse_psi(L: float) -> float:
 
 
 def inverse_psi_array(L: np.ndarray) -> np.ndarray:
-    """inverse_psi elementwise, to the same contract
-    |psi(x) - L| <= 1e-10 * max(1, L).
+    """inverse_psi elementwise for L >= log 2 (roots x >= 0), to the same
+    contract |psi(x) - L| <= 1e-10 * max(1, L).
 
-    Entries with L >= log 2 (roots x >= 0) run the scalar solver's Newton
-    iteration together: the same seed, bracket, step and stopping rule, one
-    numpy pass per iteration.  The rest, and any entry that misses the
-    contract, are solved by the scalar inverse_psi.
+    The scalar solver's Newton iteration runs on every entry together: the
+    same seed, bracket, step and stopping rule, one numpy pass per
+    iteration.  Any entry that misses the contract is solved by the scalar
+    inverse_psi.
     """
     L = np.asarray(L, dtype=float)
-    if L.size and not (np.isfinite(L).all() and L.min() > 0.0):
-        raise DomainError("L must be positive and finite")
-    vec = L >= math.log(2.0)
-    # the other entries sit out the Newton pass with a harmless stand-in L
-    Lv = np.where(vec, L, 1.0)
-    y = np.sqrt(2.0 * Lv)
-    x = np.where(Lv > 2.5, y - np.log(y) / y,
-                 (Lv - math.log(2.0)) / SQRT_2_OVER_PI)
-    lo = np.zeros_like(Lv)
+    if L.size and not (np.isfinite(L).all() and L.min() >= math.log(2.0)):
+        raise DomainError("L must be finite and at least log 2")
+    y = np.sqrt(2.0 * L)
+    x = np.where(L > 2.5, y - np.log(y) / y,
+                 (L - math.log(2.0)) / SQRT_2_OVER_PI)
+    lo = np.zeros_like(L)
     hi = np.minimum(y + 2.0, X_MAX)
     x = np.minimum(np.maximum(x, lo), hi)
-    tol = 1e-12 * np.maximum(1.0, Lv)
+    tol = 1e-12 * np.maximum(1.0, L)
     # each pass evaluates only the entries still iterating
-    act = np.flatnonzero(vec)
+    act = np.arange(L.size)
     for _ in range(200):
         if not act.size:
             break
         xa, lo_a, hi_a = x[act], lo[act], hi[act]
-        f = psi_array(xa) - Lv[act]
+        f = psi_array(xa) - L[act]
         hi_a = np.where(f > 0.0, np.minimum(hi_a, xa), hi_a)
         lo_a = np.where(f <= 0.0, np.maximum(lo_a, xa), lo_a)
         x_new = xa - f / rho_array(xa)
@@ -301,7 +303,7 @@ def inverse_psi_array(L: np.ndarray) -> np.ndarray:
         go = (np.abs(f) > tol[act]) & (x_new != xa)
         act = act[go]
         x[act] = x_new[go]
-    missed = ~vec | (np.abs(psi_array(x) - Lv) > 1e-10 * np.maximum(1.0, Lv))
+    missed = np.abs(psi_array(x) - L) > 1e-10 * np.maximum(1.0, L)
     for i in np.flatnonzero(missed):
         x[i] = inverse_psi(L[i])
     return x

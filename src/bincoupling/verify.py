@@ -28,6 +28,7 @@ from .normal_tail import psi_array
 __all__ = [
     "SweepConfig",
     "CheckRows",
+    "CHECKS",
     "ConstantsReport",
     "run_sweep",
     "coupling_check",
@@ -62,8 +63,14 @@ class SweepConfig:
     output_format: str = "csv"  # "csv" | "json"
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise DomainError("n_values must be positive integers")
+        if not self.n_values:
+            raise DomainError("n_values must not be empty")
+        for n in self.n_values:
+            if not 1 <= n <= N_MAX_TABLE:
+                raise DomainError(
+                    f"n_values must lie in [1, {N_MAX_TABLE}], got {n}")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise DomainError("n_values must not repeat an n")
         head, _, m = self.k_policy.partition(":")
         if self.k_policy not in ("all", "extremes_plus_grid") and not (
                 head == "stride" and m.strip().isdecimal() and int(m) >= 1):
@@ -119,22 +126,37 @@ def select_ks(n: int, policy: str) -> list[int]:
     return sorted(ks)
 
 
+# Every check the sweep runs, in name order: the tolerance its slack may
+# go below 0 by (None: pass is slack >= 0, because the slack already holds
+# its tolerance, or is nan and always fails), and the subcommands besides
+# sweep whose report keeps it.  A failed "invariant" record at (n, k)
+# stands for the eq. (11) and sandwich rows the expansion could not produce
+# there, so both theorems keep it.
+CHECKS: dict[str, tuple[str | None, tuple[str, ...]]] = {
+    "coupling_k_minus_beta": ("cutpoint", ()),
+    "defining_eq": (None, ("theorem2",)),
+    "eq11_lower": ("log_tail", ("theorem1",)),
+    "eq11_upper": ("log_tail", ("theorem1",)),
+    "eq5_window": ("fit", ()),
+    "invariant": (None, ("theorem1", "theorem2")),
+    "sandwich_gap": ("cutpoint", ("theorem2",)),
+    "sandwich_lower": ("cutpoint", ("theorem2",)),
+    "sandwich_upper": ("cutpoint", ("theorem2",)),
+    "symmetry": (None, ()),
+    "thm1_residual": ("fit", ("theorem1",)),
+    "thm2_residual": ("fit", ("theorem2",)),
+    "tusnady_lower": ("cutpoint", ("tusnady",)),
+    "tusnady_upper": ("cutpoint", ("tusnady",)),
+}
+
+
 def _add(checks: dict[str, list[CheckRows]], name: str, n, ks: np.ndarray,
-         slack: np.ndarray, passed: np.ndarray) -> None:
+         slack: np.ndarray, tol: dict[str, float]) -> None:
+    """Append one chunk of a declared check, its pass rule from CHECKS."""
+    key = CHECKS[name][0]
+    passed = slack >= (-tol[key] if key else 0.0)
     checks.setdefault(name, []).append(
         CheckRows(np.broadcast_to(n, ks.shape), ks, passed, slack))
-
-
-def _sorted_rows(chunks: dict[str, list[CheckRows]]) -> dict[str, CheckRows]:
-    """The checks with rows, in name order, each check's chunks joined and
-    stably sorted by (n, k)."""
-    checks = {}
-    for name in sorted(chunks):
-        rows = CheckRows(*map(np.concatenate, zip(*chunks[name])))
-        if rows.n.size:
-            order = np.lexsort((rows.k, rows.n))
-            checks[name] = CheckRows(*(col[order] for col in rows))
-    return checks
 
 
 def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
@@ -159,17 +181,17 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
     d = log_tail < 0.0
     s = (tol["log_tail"] * np.maximum(1.0, -log_tail[d])
          - np.abs(psi_array(z[d]) + log_tail[d]))
-    _add(checks, "defining_eq", n, ks[d], s, s >= 0)
+    _add(checks, "defining_eq", n, ks[d], s, tol)
 
     # symmetry beta_{n-k+1} + beta_k = n
     s = tol["symmetry"] - np.abs(table.beta[n - ks] + beta - n)
-    _add(checks, "symmetry", n, ks, s, s >= 0)
+    _add(checks, "symmetry", n, ks, s, tol)
 
     # Tusnady's bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))
     for name, s in (("tusnady_lower", beta - (ks - 1)),
                     ("tusnady_upper",
                      1.5 * n - np.sqrt(2.0 * n * (n - ks)) - beta)):
-        _add(checks, name, n, ks, s, s >= -tol["cutpoint"])
+        _add(checks, name, n, ks, s, tol)
 
     fit = {"n": np.full(ks.shape, n), "k": ks,
            "x": np.full(ks.shape, math.nan),
@@ -194,8 +216,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
 
         for name, s in (("eq11_lower", lt - ex.eq11_lower),
                         ("eq11_upper", ex.eq11_upper - lt)):
-            s = s[ok_11]
-            _add(checks, name, n, ek[ok_11], s, s >= -tol["log_tail"])
+            _add(checks, name, n, ek[ok_11], s[ok_11], tol)
 
         x, zs = ex.x[ok_sw], z[dom][ok_sw]
         s_lo = zs - (x + ex.d2[ok_sw])
@@ -203,20 +224,18 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
         gap = 4.0 * ex.beta_shift[ok_sw] / x ** 3 - s_up
         for name, s in (("sandwich_lower", s_lo), ("sandwich_upper", s_up),
                         ("sandwich_gap", gap)):
-            _add(checks, name, n, ek[ok_sw], s, s >= -tol["cutpoint"])
+            _add(checks, name, n, ek[ok_sw], s, tol)
 
-        n_broken = int(broken.sum())
-        _add(checks, "invariant", n, ek[broken], np.full(n_broken, math.nan),
-             np.zeros(n_broken, dtype=bool))
+        _add(checks, "invariant", n, ek[broken],
+             np.full(int(broken.sum()), math.nan), tol)
 
         fit["x"][dom] = ex.x
         fit["n_r_k"][dom] = np.where(ok_r, N * ex.r_k, math.nan)
         fit["n_theta_k"][dom] = np.where(ok_11, N * ex.theta, math.nan)
 
     max_excess, c_coupling = coupling_check(n, table=table)
-    s = 1.0 - max_excess
     _add(checks, "coupling_k_minus_beta", n, np.zeros(1, dtype=int),
-         np.array([s]), np.array([max_excess <= 1.0 + tol["cutpoint"]]))
+         np.array([1.0 - max_excess]), tol)
     return fit, c_coupling
 
 
@@ -279,7 +298,7 @@ def run_sweep(config: SweepConfig | None = None
     checks: dict[str, list[CheckRows]] = {}
     fits = []
     c_coupling = _CONSTANT_FLOOR
-    for n in config.n_values:
+    for n in sorted(config.n_values):
         fit, c_cpl = _sweep_one_n(n, config.k_policy, tol, checks)
         fits.append(fit)
         c_coupling = max(c_coupling, c_cpl)
@@ -293,18 +312,22 @@ def run_sweep(config: SweepConfig | None = None
     has_r = ~np.isnan(fit["n_r_k"])
     nr = fit["n_r_k"][has_r]
     s = np.minimum(c.c_thm1 - nr, nr + c.c_thm1 * log_N[has_r])
-    _add(checks, "thm1_residual", n[has_r], k[has_r], s, s >= -tol["fit"])
+    _add(checks, "thm1_residual", n[has_r], k[has_r], s, tol)
     has_t = ~np.isnan(fit["n_theta_k"])
     nt, xt = fit["n_theta_k"][has_t], x[has_t]
     s = np.minimum(c.c_thm2 * (xt + log_N[has_t]) - nt,
                    nt + c.c_thm2 * (xt + 1.0))
-    _add(checks, "thm2_residual", n[has_t], k[has_t], s, s >= -tol["fit"])
+    _add(checks, "thm2_residual", n[has_t], k[has_t], s, tol)
     d, t, sqrt_n = fit["d_eq5"], fit["t_eq5"], np.sqrt(n)
     s = np.minimum(d - (-c.c1_eq5 / sqrt_n + c.c2_eq5 * t),
                    (c.c3_eq5 * fit["log_n"] / sqrt_n + c.c4_eq5 * t) - d)
-    _add(checks, "eq5_window", n, k, s, s >= -tol["fit"])
+    _add(checks, "eq5_window", n, k, s, tol)
 
-    return _sorted_rows(checks), c
+    # every n adds its chunk in k order, and the n ascend: joining each
+    # check's chunks leaves its rows in (n, k) order
+    joined = {name: CheckRows(*map(np.concatenate, zip(*checks[name])))
+              for name in sorted(checks)}
+    return {name: rows for name, rows in joined.items() if rows.n.size}, c
 
 
 def coupling_check(n: int, table: CutpointTable | None = None

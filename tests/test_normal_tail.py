@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,7 @@ from bincoupling import (
     rho,
     upper_tail,
 )
-from bincoupling.normal_tail import X_MAX, psi_array, rho_array
+from bincoupling.normal_tail import X_MAX, X_MIN, psi_array, rho_array
 
 # frozen 50-digit quadrature oracle values (tools/gen_normal_tail_fixture.py)
 PHI_1 = 0.24197072451914337
@@ -90,6 +91,15 @@ class TestPsi:
         with pytest.raises(RangeError):
             psi(200.5)
         psi(200.0)  # boundary allowed
+
+    def test_left_edge_is_a_normal_float(self):
+        # psi and rho underflow to 0.0 a little further left, near x = -38.5
+        assert psi(X_MIN) >= sys.float_info.min
+        assert rho(X_MIN) >= sys.float_info.min
+        with pytest.raises(RangeError, match="X_MIN"):
+            psi(-37.6)
+        with pytest.raises(RangeError, match="X_MAX"):
+            rho(200.1)
 
 
 class TestRhoAndRemainder:
@@ -211,6 +221,11 @@ class TestInversePsi:
             inverse_psi(-1.0)
         with pytest.raises(RangeError):
             inverse_psi(psi(200.0) * 1.01)
+
+    def test_tiny_L_stays_in_the_envelope(self):
+        # the mirrored bracket is capped at X_MIN, as the other one at X_MAX
+        for L in (psi(X_MIN), 1e-300, 5e-324):
+            assert X_MIN <= inverse_psi(L) < 0.0
 
 
 class TestInvTailAsymptotic:

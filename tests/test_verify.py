@@ -51,6 +51,19 @@ def small_sweep():
     return run_sweep(SMALL)
 
 
+def break_eq11_at(monkeypatch, n0, k0):
+    """Make the eq. (11) identity check of the expansion report a
+    violation at (n0, k0)."""
+    real = verify.expansion_arrays
+
+    def faulty(n, ks, log_tail, z):
+        ex = real(n, ks, log_tail, z)
+        return dataclasses.replace(
+            ex, breaks_eq11=ex.breaks_eq11 | ((n == n0) & (ks == k0)))
+
+    monkeypatch.setattr(verify, "expansion_arrays", faulty)
+
+
 class TestSelectKs:
     def test_all_policy(self):
         assert select_ks(10, "all") == list(range(5, 11))
@@ -93,6 +106,13 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             SweepConfig(tolerances={"cutpoint": 0.0})
 
+    def test_rejects_n_beyond_the_table_and_repeated_n(self):
+        with pytest.raises(DomainError, match="5000"):
+            SweepConfig(n_values=(28, 5000))
+        with pytest.raises(DomainError, match="repeat"):
+            SweepConfig(n_values=(28, 64, 28))
+        SweepConfig(n_values=(1, N_MAX_TABLE))
+
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
             SweepConfig(k_policy="stride:abc")
@@ -132,6 +152,8 @@ class TestLoadConfig:
         "n_values = 28, x",
         "tolerance.cutpoint = abc",
         "tolerance.cutpiont = 1e-30",
+        "n_values = 28, 5000",
+        "n_values = 28, 28",
     ])
     def test_bad_value_names_its_line(self, line, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -139,7 +161,9 @@ class TestLoadConfig:
         with pytest.raises(DomainError, match=f"^{re.escape(str(p))}:2: "):
             load_config(str(p))
         assert main(["sweep", "--config", str(p)]) == EXIT_BAD_CONFIG
-        assert f"error: {p}:2: " in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert f"error: {p}:2: " in out.err
+        assert out.out == ""  # rejected before any row is swept
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -181,6 +205,26 @@ class TestRunSweep:
                 for n, k in zip(rows.n.tolist(), rows.k.tolist())]
         assert keys == sorted(keys)
         assert all(rows.n.size for rows in checks.values())
+
+    def test_checks_table_declares_exactly_the_checks_run(self,
+                                                          monkeypatch):
+        assert list(verify.CHECKS) == sorted(verify.CHECKS)
+        checks, _ = run_sweep(SweepConfig(n_values=(28, 64), k_policy="all"))
+        break_eq11_at(monkeypatch, 28, 25)
+        broken, _ = run_sweep(SweepConfig(n_values=(28,), k_policy="all"))
+        assert set(broken) - set(checks) == {"invariant"}
+        assert set(checks) | {"invariant"} == set(verify.CHECKS)
+
+    def test_an_undeclared_check_is_refused(self):
+        with pytest.raises(KeyError):
+            verify._add({}, "thm2_corner", 28, np.array([15]),
+                        np.array([0.0]), verify.DEFAULT_TOLERANCES)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_report_bytes_do_not_depend_on_n_order(self, fmt, small_sweep):
+        shuffled = run_sweep(SweepConfig(n_values=(64, 28, 29),
+                                         k_policy="all"))
+        assert emit_report(*shuffled, fmt) == emit_report(*small_sweep, fmt)
 
     def test_reruns_are_byte_identical(self, small_sweep):
         checks, constants = small_sweep
@@ -291,6 +335,14 @@ class TestCli:
         assert main(["cutpoints", "12", "--csv", str(out)]) == EXIT_OK
         assert out.read_text().startswith("n,k,")
 
+    def test_cutpoints_csv_file_equals_stdout(self, tmp_path, capsysbinary):
+        assert main(["cutpoints", "29"]) == EXIT_OK
+        printed = capsysbinary.readouterr().out
+        out = tmp_path / "table.csv"
+        assert main(["cutpoints", "29", "--csv", str(out)]) == EXIT_OK
+        assert out.read_bytes() == printed
+        assert printed.count(b"\n") == 30 and b"\r" not in printed
+
     def test_sweep_writes_report(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_values = 28\nk_policy = all\n")
@@ -308,15 +360,7 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(clean)]) == EXIT_OK
 
-        real = verify.expansion_arrays
-
-        def faulty(n, ks, log_tail, z):
-            # the eq. (11) identity check reports a violation at (28, 25)
-            ex = real(n, ks, log_tail, z)
-            return dataclasses.replace(
-                ex, breaks_eq11=ex.breaks_eq11 | ((n == 28) & (ks == 25)))
-
-        monkeypatch.setattr(verify, "expansion_arrays", faulty)
+        break_eq11_at(monkeypatch, 28, 25)
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(broken)]) == EXIT_CHECK_FAILED
 
@@ -372,11 +416,16 @@ class TestCli:
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(full)]) == EXIT_OK
         head, *rows = full.read_text().splitlines(keepends=True)
-        for sub, prefixes in (
-                ("theorem1", ("thm1_", "eq11_", "invariant")),
-                ("theorem2", ("thm2_", "sandwich_", "defining_eq",
-                              "invariant")),
-                ("tusnady", ("tusnady_",))):
+        # the spec; a clean sweep has no invariant rows
+        for sub, names in (
+                ("theorem1", {"eq11_lower", "eq11_upper", "invariant",
+                              "thm1_residual"}),
+                ("theorem2", {"defining_eq", "invariant", "sandwich_gap",
+                              "sandwich_lower", "sandwich_upper",
+                              "thm2_residual"}),
+                ("tusnady", {"tusnady_lower", "tusnady_upper"})):
+            assert names == {name for name, (_, subs) in verify.CHECKS.items()
+                             if sub in subs}
             out = tmp_path / f"{sub}.csv"
             assert main([sub, "--config", str(cfg),
                          "--out", str(out)]) == EXIT_OK
@@ -384,9 +433,9 @@ class TestCli:
             assert body.startswith("n,k,check,passed,slack")
             assert ",false," not in body
             # the sweep's rows of these checks, in the sweep's order
-            kept = [row for row in rows
-                    if row.split(",")[2].startswith(prefixes)]
-            assert len(kept) > 0, sub
+            kept = [row for row in rows if row.split(",")[2] in names]
+            assert {row.split(",")[2] for row in kept} == names - {
+                "invariant"}
             assert body == head + "".join(kept)
 
     def test_lemma1_default_grid_passes(self, capsys):
@@ -408,6 +457,14 @@ class TestCli:
         assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK
         assert "601 points" in capsys.readouterr().out
         assert len(calls) <= 5 * 601
+
+    def test_lemma1_stops_at_the_envelope_edge(self, capsys):
+        # left of X_MIN = -37.5 psi and rho underflow, and no longer pass
+        # for failures of the inequalities
+        assert main(["lemma1", "--grid=-40:190:0.0517"]) == EXIT_BAD_CONFIG
+        assert "X_MIN" in capsys.readouterr().err
+        assert main(["lemma1", "--grid=-37.5:190:0.0517"]) == EXIT_OK
+        assert ", 0 failures," in capsys.readouterr().out
 
     def test_lemma1_bad_grid(self, capsys):
         assert main(["lemma1", "--grid=3:1:0.1"]) == EXIT_BAD_CONFIG

@@ -21,7 +21,6 @@ from .approx import (
 )
 from .binom_exact import (
     ExactTail,
-    StirlingLambda,
     lambda_n,
     log_tail_beta_integral,
     log_tail_exact,
@@ -65,7 +64,7 @@ __all__ = [
     "eq5_bounds", "gamma_eps", "h_aux", "h_third",
     "laplace_pieces", "lower_bound_11", "s_eps", "theorem1_breakdown",
     "theorem2_theta", "theorem2_w", "tusnady_bounds",
-    "ExactTail", "StirlingLambda", "lambda_n", "log_tail_beta_integral",
+    "ExactTail", "lambda_n", "log_tail_beta_integral",
     "log_tail_exact", "log_tail_exact_all",
     "CutpointRecord", "CutpointTable", "build_table", "couple",
     "epsilon_of", "export_csv",

@@ -144,7 +144,7 @@ def laplace_pieces(n: int, k: int) -> tuple[float, float, float]:
             f"entropy identity violated at (n={n}, k={k}): "
             f"{direct} vs {h_diff}")
 
-    lam = lambda_n(N).lam - lambda_n(K).lam - lambda_n(N - K).lam
+    lam = lambda_n(N) - lambda_n(K) - lambda_n(N - K)
     delta = (math.log1p(1.0 / N) + lam - 0.5 * math.log1p(-e * e)
              - N * e ** 4 * g)
     return h_diff, delta, lam
@@ -193,7 +193,7 @@ def theorem1_breakdown(n: int, k: int, log_tail: float) -> ApproxBreakdown:
     x = e * math.sqrt(N)
     _, delta, lam = laplace_pieces(n, k)
     an_exact = float(log_tail) + psi(x)
-    an_main = -N * e ** 4 * g - 0.5 * math.log1p(-e * e) - lambda_n(n - k).lam
+    an_main = -N * e ** 4 * g - 0.5 * math.log1p(-e * e) - lambda_n(n - k)
     ell, eta, kappa_sq = _eta_kappa(n, k)
     return ApproxBreakdown(
         n=n, k=k, epsilon=e, gamma=g, s_eps=s_eps(e), Lambda=lam, Delta=delta,
@@ -209,7 +209,7 @@ def theorem2_w(n: int, k: int) -> float:
         raise DomainError("epsilon must be positive")
     N = n - 1
     xs = e * math.sqrt(N) * s_eps(e)
-    return xs + (math.log1p(-e * e) + 2.0 * lambda_n(n - k).lam) / (2.0 * xs)
+    return xs + (math.log1p(-e * e) + 2.0 * lambda_n(n - k)) / (2.0 * xs)
 
 
 def theorem2_theta(n: int, k: int, z_k: float) -> float:

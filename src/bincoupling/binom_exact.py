@@ -1,7 +1,8 @@
 """Exact symmetric-Binomial tails and Stirling corrections.
 
-Tail probabilities P{Bin(n, 1/2) >= k} are kept as exact big integers
-(numerator over 2^n) with a double-precision natural log attached.  The
+A tail probability P{Bin(n, 1/2) >= k} is an exact big integer (numerator
+over 2^n) with a double-precision natural log attached; the logs of every
+tail of one n come as one float array from a single integer pass.  The
 beta-integral route evaluates the same tail by adaptive quadrature in the
 log domain; it is a test-only cross-check of the integer sums and the one
 function here that needs scipy.
@@ -24,13 +25,11 @@ from .errors import DomainError
 
 __all__ = [
     "ExactTail",
-    "StirlingLambda",
     "log_tail_exact",
     "log_tail_exact_all",
     "log_tail_beta_integral",
     "lambda_n",
     "lambda_table",
-    "log_big_int",
 ]
 
 N_MAX_EXACT = 1 << 20
@@ -47,14 +46,6 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 _SERIES_MIN_N = 12
 
 
-def log_big_int(m: int) -> float:
-    """Natural log of a positive integer of any size, from its leading 53
-    bits and its binary exponent (see _log_ratio), so no float overflows."""
-    if m <= 0:
-        raise DomainError("log_big_int needs a positive integer")
-    return _log_ratio(m, 0)
-
-
 @dataclass(frozen=True)
 class ExactTail:
     """P{Bin(n,1/2) >= k} as an exact integer numerator over 2^n."""
@@ -63,15 +54,6 @@ class ExactTail:
     k: int
     numerator: int
     log_prob: float
-
-
-@dataclass(frozen=True)
-class StirlingLambda:
-    """Correction lambda_n = log n! - [(n + 1/2) log n - n + log sqrt(2 pi)],
-    bracketed by 1/(12n+1) and 1/(12n)."""
-
-    n: int
-    lam: float
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -105,20 +87,19 @@ def log_tail_exact(n: int, k: int) -> ExactTail:
     return ExactTail(n=n, k=k, numerator=num, log_prob=_log_ratio(num, n))
 
 
-def log_tail_exact_all(n: int) -> list[ExactTail]:
-    """All tails for a fixed n in one O(n) big-integer pass; entry [k] is the
-    tail at threshold k."""
+def log_tail_exact_all(n: int) -> np.ndarray:
+    """All log tails for a fixed n in one O(n) big-integer pass, as a float64
+    array of length n + 1; entry [k] equals log_tail_exact(n, k).log_prob."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
-    out: list[ExactTail] = [ExactTail(n, n, 1, -n * LOG_2)]
+    out = [_log_ratio(1, n)]
     num = 1
     c = 1
     for k in range(n - 1, -1, -1):
         c = c * (k + 1) // (n - k)
         num += c
-        out.append(ExactTail(n, k, num, _log_ratio(num, n)))
-    out.reverse()
-    return out
+        out.append(_log_ratio(num, n))
+    return np.array(out[::-1])
 
 
 def log_tail_beta_integral(n: int, k: int) -> float:
@@ -164,8 +145,10 @@ def log_tail_beta_integral(n: int, k: int) -> float:
     return log_pref + shift + math.log(val)
 
 
-def lambda_n(n: int) -> StirlingLambda:
-    """Stirling correction lambda_n in closed form; absolute error <= 1e-13.
+def lambda_n(n: int) -> float:
+    """Stirling correction lambda_n = log n! - [(n + 1/2) log n - n +
+    log sqrt(2 pi)] in closed form, bracketed by 1/(12n+1) and 1/(12n);
+    absolute error <= 1e-13.
 
     For n >= 12 it is the Stirling series (DLMF 5.11.1) truncated after the
     B_10 term; the first omitted term is below 3e-15 at n = 12 and shrinks
@@ -177,13 +160,13 @@ def lambda_n(n: int) -> StirlingLambda:
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     if n < _SERIES_MIN_N:
-        return StirlingLambda(n=n, lam=_lambda_lgamma(n))
-    return StirlingLambda(n=n, lam=_lambda_series(float(n)))
+        return _lambda_lgamma(n)
+    return _lambda_series(float(n))
 
 
 def lambda_table(m: int) -> np.ndarray:
     """lambda_j for j = 0 .. m as one array (entry 0 is nan), by the same two
-    routes and operations as lambda_n, so each entry equals lambda_n(j).lam."""
+    routes and operations as lambda_n, so each entry equals lambda_n(j)."""
     if not (0 <= m <= N_MAX_EXACT):
         raise DomainError(f"m must be in [0, {N_MAX_EXACT}], got {m}")
     lam = np.concatenate(([math.nan],

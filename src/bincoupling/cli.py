@@ -18,6 +18,7 @@ from .errors import DomainError, RangeError
 from .normal_tail import psi, rho
 from .verify import (
     CHECKS,
+    DEFAULT_TOLERANCES,
     CheckRows,
     ConstantsReport,
     SweepConfig,
@@ -25,6 +26,7 @@ from .verify import (
     coupling_check,
     emit_report,
     load_config,
+    passes,
     run_sweep,
 )
 
@@ -97,16 +99,19 @@ def cmd_lemma1(args) -> int:
     on a grid of x with a fixed set of increments."""
     try:
         a, b, step = (float(v) for v in args.grid.split(":"))
-    except ValueError:
+        if not all(map(math.isfinite, (a, b, step))):
+            raise ValueError
+        if step <= 0 or b <= a:
+            print("error: grid must have b > a and step > 0", file=sys.stderr)
+            return EXIT_BAD_CONFIG
+        # a step too small to count the points by (1e-320) overflows here
+        n_pts = int(round((b - a) / step)) + 1
+    except (ValueError, OverflowError):
         print(f"error: bad grid {args.grid!r}, expected a:b:step",
               file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if step <= 0 or b <= a:
-        print("error: grid must have b > a and step > 0", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     deltas = (0.01, 0.1, 1.0, 5.0)
     tol = 1e-10
-    n_pts = int(round((b - a) / step)) + 1
     worst = math.inf
     failures = 0
     prev_rho, prev_r = -math.inf, math.inf
@@ -143,7 +148,8 @@ def cmd_coupling(args) -> int:
     print(f"n = {args.n}")
     print(f"max_k (k - beta_k) = {_fmt(max_excess)}")
     print(f"c_coupling = {_fmt(c)}")
-    return EXIT_OK if max_excess <= 1.0 + 1e-9 else EXIT_CHECK_FAILED
+    ok = passes("coupling_k_minus_beta", 1.0 - max_excess, DEFAULT_TOLERANCES)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _add_sweep_args(p) -> None:

@@ -90,8 +90,7 @@ def build_table(n: int) -> CutpointTable:
     """Cutpoints for all k = 1..n from the exact big-integer tails."""
     if not (1 <= n <= N_MAX_TABLE):
         raise RangeError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
-    tails = log_tail_exact_all(n)
-    log_tail = np.array([t.log_prob for t in tails[1:]])
+    log_tail = log_tail_exact_all(n)[1:]
     ks = np.arange(1, n + 1)
     epsilon = ((2 * (ks - 1) - (n - 1)) / (n - 1) if n > 1
                else np.zeros(1))

@@ -29,6 +29,7 @@ __all__ = [
     "SweepConfig",
     "CheckRows",
     "CHECKS",
+    "passes",
     "ConstantsReport",
     "run_sweep",
     "coupling_check",
@@ -81,8 +82,9 @@ class SweepConfig:
         unknown = sorted(self.tolerances.keys() - DEFAULT_TOLERANCES.keys())
         if unknown:
             raise DomainError(f"unknown tolerance {unknown[0]!r}")
-        if any(t <= 0 for t in self.tolerances.values()):
-            raise DomainError("tolerances must be positive")
+        # nan would fail every row, inf would pass every row
+        if not all(0.0 < t < math.inf for t in self.tolerances.values()):
+            raise DomainError("tolerances must be positive and finite")
 
 
 class CheckRows(NamedTuple):
@@ -150,13 +152,18 @@ CHECKS: dict[str, tuple[str | None, tuple[str, ...]]] = {
 }
 
 
+def passes(name: str, slack, tol: dict[str, float]):
+    """The pass rule CHECKS declares for check ``name``, on a slack or an
+    array of slacks, with the tolerances ``tol``."""
+    key = CHECKS[name][0]
+    return slack >= (-tol[key] if key else 0.0)
+
+
 def _add(checks: dict[str, list[CheckRows]], name: str, n, ks: np.ndarray,
          slack: np.ndarray, tol: dict[str, float]) -> None:
     """Append one chunk of a declared check, its pass rule from CHECKS."""
-    key = CHECKS[name][0]
-    passed = slack >= (-tol[key] if key else 0.0)
-    checks.setdefault(name, []).append(
-        CheckRows(np.broadcast_to(n, ks.shape), ks, passed, slack))
+    checks.setdefault(name, []).append(CheckRows(
+        np.broadcast_to(n, ks.shape), ks, passes(name, slack, tol), slack))
 
 
 def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
@@ -204,7 +211,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
     dom = (ks > n / 2) & (ks <= n - 1) if n >= 28 else np.zeros_like(ks, bool)
     if dom.any():
         ek = ks[dom]
-        lt = np.array([tails[k].log_prob for k in ek.tolist()])
+        lt = tails[ek]
         ex = expansion_arrays(n, ek, lt, z[dom])
         # an internal identity of the expansion failing at one (n, k) is a
         # failed check there, in place of the rows that rest on it

@@ -103,7 +103,7 @@ def test_criterion_03_classical_tail_bounds():
 
 
 def test_criterion_04_stirling_bracket():
-    ok = all(1.0 / (12 * n + 1) <= lambda_n(n).lam <= 1.0 / (12 * n)
+    ok = all(1.0 / (12 * n + 1) <= lambda_n(n) <= 1.0 / (12 * n)
              for n in range(1, 4097))
     _verdict(4, ok, "Stirling correction bracket for n in [1, 4096]")
     assert ok
@@ -117,7 +117,7 @@ def test_criterion_05_oracle_equivalence():
     for n in (28, 100, 512):
         batch = log_tail_exact_all(n)
         for k in range(1, n + 1):
-            ref = batch[k].log_prob
+            ref = batch[k]
             if abs(log_tail_beta_integral(n, k) - ref) > \
                     1e-8 * max(1.0, abs(ref)):
                 ok = False
@@ -146,7 +146,7 @@ def test_criterion_07_log_tail_sandwich(default_tables):
         tails = log_tail_exact_all(n)
         for k in range(n // 2 + 1, n):
             lo, up = lower_bound_11(n, k)
-            ok &= lo - 1e-9 <= tails[k].log_prob <= up + 1e-9
+            ok &= lo - 1e-9 <= tails[k] <= up + 1e-9
     _verdict(7, ok, "explicit log-tail lower/upper sandwich")
     assert ok
 

@@ -2,6 +2,7 @@ import math
 from itertools import product
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from bincoupling import (
@@ -11,7 +12,7 @@ from bincoupling import (
     log_tail_exact,
     log_tail_exact_all,
 )
-from bincoupling.binom_exact import log_big_int
+from bincoupling.binom_exact import _log_ratio, lambda_table
 
 
 def enumerate_tail(n: int, k: int) -> int:
@@ -42,29 +43,32 @@ class TestLogTailExact:
         assert math.exp(t.log_prob) == pytest.approx(5 / 16, rel=1e-14)
 
     def test_batch_matches_single(self):
-        n = 73
-        batch = log_tail_exact_all(n)
-        for k in (0, 1, 36, 37, 72, 73):
-            single = log_tail_exact(n, k)
-            assert batch[k].numerator == single.numerator
-            assert batch[k].log_prob == single.log_prob
+        # the one-pass array equals the per-k reference bit for bit
+        for n in (1, 2, 28, 29, 73, 1000):
+            batch = log_tail_exact_all(n)
+            assert batch.dtype == np.float64
+            assert batch.shape == (n + 1,)
+            for k in range(n + 1):
+                assert batch[k] == log_tail_exact(n, k).log_prob, (n, k)
 
     def test_complement_identity_exact(self):
         for n in (5, 28, 129):
-            batch = log_tail_exact_all(n)
+            num = [log_tail_exact(n, k).numerator for k in range(n + 1)]
             for k in range(1, n + 1):
-                lower = 2 ** n - batch[k].numerator  # sum_{j<k} C(n,j)
-                assert batch[k].numerator + lower == 2 ** n
+                lower = 2 ** n - num[k]  # sum_{j<k} C(n,j)
+                assert num[k] + lower == 2 ** n
                 # symmetry: sum_{j>=k} = sum_{j<=n-k}
-                assert batch[k].numerator == 2 ** n - batch[n - k + 1].numerator
+                assert num[k] == 2 ** n - num[n - k + 1]
 
     def test_monotone_decreasing(self):
-        # numerators decrease strictly (exact); log_prob can tie in double
+        # numerators decrease strictly (exact); log tails can tie in double
         # precision where neighbouring tails differ by less than 1 ulp
-        batch = log_tail_exact_all(200)
-        for a, b in zip(batch, batch[1:]):
-            assert b.numerator < a.numerator
-            assert b.log_prob <= a.log_prob
+        n = 200
+        num = [log_tail_exact(n, k).numerator for k in range(n + 1)]
+        batch = log_tail_exact_all(n)
+        for k in range(n):
+            assert num[k + 1] < num[k]
+            assert batch[k + 1] <= batch[k]
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -86,28 +90,26 @@ class TestLogTailExact:
         batch = log_tail_exact_all(n)
         with mp.workdps(50):
             for k in range(max(0, n // 2 - 40), min(n, n // 2 + 41) + 1):
-                ref = mp.log(mp.mpf(batch[k].numerator) / mp.mpf(2) ** n)
-                err = abs(batch[k].log_prob - ref)
+                num = log_tail_exact(n, k).numerator
+                ref = mp.log(mp.mpf(num) / mp.mpf(2) ** n)
+                err = abs(batch[k] - ref)
                 assert err <= 5e-16 * max(1.0, abs(ref)), k
         if n % 2:
             # the odd-n center tail is exactly 1/2
-            assert batch[(n + 1) // 2].log_prob == -math.log(2.0)
+            assert batch[(n + 1) // 2] == -math.log(2.0)
 
 
 class TestLogBigInt:
+    # _log_ratio(m, 0) is log m for a positive integer of any size
     def test_small(self):
-        assert log_big_int(1) == 0.0
-        assert log_big_int(2) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert _log_ratio(1, 0) == 0.0
+        assert _log_ratio(2, 0) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_huge(self):
         m = 3 ** 5000
         with mp.workdps(40):
             ref = float(5000 * mp.log(3))
-        assert log_big_int(m) == pytest.approx(ref, rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_big_int(0)
+        assert _log_ratio(m, 0) == pytest.approx(ref, rel=1e-15)
 
 
 class TestBetaIntegral:
@@ -128,8 +130,7 @@ class TestBetaIntegral:
         batch = log_tail_exact_all(28)
         for k in range(1, 29):
             lb = log_tail_beta_integral(28, k)
-            assert abs(lb - batch[k].log_prob) <= 1e-8 * max(
-                1.0, abs(batch[k].log_prob))
+            assert abs(lb - batch[k]) <= 1e-8 * max(1.0, abs(batch[k]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -142,25 +143,25 @@ class TestLambdaN:
     def test_lambda_1(self):
         # log 1! = 0, so lambda_1 = 1 - log(2 pi)/2
         ref = 1.0 - 0.5 * math.log(2 * math.pi)
-        assert lambda_n(1).lam == pytest.approx(ref, rel=1e-13)
+        assert lambda_n(1) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 4095, 4096])
     def test_bracket_exact_route(self, n):
-        lam = lambda_n(n).lam
+        lam = lambda_n(n)
         assert 1.0 / (12 * n + 1) <= lam <= 1.0 / (12 * n)
 
     def test_bracket_instance_4096(self):
-        lam = lambda_n(4096).lam
+        lam = lambda_n(4096)
         assert 1.0 / 49153 <= lam <= 1.0 / 49152
 
     def test_series_route_continuity(self):
         # exact route at 4096 and series route at 4097 must line up
-        gap = lambda_n(4096).lam - lambda_n(4097).lam
+        gap = lambda_n(4096) - lambda_n(4097)
         assert 0.0 < gap < 1e-8
 
     @pytest.mark.parametrize("n", [5000, 10 ** 6])
     def test_bracket_series_route(self, n):
-        lam = lambda_n(n).lam
+        lam = lambda_n(n)
         assert 1.0 / (12 * n + 1) <= lam <= 1.0 / (12 * n)
 
     def test_against_50_digit_reference(self):
@@ -169,7 +170,7 @@ class TestLambdaN:
         # Robbins' bracket held strictly
         with mp.workdps(50):
             for n in range(1, 4097):
-                lam = lambda_n(n).lam
+                lam = lambda_n(n)
                 nn = mp.mpf(n)
                 lead = (nn + mp.mpf(1) / 2) * mp.log(nn) - nn \
                     + mp.log(2 * mp.pi) / 2
@@ -181,10 +182,18 @@ class TestLambdaN:
         # n = 11 is the last lgamma value and n = 12 the first series value;
         # since log 12! - log 11! = log 12, the leads leave an exact gap of
         # lambda_11 - lambda_12 = 11.5 log(12/11) - 1
-        lam11, lam12 = lambda_n(11).lam, lambda_n(12).lam
+        lam11, lam12 = lambda_n(11), lambda_n(12)
         assert lam12 < lam11
         assert lam11 - lam12 == pytest.approx(11.5 * math.log(12 / 11) - 1.0,
                                               abs=1e-13)
+
+    def test_table_matches_scalar(self):
+        # the array route behind the sweep equals lambda_n entry by entry
+        table = lambda_table(4096)
+        assert table.shape == (4097,)
+        assert math.isnan(table[0])
+        for j in range(1, 4097):
+            assert table[j] == lambda_n(j), j
 
     def test_domain(self):
         with pytest.raises(DomainError):

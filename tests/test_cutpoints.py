@@ -128,7 +128,7 @@ def scalar_table(n: int) -> list[tuple[float, float]]:
     tails = log_tail_exact_all(n)
     upper = {}
     for k in range(n // 2 + 1, n + 1):
-        z = inverse_psi(-tails[k].log_prob)
+        z = inverse_psi(-tails[k])
         upper[k] = (z, n / 2 + math.sqrt(n) * z / 2)
     return [upper[k] if k in upper else
             (-upper[n - k + 1][0], n - upper[n - k + 1][1])

@@ -1,0 +1,42 @@
+"""Every name the package exports, and every function the benchmark's
+tracer wraps, exists: a missing traced target would only be reported as
+untraced, with its per-layer metrics reading 0."""
+
+import ast
+import importlib
+import pathlib
+import pkgutil
+
+import pytest
+
+import bincoupling
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+MODULES = sorted(m.name for m in pkgutil.iter_modules(bincoupling.__path__))
+
+
+def tracer_targets() -> dict[str, tuple[str, ...]]:
+    """TARGETS of the tracer, read from its source without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TARGETS"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS in {TRACER}")
+
+
+def test_traced_targets_are_callables():
+    targets = tracer_targets()
+    assert targets
+    for module, names in targets.items():
+        mod = importlib.import_module(f"bincoupling.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("module", [None, *MODULES])
+def test_all_names_exist(module):
+    mod = (bincoupling if module is None
+           else importlib.import_module(f"bincoupling.{module}"))
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{mod.__name__}.{name}"

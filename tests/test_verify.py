@@ -154,6 +154,8 @@ class TestLoadConfig:
         "tolerance.cutpiont = 1e-30",
         "n_values = 28, 5000",
         "n_values = 28, 28",
+        "tolerance.cutpoint = nan",
+        "tolerance.cutpoint = 1e400",
     ])
     def test_bad_value_names_its_line(self, line, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -468,10 +470,36 @@ class TestCli:
 
     def test_lemma1_bad_grid(self, capsys):
         assert main(["lemma1", "--grid=3:1:0.1"]) == EXIT_BAD_CONFIG
+        # nan, inf or a point count that overflows is a bad grid, not a
+        # traceback
+        for grid in ("0:1:1e-320", "0:nan:1", "nan:1:1", "0:inf:1",
+                     "0:1:nan"):
+            capsys.readouterr()
+            assert main(["lemma1", f"--grid={grid}"]) == EXIT_BAD_CONFIG
+            out = capsys.readouterr()
+            assert f"error: bad grid {grid!r}" in out.err
+            assert out.out == ""
 
     def test_coupling(self, capsys):
         assert main(["coupling", "100"]) == EXIT_OK
         assert "c_coupling" in capsys.readouterr().out
+
+    def test_coupling_exit_matches_the_sweep_row(self, capsys):
+        checks, _ = run_sweep(SweepConfig(n_values=(28, 29, 1000)))
+        rows = checks["coupling_k_minus_beta"]
+        for n, passed in zip(rows.n.tolist(), rows.passed.tolist()):
+            want = EXIT_OK if passed else EXIT_CHECK_FAILED
+            assert main(["coupling", str(n)]) == want, n
+
+    def test_coupling_pass_rule_follows_its_tolerance(self, monkeypatch,
+                                                       capsys):
+        # the CLI applies the cutpoint tolerance CHECKS declares for the
+        # coupling row, not a literal of its own
+        monkeypatch.setattr(cli, "coupling_check",
+                            lambda n: (1.0 + 2e-9, 0.5))
+        assert main(["coupling", "28"]) == EXIT_CHECK_FAILED
+        monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "cutpoint", 1e-8)
+        assert main(["coupling", "28"]) == EXIT_OK
 
     def test_bad_domain_is_config_error(self, capsys):
         assert main(["tails", "0", "0"]) == EXIT_BAD_CONFIG
@@ -510,7 +538,7 @@ def scalar_checks(n: int, tol: dict[str, float]):
         if not (n >= 28 and n / 2 < k <= n - 1):
             continue
         x = epsilon_of(n, k) * math.sqrt(N)
-        lt = tails[k].log_prob
+        lt = tails[k]
         try:
             b = theorem1_breakdown(n, k, lt)
             r_k[k] = b.r_k

@@ -3,11 +3,10 @@ cutpoint expansions around it, and a sweep harness that certifies every
 inequality numerically."""
 
 from .approx import (
-    ApproxBreakdown,
-    TusnadyCheck,
     delta_sandwich,
     eq4_extreme,
     eq5_bounds,
+    eta_kappa,
     gamma_eps,
     h_aux,
     h_third,
@@ -20,14 +19,12 @@ from .approx import (
     tusnady_bounds,
 )
 from .binom_exact import (
-    ExactTail,
     lambda_n,
-    log_tail_beta_integral,
     log_tail_exact,
     log_tail_exact_all,
+    tail_numerator,
 )
 from .cutpoints import (
-    CutpointRecord,
     CutpointTable,
     build_table,
     couple,
@@ -60,13 +57,12 @@ from .verify import (  # noqa: E402
 )
 
 __all__ = [
-    "ApproxBreakdown", "TusnadyCheck", "delta_sandwich", "eq4_extreme",
-    "eq5_bounds", "gamma_eps", "h_aux", "h_third",
+    "delta_sandwich", "eq4_extreme", "eq5_bounds", "eta_kappa",
+    "gamma_eps", "h_aux", "h_third",
     "laplace_pieces", "lower_bound_11", "s_eps", "theorem1_breakdown",
     "theorem2_theta", "theorem2_w", "tusnady_bounds",
-    "ExactTail", "lambda_n", "log_tail_beta_integral",
-    "log_tail_exact", "log_tail_exact_all",
-    "CutpointRecord", "CutpointTable", "build_table", "couple",
+    "lambda_n", "log_tail_exact", "log_tail_exact_all", "tail_numerator",
+    "CutpointTable", "build_table", "couple",
     "epsilon_of", "export_csv",
     "DomainError", "RangeError", "SmallEpsilonRegime",
     "inv_tail_asymptotic", "inverse_psi",

@@ -27,13 +27,12 @@ from .errors import DomainError, SmallEpsilonRegime
 from .normal_tail import psi, psi_array, rho, rho_array
 
 __all__ = [
-    "ApproxBreakdown",
-    "TusnadyCheck",
     "gamma_eps",
     "s_eps",
     "laplace_pieces",
     "h_aux",
     "h_third",
+    "eta_kappa",
     "theorem1_breakdown",
     "theorem2_w",
     "theorem2_theta",
@@ -150,26 +149,8 @@ def laplace_pieces(n: int, k: int) -> tuple[float, float, float]:
     return h_diff, delta, lam
 
 
-@dataclass(frozen=True)
-class ApproxBreakdown:
-    """Every expansion term for one (n, k)."""
-
-    n: int
-    k: int
-    epsilon: float
-    gamma: float
-    s_eps: float
-    Lambda: float
-    Delta: float
-    an_main: float   # -N e^4 gamma - log(1-e^2)/2 - lam_{n-k}
-    an_exact: float  # log tail + psi(e sqrt(N))
-    r_k: float       # an_exact - an_main
-    ell_N: float     # log(N)/N
-    eta: float
-    kappa_sq: float
-
-
-def _eta_kappa(n: int, k: int) -> tuple[float, float, float]:
+def eta_kappa(n: int, k: int) -> tuple[float, float, float]:
+    """(log(N)/N, eta, kappa^2) of eq. (11) at (n, k)."""
     e = epsilon_of(n, k)
     N = n - 1
     ell = math.log(N) / N
@@ -179,26 +160,22 @@ def _eta_kappa(n: int, k: int) -> tuple[float, float, float]:
     return ell, eta, kappa_sq
 
 
-def theorem1_breakdown(n: int, k: int, log_tail: float) -> ApproxBreakdown:
-    """Tail-expansion terms: log P{X >= k} = -psi(x) + A_n with
+def theorem1_breakdown(n: int, k: int, log_tail: float) -> float:
+    """Residual r_k of the tail expansion log P{X >= k} = -psi(x) + A_n with
     A_n = -N e^4 gamma(e) - log(1-e^2)/2 - lam_{n-k} + r_k, where log_tail
-    is the exact log P{X >= k}."""
+    is the exact log P{X >= k}.  Raises AssertionError where the entropy
+    identity of laplace_pieces fails."""
     if n < 28:
         raise DomainError(f"n must be >= 28, got {n}")
     if k == n:
         raise DomainError("the expansion excludes the extreme k = n")
     e = _eps_range_check(n, k, n_min=28)
     N = n - 1
-    g = gamma_eps(e)
-    x = e * math.sqrt(N)
-    _, delta, lam = laplace_pieces(n, k)
-    an_exact = float(log_tail) + psi(x)
-    an_main = -N * e ** 4 * g - 0.5 * math.log1p(-e * e) - lambda_n(n - k)
-    ell, eta, kappa_sq = _eta_kappa(n, k)
-    return ApproxBreakdown(
-        n=n, k=k, epsilon=e, gamma=g, s_eps=s_eps(e), Lambda=lam, Delta=delta,
-        an_main=an_main, an_exact=an_exact, r_k=an_exact - an_main,
-        ell_N=ell, eta=eta, kappa_sq=kappa_sq)
+    laplace_pieces(n, k)
+    an_exact = float(log_tail) + psi(e * math.sqrt(N))
+    an_main = (-N * e ** 4 * gamma_eps(e) - 0.5 * math.log1p(-e * e)
+               - lambda_n(n - k))
+    return an_exact - an_main
 
 
 def theorem2_w(n: int, k: int) -> float:
@@ -230,11 +207,11 @@ def lower_bound_11(n: int, k: int) -> tuple[float, float]:
     N = n - 1
     x = e * math.sqrt(N)
     _, delta, _ = laplace_pieces(n, k)
-    ell, eta, kappa_sq = _eta_kappa(n, k)
+    ell, eta, kappa_sq = eta_kappa(n, k)
     # the construction needs a short eta and a mild variance inflation
     if eta > 0.5:
         raise AssertionError(f"eta = {eta} > 1/2 at (n={n}, k={k})")
-    if eta <= 0.5 and kappa_sq > 1.0 + 6.0 * eta * (eta + e) + 1e-12:
+    if kappa_sq > 1.0 + 6.0 * eta * (eta + e) + 1e-12:
         raise AssertionError(
             f"kappa^2 bound violated at (n={n}, k={k}): {kappa_sq}")
     quad = 0.5 * eta * eta + eta * e
@@ -362,7 +339,7 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
     psi_x = psi_array(x)
     r_k = (log_tail + psi_x) - (-N * e4 * g - 0.5 * log1m_e2 - lam_tail)
 
-    # lower_bound_11, with the eta and kappa of _eta_kappa
+    # lower_bound_11, with the eta and kappa of eta_kappa
     ell = math.log(N) / N
     eta = 2.0 * ell / (e + np.sqrt(e * e + 2.0 * ell))
     h3 = (1.0 - e) / (1.0 + eta) ** 3 - (1.0 + e) / (1.0 - eta) ** 3
@@ -398,25 +375,14 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
         breaks_sandwich=breaks_sandwich)
 
 
-@dataclass(frozen=True)
-class TusnadyCheck:
-    holds_lower: bool
-    holds_upper: bool
-    slack_lower: float  # beta_k - (k - 1)
-    slack_upper: float  # 3n/2 - sqrt(2n(n-k)) - beta_k
-
-
-def tusnady_bounds(n: int, k: int, beta_k: float,
-                   tol: float = 1e-9) -> TusnadyCheck:
-    """Classical cutpoint bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))."""
+def tusnady_bounds(n: int, k: int, beta_k: float) -> tuple[float, float]:
+    """Slacks (beta_k - (k - 1), 3n/2 - sqrt(2n(n-k)) - beta_k) of the
+    classical cutpoint bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))."""
     if not (n / 2 <= k <= n):
         raise DomainError(f"k must satisfy n/2 <= k <= n, got k = {k}")
     beta_k = float(beta_k)
-    slack_lower = beta_k - (k - 1)
-    slack_upper = 1.5 * n - math.sqrt(2.0 * n * (n - k)) - beta_k
-    return TusnadyCheck(holds_lower=slack_lower >= -tol,
-                        holds_upper=slack_upper >= -tol,
-                        slack_lower=slack_lower, slack_upper=slack_upper)
+    return (beta_k - (k - 1),
+            1.5 * n - math.sqrt(2.0 * n * (n - k)) - beta_k)
 
 
 def eq4_extreme(n: int, B: int) -> float:

@@ -1,11 +1,9 @@
 """Exact symmetric-Binomial tails and Stirling corrections.
 
-A tail probability P{Bin(n, 1/2) >= k} is an exact big integer (numerator
-over 2^n) with a double-precision natural log attached; the logs of every
-tail of one n come as one float array from a single integer pass.  The
-beta-integral route evaluates the same tail by adaptive quadrature in the
-log domain; it is a test-only cross-check of the integer sums and the one
-function here that needs scipy.
+A tail probability P{Bin(n, 1/2) >= k} is an exact big integer numerator
+over 2^n, and its double-precision natural log is taken from that integer;
+the logs of every tail of one n come as one float array from a single
+integer pass.
 
 The Stirling correction lambda_n has two closed-form routes: the five-term
 Stirling series for n >= 12 and math.lgamma minus the Stirling lead below.
@@ -17,23 +15,20 @@ inside Robbins' bracket 1/(12n+1) < lambda_n < 1/(12n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "ExactTail",
+    "tail_numerator",
     "log_tail_exact",
     "log_tail_exact_all",
-    "log_tail_beta_integral",
     "lambda_n",
     "lambda_table",
 ]
 
 N_MAX_EXACT = 1 << 20
-N_MAX_QUAD = 4096
 
 LOG_2 = math.log(2.0)
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -44,23 +39,6 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
                     1.0 / 1188.0)
 # below this n the truncated series loses accuracy; lgamma takes over
 _SERIES_MIN_N = 12
-
-
-@dataclass(frozen=True)
-class ExactTail:
-    """P{Bin(n,1/2) >= k} as an exact integer numerator over 2^n."""
-
-    n: int
-    k: int
-    numerator: int
-    log_prob: float
-
-
-def _check_nk(n: int, k: int) -> None:
-    if not (1 <= n <= N_MAX_EXACT):
-        raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
-    if not (0 <= k <= n):
-        raise DomainError(f"k must be in [0, {n}], got {k}")
 
 
 def _log_ratio(num: int, n: int) -> float:
@@ -76,20 +54,29 @@ def _log_ratio(num: int, n: int) -> float:
     return math.log(mant) + (e - n) * LOG_2
 
 
-def log_tail_exact(n: int, k: int) -> ExactTail:
-    """Exact upper tail Sum_{j>=k} C(n,j) / 2^n."""
-    _check_nk(n, k)
+def tail_numerator(n: int, k: int) -> int:
+    """Sum_{j>=k} C(n,j), the exact numerator of P{Bin(n,1/2) >= k} over
+    2^n."""
+    if not (1 <= n <= N_MAX_EXACT):
+        raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
+    if not (0 <= k <= n):
+        raise DomainError(f"k must be in [0, {n}], got {k}")
     num = 0
     c = 1  # C(n, n) walking down
     for j in range(n, k - 1, -1):
         num += c
         c = c * j // (n - j + 1)
-    return ExactTail(n=n, k=k, numerator=num, log_prob=_log_ratio(num, n))
+    return num
+
+
+def log_tail_exact(n: int, k: int) -> float:
+    """log P{Bin(n,1/2) >= k}, from the exact numerator tail_numerator(n, k)."""
+    return _log_ratio(tail_numerator(n, k), n)
 
 
 def log_tail_exact_all(n: int) -> np.ndarray:
     """All log tails for a fixed n in one O(n) big-integer pass, as a float64
-    array of length n + 1; entry [k] equals log_tail_exact(n, k).log_prob."""
+    array of length n + 1; entry [k] equals log_tail_exact(n, k)."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     out = [_log_ratio(1, n)]
@@ -100,49 +87,6 @@ def log_tail_exact_all(n: int) -> np.ndarray:
         num += c
         out.append(_log_ratio(num, n))
     return np.array(out[::-1])
-
-
-def log_tail_beta_integral(n: int, k: int) -> float:
-    """Log of the tail via its incomplete-beta representation:
-
-        n!/((k-1)!(n-k)!) * integral_0^{1/2} t^{k-1} (1-t)^{n-k} dt
-
-    evaluated by adaptive quadrature with the integrand rescaled in the log
-    domain.  Independent of the big-integer route; the two agree to 1e-8
-    relative in the log.  A test-only cross-check: it needs scipy, which
-    the rest of the package does not import.
-    """
-    if not (1 <= n <= N_MAX_QUAD):
-        raise DomainError(f"n must be in [1, {N_MAX_QUAD}], got {n}")
-    if not (1 <= k <= n):
-        raise DomainError(f"k must be in [1, {n}] (k = 0 has no "
-                          f"beta-integral form), got {k}")
-    # scipy is a test-only dependency, imported here, its only use
-    from scipy import integrate
-
-    log_pref = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1)
-
-    a, b = float(k - 1), float(n - k)
-
-    def log_integrand(t: float) -> float:
-        if t <= 0.0:
-            return 0.0 if a == 0.0 else -math.inf
-        if t >= 1.0:
-            return 0.0 if b == 0.0 else -math.inf
-        return a * math.log(t) + b * math.log1p(-t)
-
-    # rescale so the integrand peaks at 1: mode of t^a (1-t)^b is a/(a+b)
-    mode = a / (a + b) if a + b > 0.0 else 0.0
-    peak = mode if mode < 0.5 else 0.5
-    shift = log_integrand(peak)
-    points = [mode] if 0.0 < mode < 0.5 else None
-
-    def integrand(t: float) -> float:
-        return math.exp(log_integrand(t) - shift)
-
-    val, _err = integrate.quad(integrand, 0.0, 0.5, epsabs=1e-300,
-                               epsrel=1e-11, limit=200, points=points)
-    return log_pref + shift + math.log(val)
 
 
 def lambda_n(n: int) -> float:

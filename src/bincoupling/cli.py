@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .binom_exact import log_tail_exact
+from .binom_exact import _log_ratio, tail_numerator
 from .cutpoints import build_table, export_csv, table_csv
 from .errors import DomainError, RangeError
 from .normal_tail import psi, rho
@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_IO_ERROR = 3
+
+# the most points a lemma1 grid may have; at about 20 us a point (2-CPU
+# host, Python 3.11) the limit is a run of a few minutes
+LEMMA1_MAX_POINTS = 10 ** 7
 
 
 def _emit(checks: dict[str, CheckRows], constants: ConstantsReport,
@@ -64,11 +68,13 @@ def _load(args) -> SweepConfig:
 
 
 def cmd_tails(args) -> int:
-    t = log_tail_exact(args.n, args.k)
-    print(f"n = {t.n}  k = {t.k}")
-    print(f"numerator bits = {t.numerator.bit_length()}")
-    print(f"log_prob = {_fmt(t.log_prob)}")
-    print(f"prob     = {_fmt(math.exp(t.log_prob))}")
+    # one O(n^2)-bit sum serves both lines: log_prob is log_tail_exact's
+    num = tail_numerator(args.n, args.k)
+    log_prob = _log_ratio(num, args.n)
+    print(f"n = {args.n}  k = {args.k}")
+    print(f"numerator bits = {num.bit_length()}")
+    print(f"log_prob = {_fmt(log_prob)}")
+    print(f"prob     = {_fmt(math.exp(log_prob))}")
     return EXIT_OK
 
 
@@ -109,6 +115,10 @@ def cmd_lemma1(args) -> int:
     except (ValueError, OverflowError):
         print(f"error: bad grid {args.grid!r}, expected a:b:step",
               file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    if n_pts > LEMMA1_MAX_POINTS:
+        print(f"error: grid {args.grid!r} has {n_pts} points, more than "
+              f"{LEMMA1_MAX_POINTS}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     deltas = (0.01, 0.1, 1.0, 5.0)
     tol = 1e-10
@@ -198,11 +208,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (DomainError, RangeError, OSError) as exc:
-        if isinstance(exc, OSError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return EXIT_IO_ERROR if isinstance(exc, OSError) else EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

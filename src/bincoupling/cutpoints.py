@@ -25,7 +25,6 @@ from .errors import DomainError, RangeError
 from .normal_tail import inverse_psi_array
 
 __all__ = [
-    "CutpointRecord",
     "CutpointTable",
     "epsilon_of",
     "build_table",
@@ -38,42 +37,22 @@ __all__ = [
 N_MAX_TABLE = 4096
 
 
-@dataclass(frozen=True)
-class CutpointRecord:
-    n: int
-    k: int
-    epsilon: float  # (2(k-1) - (n-1)) / (n-1); 0 by convention when n = 1
-    z: float        # standardized cutpoint, psi(z) = -log_tail
-    beta: float     # n/2 + sqrt(n) z / 2
-    log_tail: float
-
-
 @dataclass(frozen=True, eq=False)
 class CutpointTable:
     """Cutpoints of one n as arrays over k = 1 .. n (entry k - 1), with
     beta strictly increasing."""
 
     n: int
-    epsilon: np.ndarray  # (2(k-1) - (n-1)) / (n-1); 0 by convention at n = 1
-    z: np.ndarray
-    beta: np.ndarray
+    z: np.ndarray     # standardized cutpoint, psi(z) = -log_tail
+    beta: np.ndarray  # n/2 + sqrt(n) z / 2
     log_tail: np.ndarray
     # beta as Python floats, built once for the coupling map's bisection
     betas: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.epsilon, self.z, self.beta, self.log_tail):
+        for a in (self.z, self.beta, self.log_tail):
             a.flags.writeable = False
         object.__setattr__(self, "betas", tuple(self.beta.tolist()))
-
-    def record(self, k: int) -> CutpointRecord:
-        if not (1 <= k <= self.n):
-            raise DomainError(f"k must be in [1, {self.n}], got {k}")
-        i = k - 1
-        return CutpointRecord(
-            n=self.n, k=k, epsilon=float(self.epsilon[i]),
-            z=float(self.z[i]), beta=self.betas[i],
-            log_tail=float(self.log_tail[i]))
 
 
 def epsilon_of(n: int, k: int) -> float:
@@ -91,9 +70,6 @@ def build_table(n: int) -> CutpointTable:
     if not (1 <= n <= N_MAX_TABLE):
         raise RangeError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
     log_tail = log_tail_exact_all(n)[1:]
-    ks = np.arange(1, n + 1)
-    epsilon = ((2 * (ks - 1) - (n - 1)) / (n - 1) if n > 1
-               else np.zeros(1))
 
     # upper half k > n/2 solved directly (tail <= 1/2), lower half mirrored
     m = n // 2
@@ -102,8 +78,7 @@ def build_table(n: int) -> CutpointTable:
     # k = m, m - 1, ..., 1 mirror the entries of n - m + 1, ..., n
     z = np.concatenate([-z_up[n - 2 * m:][::-1], z_up])
     beta = np.concatenate([n - beta_up[n - 2 * m:][::-1], beta_up])
-    return CutpointTable(n=n, epsilon=epsilon, z=z, beta=beta,
-                         log_tail=log_tail)
+    return CutpointTable(n=n, z=z, beta=beta, log_tail=log_tail)
 
 
 def couple(table: CutpointTable, y: float) -> int:
@@ -118,12 +93,17 @@ def couple(table: CutpointTable, y: float) -> int:
 
 
 def table_csv(table: CutpointTable) -> str:
-    """The table as CSV with LF line ends and 17-significant-digit floats."""
-    cols = (table.epsilon.tolist(), table.z.tolist(), table.betas,
+    """The table as CSV with LF line ends and 17-significant-digit floats;
+    the epsilon column is (2(k-1) - (n-1)) / (n-1), 0 by convention at
+    n = 1."""
+    n = table.n
+    ks = np.arange(1, n + 1)
+    epsilon = (2 * (ks - 1) - (n - 1)) / (n - 1) if n > 1 else np.zeros(1)
+    cols = (epsilon.tolist(), table.z.tolist(), table.betas,
             table.log_tail.tolist())
     lines = ["n,k,epsilon,z,beta,log_tail"]
-    lines.extend(f"{table.n},{k},{e:.17g},{z:.17g},{b:.17g},{t:.17g}"
-                 for k, e, z, b, t in zip(range(1, table.n + 1), *cols))
+    lines.extend(f"{n},{k},{e:.17g},{z:.17g},{b:.17g},{t:.17g}"
+                 for k, e, z, b, t in zip(range(1, n + 1), *cols))
     lines.append("")
     return "\n".join(lines)
 

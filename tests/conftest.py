@@ -1,9 +1,13 @@
+import math
 import pathlib
 
 import mpmath as mp
 import pytest
 
+from bincoupling import DomainError
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+N_MAX_QUAD = 4096
 
 # scoreboard filled by test_acceptance._verdict, one line per criterion;
 # printed after the run since fd-level capture swallows in-test output
@@ -29,6 +33,46 @@ def oracle_tail(x, dps: int = 50):
             return mp.quad(density, [x, mp.inf])
         peeled = mp.quad(lambda u: mp.exp(-x * u - u * u / 2), [0, mp.inf])
         return mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi) * peeled
+
+
+def log_tail_beta_integral(n: int, k: int) -> float:
+    """Log of P{Bin(n, 1/2) >= k} via its incomplete-beta representation:
+
+        n!/((k-1)!(n-k)!) * integral_0^{1/2} t^{k-1} (1-t)^{n-k} dt
+
+    evaluated by scipy's adaptive quadrature with the integrand rescaled in
+    the log domain.  Independent of the big-integer route; the two agree to
+    1e-8 relative in the log."""
+    if not (1 <= n <= N_MAX_QUAD):
+        raise DomainError(f"n must be in [1, {N_MAX_QUAD}], got {n}")
+    if not (1 <= k <= n):
+        raise DomainError(f"k must be in [1, {n}] (k = 0 has no "
+                          f"beta-integral form), got {k}")
+    from scipy import integrate
+
+    log_pref = math.lgamma(n + 1) - math.lgamma(k) - math.lgamma(n - k + 1)
+
+    a, b = float(k - 1), float(n - k)
+
+    def log_integrand(t: float) -> float:
+        if t <= 0.0:
+            return 0.0 if a == 0.0 else -math.inf
+        if t >= 1.0:
+            return 0.0 if b == 0.0 else -math.inf
+        return a * math.log(t) + b * math.log1p(-t)
+
+    # rescale so the integrand peaks at 1: mode of t^a (1-t)^b is a/(a+b)
+    mode = a / (a + b) if a + b > 0.0 else 0.0
+    peak = mode if mode < 0.5 else 0.5
+    shift = log_integrand(peak)
+    points = [mode] if 0.0 < mode < 0.5 else None
+
+    def integrand(t: float) -> float:
+        return math.exp(log_integrand(t) - shift)
+
+    val, _err = integrate.quad(integrand, 0.0, 0.5, epsabs=1e-300,
+                               epsrel=1e-11, limit=200, points=points)
+    return log_pref + shift + math.log(val)
 
 
 def oracle_psi(x, dps: int = 50):

@@ -18,11 +18,11 @@ from bincoupling import (
     build_table,
     coupling_check,
     delta_sandwich,
+    epsilon_of,
     eq4_extreme,
     eq5_bounds,
     gamma_eps,
     lambda_n,
-    log_tail_beta_integral,
     log_tail_exact_all,
     lower_bound_11,
     phi,
@@ -39,6 +39,7 @@ from bincoupling import (
 from bincoupling.cli import EXIT_OK, main
 from bincoupling.errors import SmallEpsilonRegime
 from bincoupling.verify import DEFAULT_N_VALUES
+from conftest import log_tail_beta_integral
 
 
 def _verdict(num: int, ok: bool, desc: str) -> None:
@@ -129,11 +130,11 @@ def test_criterion_06_tusnady(default_tables):
     ok = True
     for n, table in default_tables.items():
         for k in range(math.ceil(n / 2), n + 1):
-            tc = tusnady_bounds(n, k, table.record(k).beta, tol=1e-9)
-            ok &= tc.holds_lower and tc.holds_upper
+            lo, up = tusnady_bounds(n, k, table.betas[k - 1])
+            ok &= lo >= -1e-9 and up >= -1e-9
         if n >= 512:
-            slack = tusnady_bounds(n, n - 1, table.record(n - 1).beta)
-            ok &= slack.slack_upper > 0.072 * n
+            _, up = tusnady_bounds(n, n - 1, table.betas[n - 2])
+            ok &= up > 0.072 * n
     _verdict(6, ok, "classical cutpoint bracket plus extreme-k slack margin")
     assert ok
 
@@ -157,16 +158,16 @@ def test_criterion_08_cutpoint_sandwich_and_fitted_constants(
     sandwich_ok = True
     for n, table in default_tables.items():
         for k in range(n // 2 + 1, n):
-            rec = table.record(k)
-            x = rec.epsilon * math.sqrt(n - 1)
+            z = float(table.z[k - 1])
+            x = epsilon_of(n, k) * math.sqrt(n - 1)
             try:
-                d1, d2, beta = delta_sandwich(n, k, rec.z)
+                d1, d2, beta = delta_sandwich(n, k, z)
             except SmallEpsilonRegime:
                 continue  # beta <= 0: bracket not applicable by construction
-            sandwich_ok &= x + d2 <= rec.z + 1e-9
-            sandwich_ok &= rec.z <= x + d1 + 1e-9
+            sandwich_ok &= x + d2 <= z + 1e-9
+            sandwich_ok &= z <= x + d1 + 1e-9
             if x >= 2.0:
-                sandwich_ok &= (x + d1) - rec.z <= 4.0 * beta / x ** 3 + 1e-9
+                sandwich_ok &= (x + d1) - z <= 4.0 * beta / x ** 3 + 1e-9
 
     # part 2: fitted residual constants exist, are finite, and are stable
     # (vary by less than a factor of 2 between the half-sweeps)
@@ -200,7 +201,7 @@ def test_criterion_09_extreme_cutpoint_residual(default_tables):
     ns = (64, 128, 256, 512, 1024, 2048)
     ok = True
     for B in (1, 2, 3):
-        resid = {n: default_tables[n].record(n - B).beta - eq4_extreme(n, B)
+        resid = {n: default_tables[n].betas[n - B - 1] - eq4_extreme(n, B)
                  for n in ns}
         all_range = max(resid.values()) - min(resid.values())
         top = [resid[1024], resid[2048]]
@@ -222,7 +223,7 @@ def test_criterion_10_window_quadruple(timed_sweep, default_tables):
                   quad[2] * (1 + 1e-9), quad[3] * (1 + 1e-9))
     for n, table in default_tables.items():
         for k in range(math.ceil(n / 2), n + 1):
-            ok &= eq5_bounds(n, k, table.record(k).beta, slack_quad)
+            ok &= eq5_bounds(n, k, table.betas[k - 1], slack_quad)
     _verdict(10, ok, "feasible window quadruple "
                      f"(C1..C4) = ({quad[0]:.4f}, {quad[1]:.4f}, "
                      f"{quad[2]:.4f}, {quad[3]:.4f})")
@@ -238,7 +239,7 @@ def test_criterion_11_coupling(default_tables):
     def center_max(n):
         table = default_tables[n]
         lim = n ** 0.6
-        return max(abs(table.record(k).beta - k + 0.5)
+        return max(abs(table.betas[k - 1] - k + 0.5)
                    for k in range(1, n + 1) if abs(k - n / 2) <= lim)
 
     m256, m2048 = center_max(256), center_max(2048)

@@ -12,6 +12,7 @@ from bincoupling import (
     epsilon_of,
     eq4_extreme,
     eq5_bounds,
+    eta_kappa,
     gamma_eps,
     h_aux,
     h_third,
@@ -21,12 +22,14 @@ from bincoupling import (
     log_tail_exact_all,
     lower_bound_11,
     s_eps,
+    tail_numerator,
     theorem1_breakdown,
     theorem2_theta,
     theorem2_w,
     tusnady_bounds,
 )
 from bincoupling.approx import _gamma_array
+from bincoupling.normal_tail import psi
 
 
 def gamma_oracle(e: float) -> float:
@@ -142,28 +145,39 @@ class TestHAux:
             h_third(1.0, 0.5)
 
 
+def an_terms(n: int, k: int, log_tail: float) -> tuple[float, float]:
+    """A_n from the exact tail, log tail + psi(e sqrt(N)), and its main term
+    -N e^4 gamma(e) - log(1-e^2)/2 - lam_{n-k}, by theorem1_breakdown's
+    operations."""
+    e, N = epsilon_of(n, k), n - 1
+    an_exact = log_tail + psi(e * math.sqrt(N))
+    an_main = (-N * e ** 4 * gamma_eps(e) - 0.5 * math.log1p(-e * e)
+               - lambda_n(n - k))
+    return an_exact, an_main
+
+
 class TestTheorem1:
     def test_residual_small_n28(self):
-        t = log_tail_exact(28, 15)
-        b = theorem1_breakdown(28, 15, t.log_prob)
+        lt = log_tail_exact(28, 15)
+        r_k = theorem1_breakdown(28, 15, lt)
         N = 27
-        assert math.isfinite(b.r_k)
-        assert abs(N * b.r_k) <= 10 * math.log(N)
-        assert b.r_k == b.an_exact - b.an_main
+        assert math.isfinite(r_k)
+        assert abs(N * r_k) <= 10 * math.log(N)
+        an_exact, an_main = an_terms(28, 15, lt)
+        assert r_k == an_exact - an_main
 
     def test_extreme_epsilon_no_overflow(self):
-        t = log_tail_exact(100, 99)
-        b = theorem1_breakdown(100, 99, t.log_prob)
-        assert b.epsilon == pytest.approx(97 / 99, rel=1e-15)
-        assert math.isfinite(b.r_k)
+        r_k = theorem1_breakdown(100, 99, log_tail_exact(100, 99))
+        assert epsilon_of(100, 99) == pytest.approx(97 / 99, rel=1e-15)
+        assert math.isfinite(r_k)
 
     def test_k_equals_n_rejected(self):
         with pytest.raises(DomainError):
-            theorem1_breakdown(28, 28, log_tail_exact(28, 28).log_prob)
+            theorem1_breakdown(28, 28, log_tail_exact(28, 28))
 
     def test_small_n_rejected(self):
         with pytest.raises(DomainError):
-            theorem1_breakdown(27, 15, log_tail_exact(27, 15).log_prob)
+            theorem1_breakdown(27, 15, log_tail_exact(27, 15))
 
 
 class TestTheorem2:
@@ -183,7 +197,7 @@ class TestTheorem2:
 
     def test_theta_is_difference(self):
         table = build_table(64)
-        z = table.record(50).z
+        z = table.z[49]
         assert theorem2_theta(64, 50, z) == z - theorem2_w(64, 50)
 
     def test_zero_epsilon_rejected(self):
@@ -193,9 +207,10 @@ class TestTheorem2:
     def test_tail_and_cutpoint_views_at_one_k(self):
         # the tail residual and the cutpoint residual at one table cutpoint
         n, k = 64, 50
-        z = build_table(n).record(k).z
-        b = theorem1_breakdown(n, k, log_tail_exact(n, k).log_prob)
-        assert b.r_k == b.an_exact - b.an_main
+        z = build_table(n).z[k - 1]
+        lt = log_tail_exact(n, k)
+        an_exact, an_main = an_terms(n, k, lt)
+        assert theorem1_breakdown(n, k, lt) == an_exact - an_main
         w = theorem2_w(n, k)
         assert theorem2_theta(n, k, z) == z - w
 
@@ -210,12 +225,13 @@ class TestLowerBound11:
 
     def test_eta_short_for_n28(self):
         for k in range(15, 28):
-            b = theorem1_breakdown(28, k, log_tail_exact(28, k).log_prob)
-            assert b.eta <= 0.5
+            ell, eta, kappa_sq = eta_kappa(28, k)
+            assert eta <= 0.5
             # eta solves eta^2/2 + eta eps = log(N)/N
-            lhs = 0.5 * b.eta ** 2 + b.eta * b.epsilon
-            assert lhs == pytest.approx(b.ell_N, rel=1e-12)
-            assert b.kappa_sq > 1.0
+            lhs = 0.5 * eta ** 2 + eta * epsilon_of(28, k)
+            assert lhs == pytest.approx(ell, rel=1e-12)
+            assert ell == math.log(27) / 27
+            assert kappa_sq > 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -225,7 +241,7 @@ class TestLowerBound11:
 class TestDeltaSandwich:
     def test_brackets_cutpoint(self):
         table = build_table(512)
-        z = table.record(400).z
+        z = table.z[399]
         x = epsilon_of(512, 400) * math.sqrt(511)
         d1, d2, beta = delta_sandwich(512, 400, z)
         assert beta > 0.0
@@ -236,7 +252,7 @@ class TestDeltaSandwich:
     def test_gap_bound(self):
         table = build_table(512)
         for k in (380, 450, 500):
-            z = table.record(k).z
+            z = table.z[k - 1]
             x = epsilon_of(512, k) * math.sqrt(511)
             if x < 2.0:
                 continue
@@ -246,29 +262,28 @@ class TestDeltaSandwich:
     def test_small_epsilon_signalled(self):
         table = build_table(28)
         with pytest.raises(SmallEpsilonRegime):
-            delta_sandwich(28, 15, table.record(15).z)
+            delta_sandwich(28, 15, table.z[14])
 
 
 class TestTusnady:
     def test_n28_all_k(self):
         table = build_table(28)
         for k in range(14, 29):
-            tc = tusnady_bounds(28, k, table.record(k).beta)
-            assert tc.holds_lower and tc.holds_upper
+            lo, up = tusnady_bounds(28, k, table.beta[k - 1])
+            assert lo >= -1e-9 and up >= -1e-9
 
     def test_upper_bound_at_k_equals_n(self):
         # sqrt(2n(n-k)) vanishes: bound is 3n/2
         table = build_table(64)
-        tc = tusnady_bounds(64, 64, table.record(64).beta)
-        assert tc.slack_upper == pytest.approx(
-            1.5 * 64 - table.record(64).beta, rel=1e-15)
+        _, up = tusnady_bounds(64, 64, table.beta[63])
+        assert up == pytest.approx(1.5 * 64 - table.beta[63], rel=1e-15)
 
     def test_upper_slack_grows_linearly_at_extreme(self):
         # the classical upper bound overshoots by a constant fraction of n
         for n in (512, 1024):
             table = build_table(n)
-            tc = tusnady_bounds(n, n - 1, table.record(n - 1).beta)
-            assert tc.slack_upper > 0.072 * n
+            _, up = tusnady_bounds(n, n - 1, table.beta[n - 2])
+            assert up > 0.072 * n
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -287,7 +302,7 @@ class TestEq4Extreme:
         resids = []
         for n in (64, 128, 256, 512, 1024, 2048):
             table = build_table(n)
-            resids.append(table.record(n - 1).beta - eq4_extreme(n, 1))
+            resids.append(table.beta[n - 2] - eq4_extreme(n, 1))
         assert max(resids) - min(resids) < 1.0
 
     def test_tail_ratio_tends_to_one(self):
@@ -295,7 +310,7 @@ class TestEq4Extreme:
         for B in (1, 2, 3):
             ratios = []
             for n in (256, 2048):
-                num = log_tail_exact(n, n - B).numerator
+                num = tail_numerator(n, n - B)
                 ratios.append(num / (n ** B / math.factorial(B)))
             assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0) + 1e-12
             assert abs(ratios[-1] - 1.0) < 0.01
@@ -312,9 +327,9 @@ class TestEq5Bounds:
         n = 64
         table = build_table(n)
         k = n // 2
-        d = table.record(k).beta - k + 0.5
+        d = table.beta[k - 1] - k + 0.5
         assert abs(d) < 1.0 / math.sqrt(n)
-        assert eq5_bounds(n, k, table.record(k).beta, (1.0, 0.1, 1.0, 1.0))
+        assert eq5_bounds(n, k, table.beta[k - 1], (1.0, 0.1, 1.0, 1.0))
 
     def test_rejects_nonpositive_constants(self):
         with pytest.raises(DomainError):
@@ -323,5 +338,5 @@ class TestEq5Bounds:
     def test_detects_violation(self):
         # absurdly tight upper window must fail at the extreme
         table = build_table(64)
-        assert not eq5_bounds(64, 63, table.record(63).beta,
+        assert not eq5_bounds(64, 63, table.beta[62],
                               (1.0, 1e-6, 1e-6, 1e-6))

@@ -92,7 +92,7 @@ def audited():
         assert len(tight) == PER_CHECK
         for n, k, passed, slack in zip(*(col[tight].tolist() for col in c)):
             rows.append(((check, n, k, passed, slack),
-                         slack_mp(check, n, k, table.record(k).z)))
+                         slack_mp(check, n, k, table.z[k - 1])))
     return rows
 
 

@@ -21,6 +21,7 @@ from bincoupling import (
     upper_tail,
 )
 from bincoupling import normal_tail
+from bincoupling.cutpoints import table_csv
 
 # oracle: inverse_psi(-log(5/16)) recomputed by 50-digit root finding on the
 # quadrature tail
@@ -49,15 +50,14 @@ class TestEpsilonOf:
 class TestBuildTable:
     def test_n1_median(self):
         table = build_table(1)
-        rec = table.record(1)
-        assert rec.beta == pytest.approx(0.5, abs=1e-12)
-        assert rec.z == pytest.approx(0.0, abs=1e-12)
+        assert table.beta[0] == pytest.approx(0.5, abs=1e-12)
+        assert table.z[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_n4_k3_oracle(self):
-        rec = build_table(4).record(3)
-        assert math.exp(rec.log_tail) == pytest.approx(5 / 16, rel=1e-14)
-        assert rec.z == pytest.approx(Z3_N4, abs=1e-9)
-        assert rec.beta == pytest.approx(2.0 + Z3_N4, abs=1e-9)
+        table = build_table(4)
+        assert math.exp(table.log_tail[2]) == pytest.approx(5 / 16, rel=1e-14)
+        assert table.z[2] == pytest.approx(Z3_N4, abs=1e-9)
+        assert table.beta[2] == pytest.approx(2.0 + Z3_N4, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 28, 29, 100, 257])
     def test_defining_equation(self, n):
@@ -71,30 +71,30 @@ class TestBuildTable:
         # one-pass tails must equal the per-k reference bit for bit
         table = build_table(n)
         for k in range(1, n + 1):
-            assert table.record(k).log_tail == log_tail_exact(n, k).log_prob
+            assert table.log_tail[k - 1] == log_tail_exact(n, k)
 
     @pytest.mark.parametrize("n", [2, 28, 29, 100])
     def test_symmetry(self, n):
         table = build_table(n)
         for k in range(1, n + 1):
-            total = table.record(k).beta + table.record(n - k + 1).beta
+            total = table.beta[k - 1] + table.beta[n - k]
             assert total == pytest.approx(n, abs=1e-8)
 
     def test_even_center_cell(self):
         n = 28
         table = build_table(n)
         m = n // 2
-        assert table.record(m + 1).z > 0.0
-        assert table.record(m).beta + table.record(m + 1).beta == \
-            pytest.approx(n, abs=1e-12)
+        assert table.z[m] > 0.0
+        assert table.beta[m - 1] + table.beta[m] == pytest.approx(n, abs=1e-12)
 
     @pytest.mark.parametrize("n", [29, 1001, 3001, 4095])
     def test_odd_center_is_exact(self, n):
         # the center tail is exactly 1/2, so its cutpoint is exactly n/2
-        rec = build_table(n).record((n + 1) // 2)
-        assert rec.log_tail == -math.log(2.0)
-        assert rec.z == 0.0
-        assert rec.beta == n / 2
+        table = build_table(n)
+        i = (n + 1) // 2 - 1
+        assert table.log_tail[i] == -math.log(2.0)
+        assert table.z[i] == 0.0
+        assert table.beta[i] == n / 2
 
     @pytest.mark.parametrize("n", [28, 255, 1024])
     def test_strictly_increasing(self, n):
@@ -140,8 +140,8 @@ class TestVectorSolve:
     def test_matches_scalar_inverse_psi(self, n):
         table = build_table(n)
         for k in range(n // 2 + 1, n + 1):
-            ref = inverse_psi(-table.record(k).log_tail)
-            assert abs(table.record(k).z - ref) <= 1e-10
+            ref = inverse_psi(-table.log_tail[k - 1])
+            assert abs(table.z[k - 1] - ref) <= 1e-10
 
     def test_converged_entries_are_not_evaluated_again(self, monkeypatch):
         # each Newton pass evaluates psi on the entries still iterating only;
@@ -164,11 +164,14 @@ class TestVectorSolve:
     def test_arrays_and_records_agree(self):
         table = build_table(29)
         assert len(table.z) == len(table.beta) == len(table.log_tail) == 29
-        for k in range(1, 30):
-            rec = table.record(k)
-            assert (rec.epsilon, rec.z, rec.beta, rec.log_tail) == (
-                table.epsilon[k - 1], table.z[k - 1], table.beta[k - 1],
+        # each CSV row holds its k's epsilon and array entries, exactly
+        rows = list(csv.DictReader(table_csv(table).splitlines()))
+        for k, row in zip(range(1, 30), rows):
+            assert (float(row["epsilon"]), float(row["z"]), float(row["beta"]),
+                    float(row["log_tail"])) == (
+                (2 * (k - 1) - 28) / 28, table.z[k - 1], table.beta[k - 1],
                 table.log_tail[k - 1])
+            assert table.betas[k - 1] == table.beta[k - 1]
         assert table.betas is table.betas  # cached once per table
 
     def test_rejects_roots_left_of_zero(self):
@@ -200,7 +203,7 @@ class TestCouple:
     def test_boundary_goes_down(self):
         table = build_table(28)
         for k in (1, 10, 20, 28):
-            assert couple(table, table.record(k).beta) == k - 1
+            assert couple(table, table.betas[k - 1]) == k - 1
 
     def test_top_cell(self):
         table = build_table(28)
@@ -221,9 +224,8 @@ class TestCouple:
         n = 40
         table = build_table(n)
         for k in range(1, n + 1):
-            rec = table.record(k)
-            exact = math.exp(log_tail_exact(n, k).log_prob)
-            assert upper_tail(rec.z) == pytest.approx(exact, rel=1e-9)
+            exact = math.exp(log_tail_exact(n, k))
+            assert upper_tail(table.z[k - 1]) == pytest.approx(exact, rel=1e-9)
 
 
 _cached_table = functools.cache(build_table)
@@ -242,9 +244,9 @@ def test_couple_returns_enclosing_cell(n, data):
     k = couple(table, y)
     assert k == sum(b < y for b in betas)
     if k >= 1:
-        assert table.record(k).beta < y
+        assert betas[k - 1] < y
     if k < n:
-        assert y <= table.record(k + 1).beta
+        assert y <= betas[k]
 
 
 class TestExportCsv:
@@ -255,10 +257,10 @@ class TestExportCsv:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12
-        for row, rec in zip(rows, map(table.record, range(1, 13))):
+        for k, row in zip(range(1, 13), rows):
             assert int(row["n"]) == 12
-            assert int(row["k"]) == rec.k
+            assert int(row["k"]) == k
             # 17 significant digits round-trip doubles exactly
-            assert float(row["beta"]) == rec.beta
-            assert float(row["z"]) == rec.z
-            assert float(row["log_tail"]) == rec.log_tail
+            assert float(row["beta"]) == table.beta[k - 1]
+            assert float(row["z"]) == table.z[k - 1]
+            assert float(row["log_tail"]) == table.log_tail[k - 1]

@@ -13,6 +13,7 @@ import bincoupling
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bincoupling.__path__))
+PACKAGE = pathlib.Path(bincoupling.__file__).parent
 
 
 def tracer_targets() -> dict[str, tuple[str, ...]]:
@@ -40,3 +41,24 @@ def test_all_names_exist(module):
            else importlib.import_module(f"bincoupling.{module}"))
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def imported_roots(tree: ast.AST) -> set[str]:
+    """Top-level package of every import statement anywhere in the tree,
+    function bodies included; relative imports give ''."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("" if node.level else node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_test_only_dependency_is_imported(path):
+    # scipy and mpmath serve the tests only; a lazy import inside a
+    # function would escape a check that only runs some code paths
+    roots = imported_roots(ast.parse(path.read_text()))
+    assert roots.isdisjoint({"scipy", "mpmath"}), (path.name, sorted(roots))

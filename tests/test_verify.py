@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from bincoupling.verify import select_ks
 
 
 SMALL = SweepConfig(n_values=(28, 29, 64), k_policy="all")
+GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli"
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +334,18 @@ class TestCli:
         assert lines[0] == "n,k,epsilon,z,beta,log_tail"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("argv, golden", [
+        (["tails", "4", "3"], "tails_4_3.txt"),
+        (["tails", "1000", "700"], "tails_1000_700.txt"),
+        (["cutpoints", "1"], "cutpoints_1.csv"),
+        (["cutpoints", "4"], "cutpoints_4.csv"),
+        (["cutpoints", "29"], "cutpoints_29.csv"),
+    ])
+    def test_output_matches_golden(self, argv, golden, capsysbinary):
+        # every byte, down to the last digit, as first recorded
+        assert main(argv) == EXIT_OK
+        assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
+
     def test_cutpoints_csv_file(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["cutpoints", "12", "--csv", str(out)]) == EXIT_OK
@@ -480,6 +494,22 @@ class TestCli:
             assert f"error: bad grid {grid!r}" in out.err
             assert out.out == ""
 
+    def test_lemma1_rejects_a_grid_beyond_the_point_limit(self, monkeypatch,
+                                                          capsys):
+        # 1e12 points would run for days; refused before any evaluation
+        def unreachable(x):
+            raise AssertionError("evaluated before the grid was checked")
+
+        monkeypatch.setattr(cli, "psi", unreachable)
+        monkeypatch.setattr(cli, "rho", unreachable)
+        t0 = time.perf_counter()
+        assert main(["lemma1", "--grid=0:1:1e-12"]) == EXIT_BAD_CONFIG
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert str(cli.LEMMA1_MAX_POINTS) in out.err
+
     def test_coupling(self, capsys):
         assert main(["coupling", "100"]) == EXIT_OK
         assert "c_coupling" in capsys.readouterr().out
@@ -524,37 +554,39 @@ def scalar_checks(n: int, tol: dict[str, float]):
     tails = log_tail_exact_all(n)
     N = n - 1
     out, r_k, theta = {}, {}, {}
+    z_all, betas = table.z.tolist(), table.betas
     for k in select_ks(n, "all"):
-        rec = table.record(k)
-        if rec.log_tail < 0.0:
-            s = (tol["log_tail"] * max(1.0, -rec.log_tail)
-                 - abs(psi(rec.z) + rec.log_tail))
+        z, beta, log_tail = z_all[k - 1], betas[k - 1], tails[k]
+        if log_tail < 0.0:
+            s = (tol["log_tail"] * max(1.0, -log_tail)
+                 - abs(psi(z) + log_tail))
             out["defining_eq", k] = (s >= 0, s)
-        s = tol["symmetry"] - abs(table.record(n - k + 1).beta + rec.beta - n)
+        s = tol["symmetry"] - abs(betas[n - k] + beta - n)
         out["symmetry", k] = (s >= 0, s)
-        tc = tusnady_bounds(n, k, rec.beta, tol=tol["cutpoint"])
-        out["tusnady_lower", k] = (tc.holds_lower, tc.slack_lower)
-        out["tusnady_upper", k] = (tc.holds_upper, tc.slack_upper)
+        for name, s in zip(("tusnady_lower", "tusnady_upper"),
+                           tusnady_bounds(n, k, beta)):
+            out[name, k] = (s >= -tol["cutpoint"], s)
         if not (n >= 28 and n / 2 < k <= n - 1):
             continue
-        x = epsilon_of(n, k) * math.sqrt(N)
-        lt = tails[k]
+        e = epsilon_of(n, k)
+        x = e * math.sqrt(N)
         try:
-            b = theorem1_breakdown(n, k, lt)
-            r_k[k] = b.r_k
+            r_k[k] = theorem1_breakdown(n, k, log_tail)
             lo, up = lower_bound_11(n, k)
-            out["eq11_lower", k] = (lt - lo >= -tol["log_tail"], lt - lo)
-            out["eq11_upper", k] = (up - lt >= -tol["log_tail"], up - lt)
-            if b.epsilon > 0.0:
-                theta[k] = theorem2_theta(n, k, rec.z)
+            out["eq11_lower", k] = (log_tail - lo >= -tol["log_tail"],
+                                    log_tail - lo)
+            out["eq11_upper", k] = (up - log_tail >= -tol["log_tail"],
+                                    up - log_tail)
+            if e > 0.0:
+                theta[k] = theorem2_theta(n, k, z)
             if x < verify.X_SPLIT:
                 continue
             try:
-                d1, d2, shift = delta_sandwich(n, k, rec.z)
+                d1, d2, shift = delta_sandwich(n, k, z)
             except SmallEpsilonRegime:
                 continue
-            s_up = x + d1 - rec.z
-            for name, s in (("sandwich_lower", rec.z - (x + d2)),
+            s_up = x + d1 - z
+            for name, s in (("sandwich_lower", z - (x + d2)),
                             ("sandwich_upper", s_up),
                             ("sandwich_gap", 4.0 * shift / x ** 3 - s_up)):
                 out[name, k] = (s >= -tol["cutpoint"], s)
@@ -562,12 +594,12 @@ def scalar_checks(n: int, tol: dict[str, float]):
             out["invariant", k] = (False, math.nan)
     max_excess, c = -math.inf, verify._CONSTANT_FLOOR
     for k in range(n // 2 + 1, n + 1):
-        beta_k = table.record(k).beta
+        beta_k = betas[k - 1]
         max_excess = max(max_excess, k - beta_k)
         scale = 1.0 + abs(k - n / 2) ** 3 / n ** 2
         c = max(c, (k - beta_k) / scale)
         if k < n:
-            c = max(c, (table.record(k + 1).beta - k) / scale)
+            c = max(c, (betas[k] - k) / scale)
     return out, r_k, theta, (max_excess, c)
 
 

@@ -17,7 +17,6 @@ from .cutpoints import build_table, export_csv, table_csv
 from .errors import DomainError, RangeError
 from .normal_tail import psi, rho
 from .verify import (
-    CHECKS,
     DEFAULT_TOLERANCES,
     CheckRows,
     ConstantsReport,
@@ -38,6 +37,9 @@ EXIT_IO_ERROR = 3
 # the most points a lemma1 grid may have; at about 20 us a point (2-CPU
 # host, Python 3.11) the limit is a run of a few minutes
 LEMMA1_MAX_POINTS = 10 ** 7
+# the most bit-terms, (n - k + 1) n, a tails sum may add; the 4.3e9 of
+# tails 65536 0 take 1.7 s on the same host
+TAILS_MAX_BIT_TERMS = 10 ** 10
 
 
 def _emit(checks: dict[str, CheckRows], constants: ConstantsReport,
@@ -61,13 +63,12 @@ def _emit(checks: dict[str, CheckRows], constants: ConstantsReport,
     return status
 
 
-def _load(args) -> SweepConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return SweepConfig()
-
-
 def cmd_tails(args) -> int:
+    bit_terms = (args.n - args.k + 1) * args.n
+    if bit_terms > TAILS_MAX_BIT_TERMS:
+        print(f"error: tails {args.n} {args.k} sums {bit_terms} bit-terms, "
+              f"more than {TAILS_MAX_BIT_TERMS}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     # one O(n^2)-bit sum serves both lines: log_prob is log_tail_exact's
     num = tail_numerator(args.n, args.k)
     log_prob = _log_ratio(num, args.n)
@@ -89,13 +90,9 @@ def cmd_cutpoints(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Run the configured sweep and emit it in the --format flag's format,
-    else the config's output_format, whose default is csv.  A subcommand
-    other than sweep keeps the checks whose CHECKS entry names it."""
-    config = _load(args)
+    else the config's output_format, whose default is csv."""
+    config = load_config(args.config) if args.config else SweepConfig()
     checks, constants = run_sweep(config)
-    if args.command != "sweep":
-        checks = {name: rows for name, rows in checks.items()
-                  if args.command in CHECKS[name][1]}
     fmt = args.format or config.output_format
     return _emit(checks, constants, fmt, args.out, config)
 
@@ -162,12 +159,6 @@ def cmd_coupling(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _add_sweep_args(p) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--out", help="write report here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bincoupling",
@@ -193,11 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_coupling)
 
-    for name in ("sweep", "theorem1", "theorem2", "tusnady"):
-        p = sub.add_parser(name, help=f"{name} checks over a sweep"
-                           if name != "sweep" else "full verification sweep")
-        _add_sweep_args(p)
-        p.set_defaults(func=cmd_sweep)
+    p = sub.add_parser("sweep", help="full verification sweep")
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--out", help="write report here instead of stdout")
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -64,6 +65,12 @@ class SweepConfig:
     output_format: str = "csv"  # "csv" | "json"
 
     def __post_init__(self):
+        for n in self.n_values:
+            if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+                raise DomainError(f"n_values must be integers, got {n!r}")
+        # numpy integers become ints, which the JSON report can write
+        object.__setattr__(self, "n_values",
+                           tuple(map(operator.index, self.n_values)))
         if not self.n_values:
             raise DomainError("n_values must not be empty")
         for n in self.n_values:
@@ -128,34 +135,33 @@ def select_ks(n: int, policy: str) -> list[int]:
     return sorted(ks)
 
 
-# Every check the sweep runs, in name order: the tolerance its slack may
-# go below 0 by (None: pass is slack >= 0, because the slack already holds
-# its tolerance, or is nan and always fails), and the subcommands besides
-# sweep whose report keeps it.  A failed "invariant" record at (n, k)
-# stands for the eq. (11) and sandwich rows the expansion could not produce
-# there, so both theorems keep it.
-CHECKS: dict[str, tuple[str | None, tuple[str, ...]]] = {
-    "coupling_k_minus_beta": ("cutpoint", ()),
-    "defining_eq": (None, ("theorem2",)),
-    "eq11_lower": ("log_tail", ("theorem1",)),
-    "eq11_upper": ("log_tail", ("theorem1",)),
-    "eq5_window": ("fit", ()),
-    "invariant": (None, ("theorem1", "theorem2")),
-    "sandwich_gap": ("cutpoint", ("theorem2",)),
-    "sandwich_lower": ("cutpoint", ("theorem2",)),
-    "sandwich_upper": ("cutpoint", ("theorem2",)),
-    "symmetry": (None, ()),
-    "thm1_residual": ("fit", ("theorem1",)),
-    "thm2_residual": ("fit", ("theorem2",)),
-    "tusnady_lower": ("cutpoint", ("tusnady",)),
-    "tusnady_upper": ("cutpoint", ("tusnady",)),
+# Every check the sweep runs, in name order, and the tolerance its slack
+# may go below 0 by (None: pass is slack >= 0, because the slack already
+# holds its tolerance, or is nan and always fails).  A failed "invariant"
+# record at (n, k) stands for the eq. (11) and sandwich rows the expansion
+# could not produce there.
+CHECKS: dict[str, str | None] = {
+    "coupling_k_minus_beta": "cutpoint",
+    "defining_eq": None,
+    "eq11_lower": "log_tail",
+    "eq11_upper": "log_tail",
+    "eq5_window": "fit",
+    "invariant": None,
+    "sandwich_gap": "cutpoint",
+    "sandwich_lower": "cutpoint",
+    "sandwich_upper": "cutpoint",
+    "symmetry": None,
+    "thm1_residual": "fit",
+    "thm2_residual": "fit",
+    "tusnady_lower": "cutpoint",
+    "tusnady_upper": "cutpoint",
 }
 
 
 def passes(name: str, slack, tol: dict[str, float]):
     """The pass rule CHECKS declares for check ``name``, on a slack or an
     array of slacks, with the tolerances ``tol``."""
-    key = CHECKS[name][0]
+    key = CHECKS[name]
     return slack >= (-tol[key] if key else 0.0)
 
 

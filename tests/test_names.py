@@ -1,17 +1,22 @@
 """Every name the package exports, and every function the benchmark's
 tracer wraps, exists: a missing traced target would only be reported as
-untraced, with its per-layer metrics reading 0."""
+untraced, with its per-layer metrics reading 0.  The README's CLI block
+lists exactly the commands the parser has."""
 
+import argparse
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import bincoupling
+from bincoupling import cli
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bincoupling.__path__))
 PACKAGE = pathlib.Path(bincoupling.__file__).parent
 
@@ -62,3 +67,19 @@ def test_no_test_only_dependency_is_imported(path):
     # function would escape a check that only runs some code paths
     roots = imported_roots(ast.parse(path.read_text()))
     assert roots.isdisjoint({"scipy", "mpmath"}), (path.name, sorted(roots))
+
+
+def readme_commands() -> set[str]:
+    """The word after each `bincoupling` in the sh block under ## CLI of
+    README.md."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", text, re.M | re.S)
+    assert block, "no sh block under ## CLI in README.md"
+    return set(re.findall(r"^bincoupling\s+(\S+)", block.group(1), re.M))
+
+
+def test_readme_cli_block_lists_the_parser_commands():
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    assert readme_commands() == set(sub.choices) == {
+        "tails", "cutpoints", "coupling", "lemma1", "sweep"}

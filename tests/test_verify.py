@@ -115,6 +115,23 @@ class TestSweepConfig:
             SweepConfig(n_values=(28, 64, 28))
         SweepConfig(n_values=(1, N_MAX_TABLE))
 
+    @pytest.mark.parametrize("n", [28.5, True, "28"], ids=repr)
+    def test_rejects_an_n_that_is_not_an_integer(self, n):
+        # unchecked, 28.5 would fail only in run_sweep, True would sweep
+        # n = 1 and "28" would be a TypeError
+        with pytest.raises(DomainError, match=re.escape(repr(n))):
+            SweepConfig(n_values=(n,))
+
+    def test_numpy_integer_n_sweeps_like_an_int(self):
+        config = SweepConfig(n_values=(np.int64(28),), k_policy="all")
+        assert config.n_values == (28,) and type(config.n_values[0]) is int
+        checks, constants = run_sweep(config)
+        want = run_sweep(SweepConfig(n_values=(28,), k_policy="all"))
+        assert emit_report(checks, constants, "csv") == emit_report(
+            *want, "csv")
+        doc = json.loads(emit_report(checks, constants, "json", config))
+        assert doc["meta"]["config"]["n_values"] == [28]
+
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
             SweepConfig(k_policy="stride:abc")
@@ -213,6 +230,8 @@ class TestRunSweep:
     def test_checks_table_declares_exactly_the_checks_run(self,
                                                           monkeypatch):
         assert list(verify.CHECKS) == sorted(verify.CHECKS)
+        assert set(verify.CHECKS.values()) <= {*verify.DEFAULT_TOLERANCES,
+                                               None}
         checks, _ = run_sweep(SweepConfig(n_values=(28, 64), k_policy="all"))
         break_eq11_at(monkeypatch, 28, 25)
         broken, _ = run_sweep(SweepConfig(n_values=(28,), k_policy="all"))
@@ -328,6 +347,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.3125" in out
 
+    def test_tails_refuses_a_sum_beyond_the_bit_term_limit(self, monkeypatch,
+                                                          capsys):
+        # (n - k + 1) n = 1.1e12 bit-terms; refused before any summing
+        def unreachable(n, k):
+            raise AssertionError("summed before the query was checked")
+
+        monkeypatch.setattr(cli, "tail_numerator", unreachable)
+        t0 = time.perf_counter()
+        assert main(["tails", "1048576", "0"]) == EXIT_BAD_CONFIG
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert str(cli.TAILS_MAX_BIT_TERMS) in out.err
+
+    def test_tails_near_the_top_of_a_large_n_runs(self, capsys):
+        assert main(["tails", "1048576", "1048570"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert lines[0] == "n = 1048576  k = 1048570"
+
     def test_cutpoints_stdout(self, capsys):
         assert main(["cutpoints", "4"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -340,6 +380,8 @@ class TestCli:
         (["cutpoints", "1"], "cutpoints_1.csv"),
         (["cutpoints", "4"], "cutpoints_4.csv"),
         (["cutpoints", "29"], "cutpoints_29.csv"),
+        (["sweep", "--config", str(GOLDEN / "sweep_28_29.cfg")],
+         "sweep_28_29.csv"),
     ])
     def test_output_matches_golden(self, argv, golden, capsysbinary):
         # every byte, down to the last digit, as first recorded
@@ -391,13 +433,6 @@ class TestCli:
         assert all(row[:2] == ("28", "25") for row in lost)
         assert "FAILED invariant at (n=28, k=25)" in capsys.readouterr().err
 
-        # the filtered certificates whose rows go missing keep the failure
-        for sub in ("theorem1", "theorem2"):
-            out = tmp_path / f"{sub}.csv"
-            assert main([sub, "--config", str(cfg),
-                         "--out", str(out)]) == EXIT_CHECK_FAILED
-            assert ("28", "25", "invariant", "false") in rows(out)
-
     def test_sweep_json_stdout(self, tmp_path, capsysbinary):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_values = 28\nk_policy = all\n")
@@ -406,13 +441,11 @@ class TestCli:
         doc = json.loads(capsysbinary.readouterr().out)
         assert doc["meta"]["config"]["n_values"] == [28]
 
-    @pytest.mark.parametrize("sub", ["sweep", "tusnady"])
-    def test_config_output_format_takes_effect(self, sub, tmp_path,
-                                               capsysbinary):
+    def test_config_output_format_takes_effect(self, tmp_path, capsysbinary):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_values = 28\nk_policy = all\n"
                        "output_format = json\n")
-        assert main([sub, "--config", str(cfg)]) == EXIT_OK
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
         doc = json.loads(capsysbinary.readouterr().out)
         assert doc["meta"]["config"]["n_values"] == [28]
 
@@ -424,35 +457,6 @@ class TestCli:
                      "--format", "csv"]) == EXIT_OK
         assert capsysbinary.readouterr().out.startswith(
             b"n,k,check,passed,slack")
-
-    def test_theorem_subcommands(self, tmp_path):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n_values = 28, 64\nk_policy = all\n")
-        full = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", str(cfg),
-                     "--out", str(full)]) == EXIT_OK
-        head, *rows = full.read_text().splitlines(keepends=True)
-        # the spec; a clean sweep has no invariant rows
-        for sub, names in (
-                ("theorem1", {"eq11_lower", "eq11_upper", "invariant",
-                              "thm1_residual"}),
-                ("theorem2", {"defining_eq", "invariant", "sandwich_gap",
-                              "sandwich_lower", "sandwich_upper",
-                              "thm2_residual"}),
-                ("tusnady", {"tusnady_lower", "tusnady_upper"})):
-            assert names == {name for name, (_, subs) in verify.CHECKS.items()
-                             if sub in subs}
-            out = tmp_path / f"{sub}.csv"
-            assert main([sub, "--config", str(cfg),
-                         "--out", str(out)]) == EXIT_OK
-            body = out.read_text()
-            assert body.startswith("n,k,check,passed,slack")
-            assert ",false," not in body
-            # the sweep's rows of these checks, in the sweep's order
-            kept = [row for row in rows if row.split(",")[2] in names]
-            assert {row.split(",")[2] for row in kept} == names - {
-                "invariant"}
-            assert body == head + "".join(kept)
 
     def test_lemma1_default_grid_passes(self, capsys):
         assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK

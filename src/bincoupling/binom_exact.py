@@ -2,8 +2,8 @@
 
 A tail probability P{Bin(n, 1/2) >= k} is an exact big integer numerator
 over 2^n, and its double-precision natural log is taken from that integer;
-the logs of every tail of one n come as one float array from a single
-integer pass.
+the logs of every tail of one n come as one float array from one integer
+pass over the upper half, the lower half being its exact complement.
 
 The Stirling correction lambda_n has two closed-form routes: the five-term
 Stirling series for n >= 12 and math.lgamma minus the Stirling lead below.
@@ -15,6 +15,8 @@ inside Robbins' bracket 1/(12n+1) < lambda_n < 1/(12n).
 from __future__ import annotations
 
 import math
+import operator
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +41,8 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
                     1.0 / 1188.0)
 # below this n the truncated series loses accuracy; lgamma takes over
 _SERIES_MIN_N = 12
+# numerators log_tail_exact_all takes the logs of at a time
+_BLOCK = 128
 
 
 def _log_ratio(num: int, n: int) -> float:
@@ -75,18 +79,53 @@ def log_tail_exact(n: int, k: int) -> float:
 
 
 def log_tail_exact_all(n: int) -> np.ndarray:
-    """All log tails for a fixed n in one O(n) big-integer pass, as a float64
-    array of length n + 1; entry [k] equals log_tail_exact(n, k)."""
+    """All log tails for a fixed n as a float64 array of length n + 1;
+    entry [k] equals log_tail_exact(n, k).
+
+    One big-integer pass runs the numerators of the upper half, k >= h =
+    n//2 + 1; each lower one is then the exact complement 2^n - num_{n-k+1},
+    which halves the O(n^2)-bit work.  The numerators come in blocks whose
+    logs are taken column-wise by _log_ratios, and each block is released
+    before the next is made, so at most 2 * _BLOCK of them are held at
+    once."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
-    out = [_log_ratio(1, n)]
-    num = 1
-    c = 1
-    for k in range(n - 1, -1, -1):
+    h = n // 2 + 1
+    full = 1 << n
+    nums = _upper_numerators(n, h)
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    for k in range(n, h - 1, -_BLOCK):
+        block = list(islice(nums, _BLOCK))  # num_k, num_{k-1}, ...
+        out[k:k - len(block):-1] = _log_ratios(block, n)
+        # the complements num_j for j = n - k + 1, ... while j < h
+        lower = [full - x for x in block[:k + h - n - 1]]
+        out[n - k + 1:n - k + 1 + len(lower)] = _log_ratios(lower, n)
+    return out
+
+
+def _upper_numerators(n: int, h: int):
+    """tail_numerator(n, k) for k = n, n - 1, ..., h, by one recurrence."""
+    num = c = 1
+    yield num
+    for k in range(n - 1, h - 1, -1):
         c = c * (k + 1) // (n - k)
         num += c
-        out.append(_log_ratio(num, n))
-    return np.array(out[::-1])
+        yield num
+
+
+def _log_ratios(nums: list[int], n: int) -> np.ndarray:
+    """_log_ratio(num, n) for every num in ``nums``, bit for bit, by columns:
+    the binary exponents, the leading 53 bits scaled into [1, 2) by an
+    exact power of two, math.log of each (the libm call _log_ratio makes;
+    np.log's SIMD path may differ in the last bit), plus (e - n) log 2."""
+    e = np.fromiter(map(int.bit_length, nums), np.int64, len(nums)) - 1
+    shift = np.maximum(e - 52, 0)
+    top = np.fromiter(map(operator.rshift, nums, shift.tolist()), np.float64,
+                      len(nums))
+    mant = np.ldexp(top, shift - e)
+    logs = np.fromiter(map(math.log, mant.tolist()), np.float64, len(nums))
+    return logs + (e - n) * LOG_2
 
 
 def lambda_n(n: int) -> float:

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import sys
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +91,15 @@ class SweepConfig:
         unknown = sorted(self.tolerances.keys() - DEFAULT_TOLERANCES.keys())
         if unknown:
             raise DomainError(f"unknown tolerance {unknown[0]!r}")
+        for key, t in self.tolerances.items():
+            # True would sweep with tolerance 1.0
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise DomainError(
+                    f"tolerance {key!r} must be a real number, got {t!r}")
+        # Python floats, which the JSON report can write
+        object.__setattr__(self, "tolerances",
+                           {key: float(t)
+                            for key, t in self.tolerances.items()})
         # nan would fail every row, inf would pass every row
         if not all(0.0 < t < math.inf for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive and finite")
@@ -377,44 +388,59 @@ def emit_report(checks: dict[str, CheckRows],
     is run_sweep's (check, n, k) order.
 
     The JSON report is what json.dumps(doc, indent=2, sort_keys=True) gives,
-    with the record rows formatted directly.
+    with the record rows formatted directly.  In both formats a check's rows
+    are cut into runs of equal (n, passed); one bytes template per run holds
+    the check name, n and the flag as literals, and its rows fill in only k
+    and the slack.
     """
     if not checks:
         raise DomainError("no records to report")
     if fmt not in ("csv", "json"):
         raise DomainError(f"unknown format {fmt!r}")
     if fmt == "csv":
-        lines = ["n,k,check,passed,slack"]
-        for name, rows in checks.items():
-            lines.extend(f"{n},{k},{name},{'true' if p else 'false'},{s:.17g}"
-                         for n, k, p, s in zip(*(c.tolist() for c in rows)))
-        lines.append("")
-        return "\n".join(lines).encode()
-    head = {
-        "meta": {
-            "config": {
-                "n_values": list(config.n_values) if config else None,
-                "k_policy": config.k_policy if config else None,
-                "tolerances": config.tolerances if config else None,
+        # the header is the first of the lines the rows are joined to
+        head, sep, tail = b"", b"\n", b"\n"
+        parts = [sep, b"n,k,check,passed,slack"]
+        row, quote = "{n},%d,{check},{passed},%.17g", str
+    else:
+        doc = {
+            "meta": {
+                "config": {
+                    "n_values": list(config.n_values) if config else None,
+                    "k_policy": config.k_policy if config else None,
+                    "tolerances": config.tolerances if config else None,
+                },
+                "versions": {"bincoupling": __version__,
+                             "python": sys.version.split()[0]},
             },
-            "versions": {"bincoupling": __version__,
-                         "python": sys.version.split()[0]},
-        },
-        "constants": {name: _fmt(value)
-                      for name, value in asdict(constants).items()},
-    }
-    # "records" sorts after "constants" and "meta": close the head's last
-    # member and append the list, indented as json.dumps would
-    body = []
+            "constants": {name: _fmt(value)
+                          for name, value in asdict(constants).items()},
+        }
+        # "records" sorts after "constants" and "meta": close the head's
+        # last member and append the list, indented as json.dumps would
+        head = (json.dumps(doc, indent=2, sort_keys=True)[:-2]
+                + ',\n  "records": [\n').encode()
+        sep, tail, parts = b",\n", b"\n  ]\n}\n", []
+        row = ('    {{\n      "check": {check},\n      "k": %d,\n'
+               '      "n": {n},\n      "passed": {passed},\n'
+               '      "slack": "%.17g"\n    }}')
+        quote = json.dumps
     for name, rows in checks.items():
-        check = f'    {{\n      "check": {json.dumps(name)},\n'
-        body.extend(f'{check}      "k": {k},\n      "n": {n},\n'
-                    f'      "passed": {"true" if p else "false"},\n'
-                    f'      "slack": "{s:.17g}"\n    }}'
-                    for n, k, p, s in zip(*(c.tolist() for c in rows)))
-    text = json.dumps(head, indent=2, sort_keys=True)
-    return (text[:-2] + ',\n  "records": [\n' + ",\n".join(body)
-            + "\n  ]\n}\n").encode()
+        ks, slacks = rows.k.tolist(), rows.slack.tolist()
+        if not ks:
+            continue  # a check without rows adds no bytes
+        check = quote(name).replace("%", "%%")
+        cuts = np.flatnonzero((np.diff(rows.n) != 0)
+                              | (np.diff(rows.passed) != 0)) + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(ks)]):
+            t = row.format(n=int(rows.n[a]), check=check,
+                           passed="true" if rows.passed[a] else "false")
+            parts += (sep, sep.join([t.encode()] * (b - a)) % tuple(
+                chain.from_iterable(zip(ks[a:b], slacks[a:b]))))
+    # the head takes the place of the first separator
+    parts[:1] = [head]
+    parts.append(tail)
+    return b"".join(parts)
 
 
 def load_config(path: str) -> SweepConfig:

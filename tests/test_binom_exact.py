@@ -1,5 +1,6 @@
 import math
-from itertools import product
+import tracemalloc
+from itertools import accumulate, product
 
 import mpmath as mp
 import numpy as np
@@ -43,13 +44,41 @@ class TestLogTailExact:
                                                                rel=1e-14)
 
     def test_batch_matches_single(self):
-        # the one-pass array equals the per-k reference bit for bit
-        for n in (1, 2, 28, 29, 73, 1000):
+        # the array equals the per-k reference bit for bit, for both
+        # parities, in the upper half and in the mirrored lower half
+        for n in range(1, 301):
             batch = log_tail_exact_all(n)
             assert batch.dtype == np.float64
             assert batch.shape == (n + 1,)
             for k in range(n + 1):
                 assert batch[k] == log_tail_exact(n, k), (n, k)
+
+    @pytest.mark.parametrize("n", [511, 512, 1000, 1023, 2047, 3001, 4096])
+    def test_batch_matches_single_for_large_n(self, n):
+        # the per-k reference, _log_ratio of the exact numerator, with the
+        # numerators summed cumulatively (tail_numerator(n, k) for every k
+        # would cost O(n^3) bits); both mantissa routes, e <= 52 near k = n
+        # and e > 52 below, are taken
+        nums = list(accumulate(math.comb(n, j) for j in range(n, -1, -1)))
+        nums.reverse()
+        for k in (0, 1, n // 2, n // 2 + 1, n - 1, n):
+            assert nums[k] == tail_numerator(n, k), k
+        assert nums[n - 2].bit_length() <= 53 < nums[n // 2].bit_length()
+        batch = log_tail_exact_all(n)
+        assert batch.shape == (n + 1,)
+        for k, num in enumerate(nums):
+            assert batch[k] == _log_ratio(num, n), k
+
+    def test_batch_holds_a_bounded_number_of_numerators(self):
+        # the numerators are released block by block; holding all n + 1 of
+        # them at once takes about 8 MB at n = 8192
+        tracemalloc.start()
+        try:
+            log_tail_exact_all(8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_complement_identity_exact(self):
         for n in (5, 28, 129):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -131,6 +132,23 @@ class TestSweepConfig:
             *want, "csv")
         doc = json.loads(emit_report(checks, constants, "json", config))
         assert doc["meta"]["config"]["n_values"] == [28]
+
+    def test_rejects_a_bool_tolerance(self):
+        # True is a number to float(), and would sweep with tolerance 1.0
+        with pytest.raises(DomainError, match="True"):
+            SweepConfig(tolerances={"cutpoint": True})
+
+    def test_rejects_a_str_tolerance(self):
+        with pytest.raises(DomainError, match="'1e-9'"):
+            SweepConfig(tolerances={"cutpoint": "1e-9"})
+
+    def test_numpy_tolerance_is_stored_as_a_float(self):
+        config = SweepConfig(n_values=(28,), k_policy="all",
+                             tolerances={"cutpoint": np.float32(1e-9)})
+        assert type(config.tolerances["cutpoint"]) is float
+        doc = json.loads(emit_report(*run_sweep(config), "json", config))
+        assert doc["meta"]["config"]["tolerances"] == {
+            "cutpoint": float(np.float32(1e-9))}
 
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
@@ -317,6 +335,94 @@ class TestEmitReport:
             emit_report(checks, constants, "yaml", SMALL)
 
 
+def per_row_emit(checks, constants, fmt, config=None) -> bytes:
+    """One f-string per row: the byte oracle for emit_report's run
+    templates."""
+    if fmt == "csv":
+        lines = ["n,k,check,passed,slack"]
+        for name, rows in checks.items():
+            lines.extend(f"{n},{k},{name},{'true' if p else 'false'},{s:.17g}"
+                         for n, k, p, s in zip(*(c.tolist() for c in rows)))
+        lines.append("")
+        return "\n".join(lines).encode()
+    head = {
+        "meta": {
+            "config": {
+                "n_values": list(config.n_values) if config else None,
+                "k_policy": config.k_policy if config else None,
+                "tolerances": config.tolerances if config else None,
+            },
+            "versions": {"bincoupling": bincoupling.__version__,
+                         "python": sys.version.split()[0]},
+        },
+        "constants": {name: format(value, ".17g")
+                      for name, value in dataclasses.asdict(constants).items()},
+    }
+    body = []
+    for name, rows in checks.items():
+        check = f'    {{\n      "check": {json.dumps(name)},\n'
+        body.extend(f'{check}      "k": {k},\n      "n": {n},\n'
+                    f'      "passed": {"true" if p else "false"},\n'
+                    f'      "slack": "{s:.17g}"\n    }}'
+                    for n, k, p, s in zip(*(c.tolist() for c in rows)))
+    text = json.dumps(head, indent=2, sort_keys=True)
+    return (text[:-2] + ',\n  "records": [\n' + ",\n".join(body)
+            + "\n  ]\n}\n").encode()
+
+
+def _rows(n, k, passed, slack) -> CheckRows:
+    return CheckRows(np.array(n), np.array(k), np.array(passed, dtype=bool),
+                     np.array(slack, dtype=float))
+
+
+class TestEmitRuns:
+    """The run templates against the per-row oracle, byte for byte."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_report(self, fmt, small_sweep):
+        checks, constants = small_sweep
+        assert emit_report(checks, constants, fmt, SMALL) == per_row_emit(
+            checks, constants, fmt, SMALL)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("failed_at", [0, 3, 6], ids=["first", "middle",
+                                                          "last"])
+    def test_failed_row_inside_one_n(self, fmt, failed_at, small_sweep):
+        # n = 28 has seven rows here, n = 29 one: a run of one row follows
+        _, constants = small_sweep
+        passed = [True] * 8
+        passed[failed_at] = False
+        slack = [0.5, -0.0, 1e-300, math.nan, -1e-9, 123456789.0, math.inf,
+                 0.1]
+        slack[failed_at] = -2.5e-7
+        checks = {"symmetry": _rows([28] * 7 + [29], [*range(22, 29), 29],
+                                    passed, slack)}
+        assert emit_report(checks, constants, fmt, SMALL) == per_row_emit(
+            checks, constants, fmt, SMALL)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_check_and_quoted_names(self, fmt, small_sweep):
+        # a check without rows adds no bytes; a name with % and " is
+        # written as it is (quoted in JSON) and never read as a format
+        _, constants = small_sweep
+        checks = {
+            "a%d\"b%%": _rows([28, 28, 64], [15, 16, 64], [True, False, True],
+                               [0.25, math.nan, 3.0]),
+            "empty": _rows([], [], [], []),
+            "one": _rows([29], [0], [False], [-1.0]),
+        }
+        got = emit_report(checks, constants, fmt, SMALL)
+        assert got == per_row_emit(checks, constants, fmt, SMALL)
+        without = {name: rows for name, rows in checks.items()
+                   if name != "empty"}
+        assert got == emit_report(without, constants, fmt, SMALL)
+        if fmt == "json":
+            assert json.loads(got)["records"][0]["check"] == 'a%d"b%%'
+        only_empty = {"empty": checks["empty"]}
+        assert emit_report(only_empty, constants, fmt) == per_row_emit(
+            only_empty, constants, fmt)
+
+
 def _n_rows(checks) -> int:
     return sum(rows.n.size for rows in checks.values())
 
@@ -387,6 +493,16 @@ class TestCli:
         # every byte, down to the last digit, as first recorded
         assert main(argv) == EXIT_OK
         assert capsysbinary.readouterr().out == (GOLDEN / golden).read_bytes()
+
+    def test_sweep_dense_report_is_pinned(self, capsysbinary):
+        # k_policy = all over the twelve sweep-dense n: every one of the
+        # 72324 rows, down to the last digit, as first recorded
+        cfg = GOLDEN / "sweep_dense.cfg"
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        out = capsysbinary.readouterr().out
+        assert out.count(b"\n") == 72325
+        want = (GOLDEN / "sweep_dense.csv.sha256").read_text().split()[0]
+        assert hashlib.sha256(out).hexdigest() == want
 
     def test_cutpoints_csv_file(self, tmp_path):
         out = tmp_path / "table.csv"

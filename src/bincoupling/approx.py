@@ -165,10 +165,6 @@ def theorem1_breakdown(n: int, k: int, log_tail: float) -> float:
     A_n = -N e^4 gamma(e) - log(1-e^2)/2 - lam_{n-k} + r_k, where log_tail
     is the exact log P{X >= k}.  Raises AssertionError where the entropy
     identity of laplace_pieces fails."""
-    if n < 28:
-        raise DomainError(f"n must be >= 28, got {n}")
-    if k == n:
-        raise DomainError("the expansion excludes the extreme k = n")
     e = _eps_range_check(n, k, n_min=28)
     N = n - 1
     laplace_pieces(n, k)

@@ -15,7 +15,7 @@ import numpy as np
 from .binom_exact import _log_ratio, tail_numerator
 from .cutpoints import build_table, export_csv, table_csv
 from .errors import DomainError, RangeError
-from .normal_tail import psi, rho
+from .normal_tail import _check_envelope, psi, rho
 from .verify import (
     DEFAULT_TOLERANCES,
     CheckRows,
@@ -66,9 +66,8 @@ def _emit(checks: dict[str, CheckRows], constants: ConstantsReport,
 def cmd_tails(args) -> int:
     bit_terms = (args.n - args.k + 1) * args.n
     if bit_terms > TAILS_MAX_BIT_TERMS:
-        print(f"error: tails {args.n} {args.k} sums {bit_terms} bit-terms, "
-              f"more than {TAILS_MAX_BIT_TERMS}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise DomainError(f"tails {args.n} {args.k} sums {bit_terms} "
+                          f"bit-terms, more than {TAILS_MAX_BIT_TERMS}")
     # one O(n^2)-bit sum serves both lines: log_prob is log_tail_exact's
     num = tail_numerator(args.n, args.k)
     log_prob = _log_ratio(num, args.n)
@@ -104,20 +103,22 @@ def cmd_lemma1(args) -> int:
         a, b, step = (float(v) for v in args.grid.split(":"))
         if not all(map(math.isfinite, (a, b, step))):
             raise ValueError
-        if step <= 0 or b <= a:
-            print("error: grid must have b > a and step > 0", file=sys.stderr)
-            return EXIT_BAD_CONFIG
+        ordered = step > 0 and b > a
         # a step too small to count the points by (1e-320) overflows here
-        n_pts = int(round((b - a) / step)) + 1
+        n_pts = int(round((b - a) / step)) + 1 if ordered else 0
     except (ValueError, OverflowError):
-        print(f"error: bad grid {args.grid!r}, expected a:b:step",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise DomainError(
+            f"bad grid {args.grid!r}, expected a:b:step") from None
+    if not ordered:
+        raise DomainError("grid must have b > a and step > 0")
     if n_pts > LEMMA1_MAX_POINTS:
-        print(f"error: grid {args.grid!r} has {n_pts} points, more than "
-              f"{LEMMA1_MAX_POINTS}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise DomainError(f"grid {args.grid!r} has {n_pts} points, more "
+                          f"than {LEMMA1_MAX_POINTS}")
     deltas = (0.01, 0.1, 1.0, 5.0)
+    # the first abscissa and the last plus the largest increment, as the
+    # loop computes them, bound every abscissa psi and rho are given
+    _check_envelope(a)
+    _check_envelope(a + (n_pts - 1) * step + max(deltas))
     tol = 1e-10
     worst = math.inf
     failures = 0

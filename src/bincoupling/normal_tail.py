@@ -126,8 +126,7 @@ def rho(x: float) -> float:
 
 def r_remainder(x: float) -> float:
     """rho(x) - x: positive for all x, strictly decreasing, O(1/x) at +inf."""
-    x = _check_envelope(x)
-    return rho(x) - x
+    return rho(x) - float(x)
 
 
 def _rho_nonneg(x: float) -> float:

@@ -62,17 +62,16 @@ _CONSTANT_FLOOR = 1e-9
 class SweepConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     k_policy: str = "extremes_plus_grid"  # "all" | "stride:<m>" | this
-    tolerances: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict[str, float] = field(default_factory=dict)
     output_format: str = "csv"  # "csv" | "json"
 
     def __post_init__(self):
         for n in self.n_values:
             if isinstance(n, bool) or not hasattr(type(n), "__index__"):
                 raise DomainError(f"n_values must be integers, got {n!r}")
-        # numpy integers become ints, which the JSON report can write
+        # ascending ints (numpy integers too), which the JSON report writes
         object.__setattr__(self, "n_values",
-                           tuple(map(operator.index, self.n_values)))
+                           tuple(sorted(map(operator.index, self.n_values))))
         if not self.n_values:
             raise DomainError("n_values must not be empty")
         for n in self.n_values:
@@ -96,10 +95,10 @@ class SweepConfig:
             if isinstance(t, bool) or not isinstance(t, numbers.Real):
                 raise DomainError(
                     f"tolerance {key!r} must be a real number, got {t!r}")
-        # Python floats, which the JSON report can write
-        object.__setattr__(self, "tolerances",
-                           {key: float(t)
-                            for key, t in self.tolerances.items()})
+        # all four tolerances in effect, as floats the JSON report can write
+        object.__setattr__(self, "tolerances", {
+            key: float(t)
+            for key, t in {**DEFAULT_TOLERANCES, **self.tolerances}.items()})
         # nan would fail every row, inf would pass every row
         if not all(0.0 < t < math.inf for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive and finite")
@@ -318,11 +317,11 @@ def run_sweep(config: SweepConfig | None = None
     Output is deterministic: per-n work is pure.
     """
     config = config or SweepConfig()
-    tol = {**DEFAULT_TOLERANCES, **config.tolerances}
+    tol = config.tolerances
     checks: dict[str, list[CheckRows]] = {}
     fits = []
     c_coupling = _CONSTANT_FLOOR
-    for n in sorted(config.n_values):
+    for n in config.n_values:
         fit, c_cpl = _sweep_one_n(n, config.k_policy, tol, checks)
         fits.append(fit)
         c_coupling = max(c_coupling, c_cpl)
@@ -447,10 +446,10 @@ def load_config(path: str) -> SweepConfig:
     """Flat key-value config: one `key = value` per line, '#' comments.
 
     Keys: n_values (comma-separated), k_policy, output_format,
-    tolerance.<name>.
+    tolerance.<name>; each at most once.
     """
-    kwargs: dict = {}
-    tolerances = dict(DEFAULT_TOLERANCES)
+    kwargs: dict = {"tolerances": {}}
+    given: dict[str, int] = {}  # the line each key is given on
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -460,6 +459,10 @@ def load_config(path: str) -> SweepConfig:
                 raise DomainError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key in given:
+                raise DomainError(f"{path}:{lineno}: {key} is already given "
+                                  f"on line {given[key]}")
+            given[key] = lineno
             try:
                 if key == "n_values":
                     arg = {"n_values": tuple(
@@ -473,7 +476,6 @@ def load_config(path: str) -> SweepConfig:
                 SweepConfig(**arg)  # the line's value must be valid alone
             except ValueError as exc:  # DomainError included
                 raise DomainError(f"{path}:{lineno}: {exc}") from None
-            tolerances.update(arg.pop("tolerances", {}))
+            kwargs["tolerances"].update(arg.pop("tolerances", {}))
             kwargs.update(arg)
-    kwargs["tolerances"] = tolerances
     return SweepConfig(**kwargs)

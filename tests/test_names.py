@@ -1,7 +1,8 @@
 """Every name the package exports, and every function the benchmark's
 tracer wraps, exists: a missing traced target would only be reported as
 untraced, with its per-layer metrics reading 0.  The README's CLI block
-lists exactly the commands the parser has."""
+lists exactly the commands the parser has, and the CLI reports a refusal in
+one place only."""
 
 import argparse
 import ast
@@ -83,3 +84,19 @@ def test_readme_cli_block_lists_the_parser_commands():
               if isinstance(a, argparse._SubParsersAction))
     assert readme_commands() == set(sub.choices) == {
         "tails", "cutpoints", "coupling", "lemma1", "sweep"}
+
+
+def test_only_main_returns_the_bad_config_exit():
+    # every other command raises, and main prints the refusal
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    allowed = set()
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name == "main"
+                or isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "EXIT_BAD_CONFIG"
+                    for t in node.targets)):
+            allowed.update(map(id, ast.walk(node)))
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "EXIT_BAD_CONFIG"]
+    assert len(uses) >= 2
+    assert [node.lineno for node in uses if id(node) not in allowed] == []

@@ -148,7 +148,17 @@ class TestSweepConfig:
         assert type(config.tolerances["cutpoint"]) is float
         doc = json.loads(emit_report(*run_sweep(config), "json", config))
         assert doc["meta"]["config"]["tolerances"] == {
-            "cutpoint": float(np.float32(1e-9))}
+            **verify.DEFAULT_TOLERANCES, "cutpoint": float(np.float32(1e-9))}
+
+    def test_meta_records_every_tolerance_in_effect(self):
+        # a partial dict sweeps with the defaults for the rest, and the
+        # report says so
+        config = SweepConfig(n_values=(28,), k_policy="all",
+                             tolerances={"fit": 1e-3})
+        want = {**verify.DEFAULT_TOLERANCES, "fit": 1e-3}
+        assert config.tolerances == want
+        doc = json.loads(emit_report(*run_sweep(config), "json", config))
+        assert doc["meta"]["config"]["tolerances"] == want
 
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
@@ -203,6 +213,24 @@ class TestLoadConfig:
         out = capsys.readouterr()
         assert f"error: {p}:2: " in out.err
         assert out.out == ""  # rejected before any row is swept
+
+    @pytest.mark.parametrize("first, again", [
+        ("n_values = 28", "n_values = 29"),
+        ("k_policy = all", "k_policy = stride:2"),
+        ("tolerance.fit = 1e-3", "tolerance.fit = 1e-4"),
+    ])
+    def test_repeated_key_names_both_lines(self, first, again, tmp_path,
+                                           capsys):
+        # the first value would otherwise be dropped without a word
+        p = tmp_path / "twice.cfg"
+        p.write_text(f"# sweep\n{first}\noutput_format = csv\n{again}\n")
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(str(p))}:4: .*line 2"):
+            load_config(str(p))
+        assert main(["sweep", "--config", str(p)]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr()
+        assert f"error: {p}:4: " in out.err and "line 2" in out.err
+        assert out.out == ""
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -263,9 +291,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_report_bytes_do_not_depend_on_n_order(self, fmt, small_sweep):
-        shuffled = run_sweep(SweepConfig(n_values=(64, 28, 29),
-                                         k_policy="all"))
-        assert emit_report(*shuffled, fmt) == emit_report(*small_sweep, fmt)
+        # the JSON meta lists the n as the config holds them: ascending
+        shuffled = SweepConfig(n_values=(64, 28, 29), k_policy="all")
+        assert shuffled.n_values == (28, 29, 64)
+        assert emit_report(*run_sweep(shuffled), fmt, shuffled) == \
+            emit_report(*small_sweep, fmt, SMALL)
 
     def test_reruns_are_byte_identical(self, small_sweep):
         checks, constants = small_sweep
@@ -504,6 +534,16 @@ class TestCli:
         want = (GOLDEN / "sweep_dense.csv.sha256").read_text().split()[0]
         assert hashlib.sha256(out).hexdigest() == want
 
+    def test_sweep_json_report_is_pinned(self, capsysbinary):
+        # every byte but the Python version, as first recorded
+        cfg = GOLDEN / "sweep_28_29.cfg"
+        assert main(["sweep", "--config", str(cfg),
+                     "--format", "json"]) == EXIT_OK
+        out = re.sub(rb'"python": "[^"]*"', b'"python": "<python>"',
+                     capsysbinary.readouterr().out)
+        want = (GOLDEN / "sweep_28_29.json.sha256").read_text().split()[0]
+        assert hashlib.sha256(out).hexdigest() == want
+
     def test_cutpoints_csv_file(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["cutpoints", "12", "--csv", str(out)]) == EXIT_OK
@@ -629,6 +669,25 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: ")
         assert str(cli.LEMMA1_MAX_POINTS) in out.err
+
+    @pytest.mark.parametrize("grid, edge", [
+        ("-40:190:0.0517", "X_MIN"),
+        ("0:196:0.002", "X_MAX"),  # 195 + the increment 5 is past 200
+    ])
+    def test_lemma1_refuses_a_grid_past_the_envelope_up_front(
+            self, grid, edge, monkeypatch, capsys):
+        def unreachable(x):
+            raise AssertionError("evaluated before the grid was checked")
+
+        for module in (cli, normal_tail):
+            monkeypatch.setattr(module, "psi", unreachable)
+            monkeypatch.setattr(module, "rho", unreachable)
+        t0 = time.perf_counter()
+        assert main(["lemma1", f"--grid={grid}"]) == EXIT_BAD_CONFIG
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and edge in out.err
 
     def test_coupling(self, capsys):
         assert main(["coupling", "100"]) == EXIT_OK

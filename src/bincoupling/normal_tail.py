@@ -273,8 +273,9 @@ def inverse_psi_array(L: np.ndarray) -> np.ndarray:
 
     The scalar solver's Newton iteration runs on every entry together: the
     same seed, bracket, step and stopping rule, one numpy pass per
-    iteration.  Any entry that misses the contract is solved by the scalar
-    inverse_psi.
+    iteration.  An entry that misses the contract, such as an L above
+    psi(X_MAX), is a RangeError naming the first such L.  The scalar
+    inverse_psi is the reference this solve is tested against.
     """
     L = np.asarray(L, dtype=float)
     if L.size and not (np.isfinite(L).all() and L.min() >= math.log(2.0)):
@@ -303,6 +304,7 @@ def inverse_psi_array(L: np.ndarray) -> np.ndarray:
         act = act[go]
         x[act] = x_new[go]
     missed = np.abs(psi_array(x) - L) > 1e-10 * np.maximum(1.0, L)
-    for i in np.flatnonzero(missed):
-        x[i] = inverse_psi(L[i])
+    if missed.any():
+        raise RangeError(f"inverse_psi_array: |psi(x) - L| > 1e-10 max(1, L) "
+                         f"for L = {float(L[missed.argmax()])!r}")
     return x

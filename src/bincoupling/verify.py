@@ -15,6 +15,8 @@ import math
 import numbers
 import operator
 import sys
+import types
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -62,7 +64,7 @@ _CONSTANT_FLOOR = 1e-9
 class SweepConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     k_policy: str = "extremes_plus_grid"  # "all" | "stride:<m>" | this
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: Mapping[str, float] = field(default_factory=dict)
     output_format: str = "csv"  # "csv" | "json"
 
     def __post_init__(self):
@@ -95,10 +97,11 @@ class SweepConfig:
             if isinstance(t, bool) or not isinstance(t, numbers.Real):
                 raise DomainError(
                     f"tolerance {key!r} must be a real number, got {t!r}")
-        # all four tolerances in effect, as floats the JSON report can write
-        object.__setattr__(self, "tolerances", {
+        # all four tolerances in effect, as floats the JSON report can write,
+        # read-only so that a checked config stays checked
+        object.__setattr__(self, "tolerances", types.MappingProxyType({
             key: float(t)
-            for key, t in {**DEFAULT_TOLERANCES, **self.tolerances}.items()})
+            for key, t in {**DEFAULT_TOLERANCES, **self.tolerances}.items()}))
         # nan would fail every row, inf would pass every row
         if not all(0.0 < t < math.inf for t in self.tolerances.values()):
             raise DomainError("tolerances must be positive and finite")
@@ -407,7 +410,7 @@ def emit_report(checks: dict[str, CheckRows],
                 "config": {
                     "n_values": list(config.n_values) if config else None,
                     "k_policy": config.k_policy if config else None,
-                    "tolerances": config.tolerances if config else None,
+                    "tolerances": dict(config.tolerances) if config else None,
                 },
                 "versions": {"bincoupling": __version__,
                              "python": sys.version.split()[0]},

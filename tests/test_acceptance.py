@@ -252,5 +252,5 @@ def test_criterion_11_coupling(default_tables):
 def test_criterion_12_sweep_runtime(timed_sweep):
     _, _, elapsed = timed_sweep
     ok = elapsed < 300.0
-    _verdict(12, ok, f"default single-process sweep in {elapsed:.1f} s")
+    _verdict(12, ok, f"default single-process sweep in {elapsed:.3f} s")
     assert ok

@@ -179,6 +179,19 @@ class TestVectorSolve:
         with pytest.raises(DomainError):
             normal_tail.inverse_psi_array(np.array([1.0, math.log(2.0) / 2]))
 
+    def test_one_solve_path(self, monkeypatch):
+        # the vector solve never hands an entry to the scalar solver: an L
+        # past psi(X_MAX) is its own RangeError, and a table still builds
+        def no_scalar(L):
+            raise AssertionError("scalar inverse_psi called")
+
+        monkeypatch.setattr(normal_tail, "inverse_psi", no_scalar)
+        L = psi(normal_tail.X_MAX) + 1.0
+        with pytest.raises(RangeError) as exc:
+            normal_tail.inverse_psi_array(np.array([2.0, L, L + 1.0]))
+        assert repr(L) in str(exc.value)  # the first L that misses
+        assert len(build_table(4096).z) == 4096
+
 
 @given(st.integers(min_value=1, max_value=4096))
 @settings(max_examples=15, deadline=None)

@@ -1,15 +1,20 @@
 """Every name the package exports, and every function the benchmark's
 tracer wraps, exists: a missing traced target would only be reported as
-untraced, with its per-layer metrics reading 0.  The README's CLI block
-lists exactly the commands the parser has, and the CLI reports a refusal in
-one place only."""
+untraced, with its per-layer metrics reading 0.  The lazy package namespace
+binds each export to its defining module's object and loads only the
+modules a caller reaches.  The README's CLI block lists exactly the
+commands the parser has, and the CLI reports a refusal in one place
+only."""
 
 import argparse
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +52,50 @@ def test_all_names_exist(module):
            else importlib.import_module(f"bincoupling.{module}"))
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def test_coupling_alone_skips_the_sweep_harness():
+    # a fresh process: this one has imported everything already
+    code = ("import sys, bincoupling\n"
+            "t = bincoupling.build_table(64)\n"
+            "bincoupling.couple(t, 32.0)\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout.split()
+    assert "bincoupling.cutpoints" in out
+    loaded = {"bincoupling.approx", "bincoupling.verify", "json"} & set(out)
+    assert not loaded
+
+
+def test_exports_are_the_defining_modules_objects():
+    for name in bincoupling.__all__:
+        if name == "__version__":
+            continue
+        home = f"bincoupling.{bincoupling._HOME[name]}"
+        obj = getattr(bincoupling, name)
+        assert obj is getattr(importlib.import_module(home), name), name
+        assert getattr(obj, "__module__", home) == home, name
+
+
+def test_dir_covers_all():
+    assert set(bincoupling.__all__) <= set(dir(bincoupling))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bincoupling.no_such_name  # noqa: B018
+    assert not hasattr(bincoupling, "no_such_name")
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from bincoupling import *", namespace)
+    assert set(bincoupling.__all__) <= namespace.keys()
+    for name in bincoupling.__all__:
+        assert namespace[name] is getattr(bincoupling, name), name
 
 
 def imported_roots(tree: ast.AST) -> set[str]:

@@ -160,6 +160,15 @@ class TestSweepConfig:
         doc = json.loads(emit_report(*run_sweep(config), "json", config))
         assert doc["meta"]["config"]["tolerances"] == want
 
+    def test_tolerances_are_read_only(self):
+        # a checked config stays checked: nan would fail every row
+        config = SweepConfig(n_values=(28,), k_policy="all")
+        with pytest.raises(TypeError):
+            config.tolerances["fit"] = math.nan
+        with pytest.raises(TypeError):
+            del config.tolerances["fit"]
+        assert config.tolerances == verify.DEFAULT_TOLERANCES
+
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
             SweepConfig(k_policy="stride:abc")
@@ -334,7 +343,7 @@ class TestEmitReport:
         doc = {
             "meta": {
                 "config": {"n_values": [28, 29, 64], "k_policy": "all",
-                           "tolerances": SMALL.tolerances},
+                           "tolerances": dict(SMALL.tolerances)},
                 "versions": {"bincoupling": bincoupling.__version__,
                              "python": sys.version.split()[0]},
             },
@@ -380,7 +389,7 @@ def per_row_emit(checks, constants, fmt, config=None) -> bytes:
             "config": {
                 "n_values": list(config.n_values) if config else None,
                 "k_policy": config.k_policy if config else None,
-                "tolerances": config.tolerances if config else None,
+                "tolerances": dict(config.tolerances) if config else None,
             },
             "versions": {"bincoupling": bincoupling.__version__,
                          "python": sys.version.split()[0]},

@@ -18,8 +18,6 @@ from .errors import DomainError, RangeError
 from .normal_tail import _check_envelope, psi, rho
 from .verify import (
     DEFAULT_TOLERANCES,
-    CheckRows,
-    ConstantsReport,
     SweepConfig,
     _fmt,
     coupling_check,
@@ -40,27 +38,6 @@ LEMMA1_MAX_POINTS = 10 ** 7
 # the most bit-terms, (n - k + 1) n, a tails sum may add; the 4.3e9 of
 # tails 65536 0 take 1.7 s on the same host
 TAILS_MAX_BIT_TERMS = 10 ** 10
-
-
-def _emit(checks: dict[str, CheckRows], constants: ConstantsReport,
-          fmt: str, out: str | None, config: SweepConfig) -> int:
-    payload = emit_report(checks, constants, fmt, config)
-    try:
-        if out:
-            with open(out, "wb") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.buffer.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    status = EXIT_OK
-    for name, rows in checks.items():
-        for i in np.flatnonzero(~rows.passed):
-            print(f"FAILED {name} at (n={rows.n[i]}, k={rows.k[i]}), "
-                  f"slack {_fmt(rows.slack[i])}", file=sys.stderr)
-            status = EXIT_CHECK_FAILED
-    return status
 
 
 def cmd_tails(args) -> int:
@@ -88,12 +65,22 @@ def cmd_cutpoints(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run the configured sweep and emit it in the --format flag's format,
-    else the config's output_format, whose default is csv."""
+    """Run the configured sweep, report it and name each failed row."""
     config = load_config(args.config) if args.config else SweepConfig()
     checks, constants = run_sweep(config)
-    fmt = args.format or config.output_format
-    return _emit(checks, constants, fmt, args.out, config)
+    payload = emit_report(checks, constants, args.format, config)
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.buffer.write(payload)
+    status = EXIT_OK
+    for name, rows in checks.items():
+        for i in np.flatnonzero(~rows.passed):
+            print(f"FAILED {name} at (n={rows.n[i]}, k={rows.k[i]}), "
+                  f"slack {_fmt(rows.slack[i])}", file=sys.stderr)
+            status = EXIT_CHECK_FAILED
+    return status
 
 
 def cmd_lemma1(args) -> int:
@@ -152,7 +139,7 @@ def cmd_lemma1(args) -> int:
 
 
 def cmd_coupling(args) -> int:
-    max_excess, c = coupling_check(args.n)
+    max_excess, c = coupling_check(build_table(args.n))
     print(f"n = {args.n}")
     print(f"max_k (k - beta_k) = {_fmt(max_excess)}")
     print(f"c_coupling = {_fmt(c)}")
@@ -187,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full verification sweep")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write report here instead of stdout")
     p.set_defaults(func=cmd_sweep)
 

@@ -65,7 +65,6 @@ class SweepConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     k_policy: str = "extremes_plus_grid"  # "all" | "stride:<m>" | this
     tolerances: Mapping[str, float] = field(default_factory=dict)
-    output_format: str = "csv"  # "csv" | "json"
 
     def __post_init__(self):
         for n in self.n_values:
@@ -87,8 +86,6 @@ class SweepConfig:
                 head == "stride" and m.strip().isdecimal() and int(m) >= 1):
             raise DomainError(f"unknown k_policy {self.k_policy!r}, expected "
                               "all, extremes_plus_grid or stride:<m>, m >= 1")
-        if self.output_format not in ("csv", "json"):
-            raise DomainError(f"unknown output_format {self.output_format!r}")
         unknown = sorted(self.tolerances.keys() - DEFAULT_TOLERANCES.keys())
         if unknown:
             raise DomainError(f"unknown tolerance {unknown[0]!r}")
@@ -259,7 +256,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
         fit["n_r_k"][dom] = np.where(ok_r, N * ex.r_k, math.nan)
         fit["n_theta_k"][dom] = np.where(ok_11, N * ex.theta, math.nan)
 
-    max_excess, c_coupling = coupling_check(n, table=table)
+    max_excess, c_coupling = coupling_check(table)
     _add(checks, "coupling_k_minus_beta", n, np.zeros(1, dtype=int),
          np.array([1.0 - max_excess]), tol)
     return fit, c_coupling
@@ -356,9 +353,8 @@ def run_sweep(config: SweepConfig | None = None
     return {name: rows for name, rows in joined.items() if rows.n.size}, c
 
 
-def coupling_check(n: int, table: CutpointTable | None = None
-                   ) -> tuple[float, float]:
-    """Deterministic worst case of the coupling over cell endpoints.
+def coupling_check(table: CutpointTable) -> tuple[float, float]:
+    """Deterministic worst case of the table's coupling over cell endpoints.
 
     For each k > n/2 the extreme of |k - y| over the cell (beta_k,
     beta_{k+1}] is attained at an endpoint.  Returns max_k (k - beta_k)
@@ -367,9 +363,7 @@ def coupling_check(n: int, table: CutpointTable | None = None
     endpoint.  The infinite sentinel beyond beta_n is excluded: no constant
     bounds |X - Y| on the top cell's unbounded side.
     """
-    if not (1 <= n <= N_MAX_TABLE):
-        raise DomainError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
-    table = table or build_table(n)
+    n = table.n
     k = np.arange(n // 2 + 1, n + 1)
     below = k - table.beta[k - 1]            # k - beta_k
     above = table.beta[k[:-1]] - k[:-1]      # beta_{k+1} - k, for k < n
@@ -385,7 +379,7 @@ def _fmt(x: float) -> str:
 def emit_report(checks: dict[str, CheckRows],
                 constants: ConstantsReport,
                 fmt: str,
-                config: SweepConfig | None = None) -> bytes:
+                config: SweepConfig) -> bytes:
     """Byte-stable CSV or JSON report of the rows in the order given, which
     is run_sweep's (check, n, k) order.
 
@@ -407,11 +401,9 @@ def emit_report(checks: dict[str, CheckRows],
     else:
         doc = {
             "meta": {
-                "config": {
-                    "n_values": list(config.n_values) if config else None,
-                    "k_policy": config.k_policy if config else None,
-                    "tolerances": dict(config.tolerances) if config else None,
-                },
+                "config": {"n_values": list(config.n_values),
+                           "k_policy": config.k_policy,
+                           "tolerances": dict(config.tolerances)},
                 "versions": {"bincoupling": __version__,
                              "python": sys.version.split()[0]},
             },
@@ -448,8 +440,7 @@ def emit_report(checks: dict[str, CheckRows],
 def load_config(path: str) -> SweepConfig:
     """Flat key-value config: one `key = value` per line, '#' comments.
 
-    Keys: n_values (comma-separated), k_policy, output_format,
-    tolerance.<name>; each at most once.
+    At most once each: n_values (comma-separated), k_policy, tolerance.<name>.
     """
     kwargs: dict = {"tolerances": {}}
     given: dict[str, int] = {}  # the line each key is given on
@@ -470,7 +461,7 @@ def load_config(path: str) -> SweepConfig:
                 if key == "n_values":
                     arg = {"n_values": tuple(
                         int(v) for v in value.replace(",", " ").split())}
-                elif key in ("k_policy", "output_format"):
+                elif key == "k_policy":
                     arg = {key: value}
                 elif key.startswith("tolerance."):
                     arg = {"tolerances": {key.split(".", 1)[1]: float(value)}}

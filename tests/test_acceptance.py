@@ -233,7 +233,7 @@ def test_criterion_10_window_quadruple(timed_sweep, default_tables):
 def test_criterion_11_coupling(default_tables):
     ok = True
     for n, table in default_tables.items():
-        max_excess, _ = coupling_check(n, table=table)
+        max_excess, _ = coupling_check(table)
         ok &= max_excess <= 1.0 + 1e-9
 
     def center_max(n):

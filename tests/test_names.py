@@ -136,16 +136,19 @@ def test_readme_cli_block_lists_the_parser_commands():
 
 
 def test_only_main_returns_the_bad_config_exit():
-    # every other command raises, and main prints the refusal
+    # every other command raises, and main alone prints the error and
+    # returns the exit for a bad configuration or an I/O error
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
-    allowed = set()
-    for node in tree.body:
-        if (isinstance(node, ast.FunctionDef) and node.name == "main"
-                or isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) == "EXIT_BAD_CONFIG"
-                    for t in node.targets)):
-            allowed.update(map(id, ast.walk(node)))
-    uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "EXIT_BAD_CONFIG"]
-    assert len(uses) >= 2
-    assert [node.lineno for node in uses if id(node) not in allowed] == []
+    for exit_name in ("EXIT_BAD_CONFIG", "EXIT_IO_ERROR"):
+        allowed = set()
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name == "main"
+                    or isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == exit_name
+                        for t in node.targets)):
+                allowed.update(map(id, ast.walk(node)))
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == exit_name]
+        assert len(uses) >= 2, exit_name
+        assert [node.lineno for node in uses
+                if id(node) not in allowed] == [], exit_name

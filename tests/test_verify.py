@@ -97,10 +97,6 @@ class TestSweepConfig:
         with pytest.raises(DomainError):
             SweepConfig(k_policy="stride:0")
 
-    def test_rejects_bad_format(self):
-        with pytest.raises(DomainError):
-            SweepConfig(output_format="xml")
-
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
             SweepConfig(n_values=())
@@ -128,8 +124,8 @@ class TestSweepConfig:
         assert config.n_values == (28,) and type(config.n_values[0]) is int
         checks, constants = run_sweep(config)
         want = run_sweep(SweepConfig(n_values=(28,), k_policy="all"))
-        assert emit_report(checks, constants, "csv") == emit_report(
-            *want, "csv")
+        assert emit_report(checks, constants, "csv", config) == emit_report(
+            *want, "csv", config)
         doc = json.loads(emit_report(checks, constants, "json", config))
         assert doc["meta"]["config"]["n_values"] == [28]
 
@@ -187,18 +183,17 @@ class TestLoadConfig:
             "# comment\n"
             "n_values = 28, 64, 256\n"
             "k_policy = stride:3\n"
-            "output_format = json\n"
             "tolerance.symmetry = 1e-7\n")
         cfg = load_config(str(p))
         assert cfg.n_values == (28, 64, 256)
         assert cfg.k_policy == "stride:3"
-        assert cfg.output_format == "json"
         assert cfg.tolerances["symmetry"] == 1e-7
         assert cfg.tolerances["cutpoint"] == 1e-9  # default retained
 
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
-        for line in ("n_value = 28\n", "parallelism = 2\n"):
+        for line in ("n_value = 28\n", "parallelism = 2\n",
+                     "output_format = json\n"):
             p.write_text(line)
             with pytest.raises(DomainError):
                 load_config(str(p))
@@ -232,7 +227,7 @@ class TestLoadConfig:
                                            capsys):
         # the first value would otherwise be dropped without a word
         p = tmp_path / "twice.cfg"
-        p.write_text(f"# sweep\n{first}\noutput_format = csv\n{again}\n")
+        p.write_text(f"# sweep\n{first}\n# filler\n{again}\n")
         with pytest.raises(DomainError,
                            match=f"^{re.escape(str(p))}:4: .*line 2"):
             load_config(str(p))
@@ -374,7 +369,7 @@ class TestEmitReport:
             emit_report(checks, constants, "yaml", SMALL)
 
 
-def per_row_emit(checks, constants, fmt, config=None) -> bytes:
+def per_row_emit(checks, constants, fmt, config) -> bytes:
     """One f-string per row: the byte oracle for emit_report's run
     templates."""
     if fmt == "csv":
@@ -387,9 +382,9 @@ def per_row_emit(checks, constants, fmt, config=None) -> bytes:
     head = {
         "meta": {
             "config": {
-                "n_values": list(config.n_values) if config else None,
-                "k_policy": config.k_policy if config else None,
-                "tolerances": dict(config.tolerances) if config else None,
+                "n_values": list(config.n_values),
+                "k_policy": config.k_policy,
+                "tolerances": dict(config.tolerances),
             },
             "versions": {"bincoupling": bincoupling.__version__,
                          "python": sys.version.split()[0]},
@@ -458,8 +453,8 @@ class TestEmitRuns:
         if fmt == "json":
             assert json.loads(got)["records"][0]["check"] == 'a%d"b%%'
         only_empty = {"empty": checks["empty"]}
-        assert emit_report(only_empty, constants, fmt) == per_row_emit(
-            only_empty, constants, fmt)
+        assert emit_report(only_empty, constants, fmt, SMALL) == per_row_emit(
+            only_empty, constants, fmt, SMALL)
 
 
 def _n_rows(checks) -> int:
@@ -469,21 +464,13 @@ def _n_rows(checks) -> int:
 class TestCouplingCheck:
     def test_max_excess_at_most_one(self):
         for n in (4, 28, 100, 512):
-            max_excess, c = coupling_check(n)
+            max_excess, c = coupling_check(build_table(n))
             assert max_excess <= 1.0 + 1e-9
             assert c > 0.0
 
     def test_scaled_constant_below_one(self):
-        _, c = coupling_check(1024)
+        _, c = coupling_check(build_table(1024))
         assert c < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            coupling_check(0)
-        with pytest.raises(DomainError):
-            coupling_check(5000)
-        with pytest.raises(DomainError):
-            coupling_check(N_MAX_TABLE + 1)
 
 
 class TestCli:
@@ -606,22 +593,14 @@ class TestCli:
         doc = json.loads(capsysbinary.readouterr().out)
         assert doc["meta"]["config"]["n_values"] == [28]
 
-    def test_config_output_format_takes_effect(self, tmp_path, capsysbinary):
+    def test_output_format_is_an_unknown_key(self, tmp_path, capsys):
+        # --format alone picks the report format
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n_values = 28\nk_policy = all\n"
-                       "output_format = json\n")
-        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
-        doc = json.loads(capsysbinary.readouterr().out)
-        assert doc["meta"]["config"]["n_values"] == [28]
-
-    def test_format_flag_overrides_config(self, tmp_path, capsysbinary):
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n_values = 28\nk_policy = all\n"
-                       "output_format = json\n")
-        assert main(["sweep", "--config", str(cfg),
-                     "--format", "csv"]) == EXIT_OK
-        assert capsysbinary.readouterr().out.startswith(
-            b"n,k,check,passed,slack")
+        cfg.write_text("n_values = 28\noutput_format = json\n")
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr()
+        assert f"error: {cfg}:2: unknown key 'output_format'" in out.err
+        assert out.out == ""
 
     def test_lemma1_default_grid_passes(self, capsys):
         assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK
@@ -714,7 +693,7 @@ class TestCli:
         # the CLI applies the cutpoint tolerance CHECKS declares for the
         # coupling row, not a literal of its own
         monkeypatch.setattr(cli, "coupling_check",
-                            lambda n: (1.0 + 2e-9, 0.5))
+                            lambda table: (1.0 + 2e-9, 0.5))
         assert main(["coupling", "28"]) == EXIT_CHECK_FAILED
         monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "cutpoint", 1e-8)
         assert main(["coupling", "28"]) == EXIT_OK
@@ -722,6 +701,12 @@ class TestCli:
     def test_bad_domain_is_config_error(self, capsys):
         assert main(["tails", "0", "0"]) == EXIT_BAD_CONFIG
         assert main(["cutpoints", "5000"]) == EXIT_BAD_CONFIG
+        capsys.readouterr()
+        for n in (0, 5000):
+            assert main(["coupling", str(n)]) == EXIT_BAD_CONFIG
+            out = capsys.readouterr()
+            assert out.err == f"error: n must be in [1, 4096], got {n}\n"
+            assert out.out == ""
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.cfg"]) == \
@@ -732,6 +717,11 @@ class TestCli:
         cfg.write_text("n_values = 28\nk_policy = all\n")
         assert main(["sweep", "--config", str(cfg),
                      "--out", "/nonexistent-dir/report.csv"]) == EXIT_IO_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert line.startswith("error: ")
+        assert "/nonexistent-dir/report.csv" in line
 
 
 def scalar_checks(n: int, tol: dict[str, float]):

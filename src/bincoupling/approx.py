@@ -24,7 +24,7 @@ import numpy as np
 from .binom_exact import lambda_n, lambda_table
 from .cutpoints import epsilon_of
 from .errors import DomainError, SmallEpsilonRegime
-from .normal_tail import psi, psi_array, rho, rho_array
+from .normal_tail import psi, psi_rho_array, rho
 
 __all__ = [
     "gamma_eps",
@@ -332,7 +332,7 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
 
     # theorem1_breakdown
     x = e * math.sqrt(N)
-    psi_x = psi_array(x)
+    psi_x, rx = psi_rho_array(x)
     r_k = (log_tail + psi_x) - (-N * e4 * g - 0.5 * log1m_e2 - lam_tail)
 
     # lower_bound_11, with the eta and kappa of eta_kappa
@@ -355,8 +355,7 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
         theta = np.where(e > 0.0, z - w, math.nan)
 
         # delta_sandwich, where beta_shift > 0
-        beta_shift = psi_array(z) - psi_x
-        rx = rho_array(x)
+        beta_shift = psi_rho_array(z)[0] - psi_x
         d1 = 2.0 * beta_shift / (np.sqrt(x * x + 2.0 * beta_shift) + x)
         d2 = 2.0 * beta_shift / (np.sqrt(rx * rx + 2.0 * beta_shift) + rx)
         quad_tol = 1e-10 * np.maximum(1.0, beta_shift)

@@ -40,8 +40,7 @@ __all__ = [
     "psi",
     "rho",
     "r_remainder",
-    "psi_array",
-    "rho_array",
+    "psi_rho_array",
     "inverse_psi",
     "inverse_psi_array",
     "inv_tail_asymptotic",
@@ -154,46 +153,37 @@ def _mills_cf(x, depth: int):
     return t
 
 
-def psi_array(x: np.ndarray) -> np.ndarray:
-    """psi elementwise, by the routes and seams of the scalar psi, with
-    math.erfc in a comprehension and the continued fraction in numpy.  The
-    caller keeps x finite and inside the envelope."""
+def psi_rho_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, rho) elementwise, by the routes and seams of the scalar psi and
+    rho, with each piece the two share evaluated once: erfc(x/sqrt 2) on
+    [0, 10], exp(-x^2/2) left of 0 and the continued fraction past 30, cut
+    at rho's depth.  math.erfc runs in a comprehension, the fraction in
+    numpy.  The caller keeps x finite and inside the envelope."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    p, r = np.empty_like(x), np.empty_like(x)
     neg = x < 0.0
-    xn = x[neg]
-    q = np.exp(-0.5 * xn * xn) / (SQRT_2PI * _rho_nonneg_array(-xn))
-    out[neg] = -np.log1p(-q)
-    far = x > _PSI_SEAM
-    xf = x[far]
-    out[far] = 0.5 * xf * xf + LOG_SQRT_2PI + np.log(_rho_nonneg_array(xf))
-    mid = ~(neg | far)
-    out[mid] = -np.log(0.5 * _erfc_array(x[mid] * INV_SQRT_2))
-    return out
-
-
-def rho_array(x: np.ndarray) -> np.ndarray:
-    """rho elementwise, by the routes and seam of the scalar rho."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    neg = x < 0.0
-    xn = x[neg]
-    out[neg] = (SQRT_2_OVER_PI * np.exp(-0.5 * xn * xn)
-                / _erfc_array(xn * INV_SQRT_2))
-    out[~neg] = _rho_nonneg_array(x[~neg])
-    return out
-
-
-def _rho_nonneg_array(x: np.ndarray) -> np.ndarray:
-    """rho_array for x >= 0, by the routes of _rho_nonneg."""
-    out = np.empty_like(x)
+    if neg.any():
+        xn = x[neg]
+        ex = np.exp(-0.5 * xn * xn)
+        # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
+        p[neg] = -np.log1p(-ex / (SQRT_2PI * psi_rho_array(-xn)[1]))
+        r[neg] = SQRT_2_OVER_PI * ex / _erfc_array(xn * INV_SQRT_2)
     far = x > _RHO_SEAM
     if far.any():
         xf = x[far]
-        out[far] = _mills_cf(xf, _cf_depth(xf.min()))
-    u = x[~far] * INV_SQRT_2
-    out[~far] = SQRT_2_OVER_PI * np.exp(-u * u) / _erfc_array(u)
-    return out
+        r[far] = _mills_cf(xf, _cf_depth(xf.min()))
+    erfc_route = ~neg & (x <= _PSI_SEAM)
+    u = x[erfc_route] * INV_SQRT_2
+    erfc_u = _erfc_array(u)
+    p[erfc_route] = -np.log(0.5 * erfc_u)
+    # phi/tail at the rounded u, as in _rho_nonneg
+    mid = ~far[erfc_route]
+    r[~(neg | far)] = SQRT_2_OVER_PI * np.exp(-u[mid] ** 2) / erfc_u[mid]
+    # psi past 30 reuses rho's fraction: a cut deeper than _cf_depth(x)
+    # leaves the fraction at the same converged double
+    cf = x > _PSI_SEAM
+    p[cf] = 0.5 * x[cf] ** 2 + LOG_SQRT_2PI + np.log(r[cf])
+    return p, r
 
 
 def _erfc_array(u: np.ndarray) -> np.ndarray:
@@ -293,17 +283,18 @@ def inverse_psi_array(L: np.ndarray) -> np.ndarray:
         if not act.size:
             break
         xa, lo_a, hi_a = x[act], lo[act], hi[act]
-        f = psi_array(xa) - L[act]
+        p, r = psi_rho_array(xa)
+        f = p - L[act]
         hi_a = np.where(f > 0.0, np.minimum(hi_a, xa), hi_a)
         lo_a = np.where(f <= 0.0, np.maximum(lo_a, xa), lo_a)
-        x_new = xa - f / rho_array(xa)
+        x_new = xa - f / r
         x_new = np.where((lo_a <= x_new) & (x_new <= hi_a), x_new,
                          0.5 * (lo_a + hi_a))
         lo[act], hi[act] = lo_a, hi_a
         go = (np.abs(f) > tol[act]) & (x_new != xa)
         act = act[go]
         x[act] = x_new[go]
-    missed = np.abs(psi_array(x) - L) > 1e-10 * np.maximum(1.0, L)
+    missed = np.abs(psi_rho_array(x)[0] - L) > 1e-10 * np.maximum(1.0, L)
     if missed.any():
         raise RangeError(f"inverse_psi_array: |psi(x) - L| > 1e-10 max(1, L) "
                          f"for L = {float(L[missed.argmax()])!r}")

@@ -28,7 +28,7 @@ from .approx import expansion_arrays
 from .binom_exact import log_tail_exact_all
 from .cutpoints import N_MAX_TABLE, CutpointTable, build_table
 from .errors import DomainError
-from .normal_tail import psi_array
+from .normal_tail import psi_rho_array
 
 __all__ = [
     "SweepConfig",
@@ -203,7 +203,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
     # defining equation psi(z_k) = -log tail, re-checked post hoc
     d = log_tail < 0.0
     s = (tol["log_tail"] * np.maximum(1.0, -log_tail[d])
-         - np.abs(psi_array(z[d]) + log_tail[d]))
+         - np.abs(psi_rho_array(z[d])[0] + log_tail[d]))
     _add(checks, "defining_eq", n, ks[d], s, tol)
 
     # symmetry beta_{n-k+1} + beta_k = n

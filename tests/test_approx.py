@@ -204,6 +204,20 @@ class TestTheorem2:
         with pytest.raises(DomainError):
             theorem2_w(29, 15)  # eps = 0 for odd n at k = (n+1)/2
 
+    @pytest.mark.parametrize("n", [28, 64, 256, 1024, 4096])
+    def test_first_cutpoint_above_center_is_the_corner_term(self, n):
+        # why criterion 08 stays red: at k = n/2 + 1 with n even, e = 1/N
+        # and x = 1/sqrt(N), and N theta_k is -N lambda_{n-k} / x to within
+        # 0.2/sqrt(N) while it grows like -sqrt(N)/6, so no constant C'
+        # gives -C'(x + 1) <= N theta_k at every n
+        N, k = n - 1, n // 2 + 1
+        x = epsilon_of(n, k) * math.sqrt(N)
+        assert epsilon_of(n, k) == 1 / N
+        assert x == pytest.approx(1 / math.sqrt(N), rel=1e-15)
+        n_theta = N * theorem2_theta(n, k, build_table(n).z[k - 1])
+        assert abs(n_theta + N * lambda_n(n - k) / x) <= 0.2 / math.sqrt(N)
+        assert n_theta <= -0.15 * math.sqrt(N)
+
     def test_tail_and_cutpoint_views_at_one_k(self):
         # the tail residual and the cutpoint residual at one table cutpoint
         n, k = 64, 50

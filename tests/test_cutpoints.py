@@ -144,16 +144,17 @@ class TestVectorSolve:
             assert abs(table.z[k - 1] - ref) <= 1e-10
 
     def test_converged_entries_are_not_evaluated_again(self, monkeypatch):
-        # each Newton pass evaluates psi on the entries still iterating only;
-        # the last call is the closing contract check over every entry
+        # each Newton pass evaluates psi and rho on the entries still
+        # iterating only; the last call is the closing contract check over
+        # every entry
         sizes = []
-        real = normal_tail.psi_array
+        real = normal_tail.psi_rho_array
 
         def counted(x):
             sizes.append(x.size)
             return real(x)
 
-        monkeypatch.setattr(normal_tail, "psi_array", counted)
+        monkeypatch.setattr(normal_tail, "psi_rho_array", counted)
         build_table(4096)
         passes = sizes[:-1]
         assert sizes[-1] == 2048
@@ -261,6 +262,71 @@ def test_couple_returns_enclosing_cell(n, data):
     if k < n:
         assert y <= betas[k]
 
+
+
+class TestTusnadyInequality:
+    """|X - Y| <= 1 + Z^2/8 for X = couple(table, Y), Y = n/2 + sqrt(n) Z/2,
+    certified over every y (Tusnady 1977; Bretagnolle & Massart, Ann.
+    Probab. 1989).
+
+    On the cell (beta_k, beta_{k+1}] X = k.  For a <= 1/8 the excess
+    |k - y| - 1 - a Z^2 is concave on each side of y = k and grows toward
+    the cell's ends while y stays in [n/2 - n/(8a), n/2 + n/(8a)], which
+    holds [-n/2, 3n/2] and so, by the cutpoint bracket, every beta_k.  So a
+    bounded cell is worst at its ends, and each finite beta_j is taken from
+    both of its cells, X = j - 1 and X = j.  On the unbounded cell X = 0,
+    |X - Y| <= 1 for 0 <= y <= beta_1 (beta_1 <= 1); for y <= 0 the excess
+    at a = 1/8 peaks at y = -n/2 with slack 1, and |X - Y| - 1 <= a Z^2
+    needs a >= n/(8(n + 2)), its value at y = -n/2 - 2.  The cell X = n is
+    the mirror image about n/2.
+    """
+
+    @staticmethod
+    def excess(n, x, y):
+        """|X - Y| - 1 and Z^2 at X = x, Y = y."""
+        return np.abs(x - y) - 1.0, 4.0 * (y - n / 2) ** 2 / n
+
+    @staticmethod
+    def sharpest_a(excess, z_sq):
+        """The smallest a with excess <= a Z^2 at every point given."""
+        return np.divide(excess, z_sq, out=np.zeros_like(excess),
+                         where=excess > 0.0).max()
+
+    def worst(self, table):
+        """(the worst slack over every y, the smallest a that the finite
+        cutpoints need, the smallest a that every y needs)"""
+        n = table.n
+        j = np.arange(1, n + 1)
+        assert [couple(table, b) for b in table.betas] == list(j - 1)
+        assert [couple(table, math.nextafter(b, math.inf))
+                for b in table.betas] == list(j)
+        excess, z_sq = self.excess(n, np.concatenate([j - 1, j]),
+                                   np.concatenate([table.beta, table.beta]))
+        a_ends = self.sharpest_a(excess, z_sq)
+        return (min((z_sq / 8 - excess).min(), 1.0), a_ends,
+                max(a_ends, n / (8 * (n + 2))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 28, 64, 256, 1024, 4096])
+    def test_holds_over_every_y(self, n):
+        table = build_table(n)
+        # the premise: every cutpoint lies in [-n/2, 3n/2]
+        assert -n / 2 <= table.beta[0] and table.beta[-1] <= 1.5 * n
+        slack, a_ends, a = self.worst(table)
+        assert slack >= 0.5 - 1e-12
+        # the bounded cells need about half of 1/8; the unbounded cells set
+        # a, which tends to 1/8
+        assert a_ends < 0.065
+        assert a == n / (8 * (n + 2)) < 1 / 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 28, 64])
+    def test_a_dense_grid_finds_nothing_worse(self, n):
+        table = build_table(n)
+        slack, _, a = self.worst(table)
+        y = np.linspace(-n / 2 - 4, 1.5 * n + 4, 200001)
+        x = np.array([couple(table, v) for v in y.tolist()])
+        excess, z_sq = self.excess(n, x, y)
+        assert (z_sq / 8 - excess).min() >= slack - 1e-12
+        assert a - 1e-9 <= self.sharpest_a(excess, z_sq) <= a + 1e-12
 
 class TestExportCsv:
     def test_round_trip(self, tmp_path):

@@ -18,7 +18,7 @@ from bincoupling import (
     rho,
     upper_tail,
 )
-from bincoupling.normal_tail import X_MAX, X_MIN, psi_array, rho_array
+from bincoupling.normal_tail import X_MAX, X_MIN, psi_rho_array
 
 # frozen 50-digit quadrature oracle values (tools/gen_normal_tail_fixture.py)
 PHI_1 = 0.24197072451914337
@@ -176,7 +176,7 @@ class TestAgainstMpmath:
     ]))
 
     def test_relative_error(self):
-        psi_a, rho_a = psi_array(self.XS), rho_array(self.XS)
+        psi_a, rho_a = psi_rho_array(self.XS)
         for i, x in enumerate(self.XS.tolist()):
             p, r = _mp_psi_rho(x)
             for have in (psi(x), psi_a[i]):
@@ -185,7 +185,7 @@ class TestAgainstMpmath:
                 assert abs(have - r) <= 3e-14 * r, x
 
     def test_scalar_and_array_agree(self):
-        psi_a, rho_a = psi_array(self.XS), rho_array(self.XS)
+        psi_a, rho_a = psi_rho_array(self.XS)
         for i, x in enumerate(self.XS.tolist()):
             assert abs(psi_a[i] - psi(x)) <= 1e-15 * psi(x), x
             assert abs(rho_a[i] - rho(x)) <= 1e-15 * rho(x), x

@@ -514,6 +514,7 @@ class TestCli:
         (["cutpoints", "29"], "cutpoints_29.csv"),
         (["sweep", "--config", str(GOLDEN / "sweep_28_29.cfg")],
          "sweep_28_29.csv"),
+        (["lemma1", "--grid=-3:3:0.01"], "lemma1_-3_3_0.01.txt"),
     ])
     def test_output_matches_golden(self, argv, golden, capsysbinary):
         # every byte, down to the last digit, as first recorded

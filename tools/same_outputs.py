@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Check that this checkout prints what a git ref prints, byte for byte.
+
+    python tools/same_outputs.py REF
+
+REF, a commit, branch or tag of this repository, is extracted with
+``git archive`` into a temporary directory.  Each command below runs once
+on that tree and once on this checkout, as ``python -m bincoupling.cli``
+with PYTHONPATH at the tree's ``src/``, in a fresh temporary working
+directory and without writing bytecode, so nothing is written in the
+checkout.  The config files are this checkout's fixtures on both sides.
+Stdout, stderr, the exit code and any ``--out`` file are compared.  Exit 0
+when every output matches; exit 1 naming each difference; exit 2 when REF
+cannot be extracted.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CFG = ROOT / "tests" / "fixtures" / "cli"
+OUT = "report.out"
+
+COMMANDS = [
+    ["sweep"],
+    ["sweep", "--format", "json", "--out", OUT],
+    ["sweep", "--config", str(CFG / "sweep_dense.cfg"), "--format", "json",
+     "--out", OUT],
+    ["sweep", "--config", str(CFG / "sweep_28_29.cfg"), "--format", "json",
+     "--out", OUT],
+    ["cutpoints", "1"],
+    ["cutpoints", "4"],
+    ["cutpoints", "29"],
+    ["cutpoints", "4096"],
+    ["tails", "4", "3"],
+    ["tails", "1000", "700"],
+    ["coupling", "100"],
+    ["coupling", "4096"],
+    ["lemma1"],
+]
+
+
+def outputs(tree: pathlib.Path, argv: list[str]) -> dict[str, bytes]:
+    """Stdout, stderr, exit code and --out file of one command on one tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bincoupling.cli", *argv], cwd=cwd,
+            env=env, capture_output=True)
+        out = pathlib.Path(cwd, OUT)
+        return {"stdout": proc.stdout, "stderr": proc.stderr,
+                "exit code": str(proc.returncode).encode(),
+                "--out file": out.read_bytes() if out.exists() else b""}
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    ref = argv[0]
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", ref],
+                             capture_output=True)
+    if archive.returncode:
+        print(f"error: git archive {ref}: {archive.stderr.decode().strip()}",
+              file=sys.stderr)
+        return 2
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        ref_tree = pathlib.Path(tmp)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
+                       check=True)
+        for cmd in COMMANDS:
+            name = " ".join(cmd).replace(f"{ROOT}{os.sep}", "")
+            want, have = outputs(ref_tree, cmd), outputs(ROOT, cmd)
+            for part in want:
+                if want[part] != have[part]:
+                    differences += 1
+                    at = first_difference(want[part], have[part])
+                    print(f"DIFFERENT {part} of `{name}`: {len(want[part])} "
+                          f"bytes at {ref}, {len(have[part])} here, first "
+                          f"difference at byte {at}")
+    if differences:
+        return 1
+    print(f"same outputs as {ref}: {len(COMMANDS)} commands, stdout, stderr, "
+          f"exit code and --out file each")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -13,23 +13,9 @@ import importlib
 __version__ = "0.1.0"
 
 _NAMES = {
-    "approx": (
-        "delta_sandwich", "eq4_extreme", "eq5_bounds", "eta_kappa",
-        "gamma_eps", "h_aux", "h_third",
-        "laplace_pieces", "lower_bound_11", "s_eps", "theorem1_breakdown",
-        "theorem2_theta", "theorem2_w", "tusnady_bounds",
-    ),
-    "binom_exact": (
-        "lambda_n", "log_tail_exact", "log_tail_exact_all", "tail_numerator",
-    ),
-    "cutpoints": (
-        "CutpointTable", "build_table", "couple", "epsilon_of", "export_csv",
-    ),
-    "errors": ("DomainError", "RangeError", "SmallEpsilonRegime"),
-    "normal_tail": (
-        "inv_tail_asymptotic", "inverse_psi",
-        "phi", "psi", "r_remainder", "rho", "upper_tail",
-    ),
+    "binom_exact": ("log_tail_exact_all", "tail_numerator"),
+    "cutpoints": ("CutpointTable", "build_table", "couple"),
+    "errors": ("DomainError", "RangeError"),
     "verify": (
         "DEFAULT_N_VALUES", "CheckRows", "ConstantsReport", "SweepConfig",
         "coupling_check", "emit_report", "load_config", "run_sweep",

@@ -30,7 +30,6 @@ __all__ = [
     "gamma_eps",
     "s_eps",
     "laplace_pieces",
-    "h_aux",
     "h_third",
     "eta_kappa",
     "theorem1_breakdown",
@@ -39,8 +38,6 @@ __all__ = [
     "lower_bound_11",
     "delta_sandwich",
     "tusnady_bounds",
-    "eq4_extreme",
-    "eq5_bounds",
     "ExpansionArrays",
     "expansion_arrays",
 ]
@@ -86,22 +83,10 @@ def s_eps(epsilon: float) -> float:
     return math.sqrt(1.0 + 2.0 * e * e * gamma_eps(e))
 
 
-def h_aux(s: float, epsilon: float) -> float:
-    """Centered exponent of the beta integrand,
-    h(s) = [(1+e) log(1-s) + (1-e) log(1+s)] / 2: zero at s = 0, concave
-    and decreasing on [0, 1)."""
-    s = float(s)
-    e = float(epsilon)
-    if not (0.0 <= s < 1.0):
-        raise DomainError(f"s must be in [0, 1), got {s!r}")
-    if not (0.0 <= e <= 1.0):
-        raise DomainError(f"epsilon must be in [0, 1], got {epsilon!r}")
-    return 0.5 * ((1.0 + e) * math.log1p(-s) + (1.0 - e) * math.log1p(s))
-
-
 def h_third(s: float, epsilon: float) -> float:
-    """Third derivative of h_aux: (1-e)/(1+s)^3 - (1+e)/(1-s)^3, decreasing
-    in s with value -2e at s = 0."""
+    """Third derivative of the beta integrand's centered exponent
+    h(s) = [(1+e) log(1-s) + (1-e) log(1+s)] / 2: (1-e)/(1+s)^3 -
+    (1+e)/(1-s)^3, decreasing in s with value -2e at s = 0."""
     s = float(s)
     e = float(epsilon)
     if not (0.0 <= s < 1.0):
@@ -301,11 +286,11 @@ def _gamma_array(e: np.ndarray) -> np.ndarray:
 
 
 def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
-                     z: np.ndarray) -> ExpansionArrays:
+                     z: np.ndarray, psi_z: np.ndarray) -> ExpansionArrays:
     """Array form of theorem1_breakdown, lower_bound_11, theorem2_theta and
     delta_sandwich at every k of ``ks`` (n >= 28, n/2 < k <= n - 1), with the
-    exact log tails and the cutpoints z at those k.  lambda is taken from
-    one table per n."""
+    exact log tails, the cutpoints z and psi(z) at those k.  lambda is taken
+    from one table per n."""
     if n < 28:
         raise DomainError(f"n must be >= 28, got {n}")
     ks = np.asarray(ks)
@@ -355,7 +340,7 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
         theta = np.where(e > 0.0, z - w, math.nan)
 
         # delta_sandwich, where beta_shift > 0
-        beta_shift = psi_rho_array(z)[0] - psi_x
+        beta_shift = psi_z - psi_x
         d1 = 2.0 * beta_shift / (np.sqrt(x * x + 2.0 * beta_shift) + x)
         d2 = 2.0 * beta_shift / (np.sqrt(rx * rx + 2.0 * beta_shift) + rx)
         quad_tol = 1e-10 * np.maximum(1.0, beta_shift)
@@ -378,33 +363,3 @@ def tusnady_bounds(n: int, k: int, beta_k: float) -> tuple[float, float]:
     beta_k = float(beta_k)
     return (beta_k - (k - 1),
             1.5 * n - math.sqrt(2.0 * n * (n - k)) - beta_k)
-
-
-def eq4_extreme(n: int, B: int) -> float:
-    """Main term of the extreme-cutpoint asymptotic:
-    beta_{n-B} ~ (1+c)n/2 - (1+2B) log(n)/(4c) with c = s_eps(1)."""
-    if B not in (1, 2, 3):
-        raise DomainError(f"B must be 1, 2 or 3, got {B}")
-    if n < 64 or n - B <= n / 2:
-        raise DomainError(f"n too small for B = {B}, got n = {n}")
-    c = s_eps(1.0)
-    return (1.0 + c) / 2.0 * n - (1.0 + 2.0 * B) * math.log(n) / (4.0 * c)
-
-
-def eq5_bounds(n: int, k: int, beta_k: float,
-               constants: tuple[float, float, float, float]) -> bool:
-    """Continuity-corrected cutpoint window with a cubic center term:
-
-        -C1/sqrt(n) + C2 |k-n/2|^3/n^2
-            <= beta_k - k + 1/2 <=
-        C3 log(n)/sqrt(n) + C4 |k-n/2|^3/n^2
-    """
-    if not (n / 2 <= k <= n):
-        raise DomainError(f"k must satisfy n/2 <= k <= n, got k = {k}")
-    c1, c2, c3, c4 = (float(c) for c in constants)
-    if min(c1, c2, c3, c4) <= 0.0:
-        raise DomainError("all four constants must be positive")
-    t = abs(k - n / 2) ** 3 / n ** 2
-    d = float(beta_k) - k + 0.5
-    sqrt_n = math.sqrt(n)
-    return (-c1 / sqrt_n + c2 * t <= d <= c3 * math.log(n) / sqrt_n + c4 * t)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from itertools import islice
 
 import numpy as np
@@ -24,7 +25,6 @@ from .errors import DomainError
 
 __all__ = [
     "tail_numerator",
-    "log_tail_exact",
     "log_tail_exact_all",
     "lambda_n",
     "lambda_table",
@@ -45,19 +45,6 @@ _SERIES_MIN_N = 12
 _BLOCK = 128
 
 
-def _log_ratio(num: int, n: int) -> float:
-    """log(num / 2^n) for an integer num > 0, as the log of num's leading
-    53 bits scaled into [1, 2) plus its binary exponent minus n, times
-    log 2.
-
-    Taking log(num) - n log 2 instead would subtract two numbers near
-    0.69 n and lose about ulp(0.69 n); this way a power of two (the tails
-    1, 1/2 and 2^-n among them) gets its log exactly."""
-    e = num.bit_length() - 1
-    mant = (num >> (e - 52) if e > 52 else num << (52 - e)) / 2.0 ** 52
-    return math.log(mant) + (e - n) * LOG_2
-
-
 def tail_numerator(n: int, k: int) -> int:
     """Sum_{j>=k} C(n,j), the exact numerator of P{Bin(n,1/2) >= k} over
     2^n."""
@@ -65,22 +52,13 @@ def tail_numerator(n: int, k: int) -> int:
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     if not (0 <= k <= n):
         raise DomainError(f"k must be in [0, {n}], got {k}")
-    num = 0
-    c = 1  # C(n, n) walking down
-    for j in range(n, k - 1, -1):
-        num += c
-        c = c * j // (n - j + 1)
-    return num
-
-
-def log_tail_exact(n: int, k: int) -> float:
-    """log P{Bin(n,1/2) >= k}, from the exact numerator tail_numerator(n, k)."""
-    return _log_ratio(tail_numerator(n, k), n)
+    return deque(_upper_numerators(n, k), maxlen=1)[0]
 
 
 def log_tail_exact_all(n: int) -> np.ndarray:
     """All log tails for a fixed n as a float64 array of length n + 1;
-    entry [k] equals log_tail_exact(n, k).
+    entry [k] is log P{Bin(n,1/2) >= k}, the log of tail_numerator(n, k)
+    over 2^n.
 
     One big-integer pass runs the numerators of the upper half, k >= h =
     n//2 + 1; each lower one is then the exact complement 2^n - num_{n-k+1},
@@ -105,7 +83,8 @@ def log_tail_exact_all(n: int) -> np.ndarray:
 
 
 def _upper_numerators(n: int, h: int):
-    """tail_numerator(n, k) for k = n, n - 1, ..., h, by one recurrence."""
+    """The numerators Sum_{j>=k} C(n,j) for k = n, n - 1, ..., h, by one
+    recurrence."""
     num = c = 1
     yield num
     for k in range(n - 1, h - 1, -1):
@@ -115,10 +94,14 @@ def _upper_numerators(n: int, h: int):
 
 
 def _log_ratios(nums: list[int], n: int) -> np.ndarray:
-    """_log_ratio(num, n) for every num in ``nums``, bit for bit, by columns:
-    the binary exponents, the leading 53 bits scaled into [1, 2) by an
-    exact power of two, math.log of each (the libm call _log_ratio makes;
-    np.log's SIMD path may differ in the last bit), plus (e - n) log 2."""
+    """log(num / 2^n) for every integer num > 0 in ``nums``, by columns:
+    the binary exponents e, the leading 53 bits scaled into [1, 2) by an
+    exact power of two, math.log of each (np.log's SIMD path may differ in
+    the last bit), plus (e - n) log 2.
+
+    Taking log(num) - n log 2 instead would subtract two numbers near
+    0.69 n and lose about ulp(0.69 n); this way a power of two (the tails
+    1, 1/2 and 2^-n among them) gets its log exactly."""
     e = np.fromiter(map(int.bit_length, nums), np.int64, len(nums)) - 1
     shift = np.maximum(e - 52, 0)
     top = np.fromiter(map(operator.rshift, nums, shift.tolist()), np.float64,

@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from .binom_exact import _log_ratio, tail_numerator
-from .cutpoints import build_table, export_csv, table_csv
+from .binom_exact import _log_ratios, tail_numerator
+from .cutpoints import build_table, table_csv
 from .errors import DomainError, RangeError
 from .normal_tail import _check_envelope, psi, rho
 from .verify import (
@@ -45,9 +45,9 @@ def cmd_tails(args) -> int:
     if bit_terms > TAILS_MAX_BIT_TERMS:
         raise DomainError(f"tails {args.n} {args.k} sums {bit_terms} "
                           f"bit-terms, more than {TAILS_MAX_BIT_TERMS}")
-    # one O(n^2)-bit sum serves both lines: log_prob is log_tail_exact's
+    # one O(n^2)-bit sum serves both lines
     num = tail_numerator(args.n, args.k)
-    log_prob = _log_ratio(num, args.n)
+    log_prob = _log_ratios([num], args.n)[0]
     print(f"n = {args.n}  k = {args.k}")
     print(f"numerator bits = {num.bit_length()}")
     print(f"log_prob = {_fmt(log_prob)}")
@@ -56,11 +56,12 @@ def cmd_tails(args) -> int:
 
 
 def cmd_cutpoints(args) -> int:
-    table = build_table(args.n)
+    text = table_csv(build_table(args.n))
     if args.csv:
-        export_csv(table, args.csv)
+        with open(args.csv, "w", newline="") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(table_csv(table))
+        sys.stdout.write(text)
     return EXIT_OK
 
 

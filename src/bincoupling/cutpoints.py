@@ -29,7 +29,6 @@ __all__ = [
     "epsilon_of",
     "build_table",
     "couple",
-    "export_csv",
     "table_csv",
     "N_MAX_TABLE",
 ]
@@ -106,9 +105,3 @@ def table_csv(table: CutpointTable) -> str:
                  for k, e, z, b, t in zip(range(1, n + 1), *cols))
     lines.append("")
     return "\n".join(lines)
-
-
-def export_csv(table: CutpointTable, path: str) -> None:
-    """Write table_csv(table) to path."""
-    with open(path, "w", newline="") as fh:
-        fh.write(table_csv(table))

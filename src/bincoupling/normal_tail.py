@@ -35,15 +35,12 @@ import numpy as np
 from .errors import DomainError, RangeError
 
 __all__ = [
-    "phi",
-    "upper_tail",
     "psi",
     "rho",
     "r_remainder",
     "psi_rho_array",
     "inverse_psi",
     "inverse_psi_array",
-    "inv_tail_asymptotic",
     "X_MIN",
     "X_MAX",
 ]
@@ -69,32 +66,14 @@ X_MIN = -37.5
 X_MAX = 200.0
 
 
-def _check_finite(x: float) -> float:
+def _check_envelope(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
-    return x
-
-
-def _check_envelope(x: float) -> float:
-    x = _check_finite(x)
     if not X_MIN <= x <= X_MAX:
         edge = f"X_MIN = {X_MIN}" if x < X_MIN else f"X_MAX = {X_MAX}"
         raise RangeError(f"x = {x} is past the envelope's edge {edge}")
     return x
-
-
-def phi(x: float) -> float:
-    """Standard normal density."""
-    x = _check_finite(x)
-    return math.exp(-0.5 * x * x) / SQRT_2PI
-
-
-def upper_tail(x: float) -> float:
-    """P{Z > x}.  Underflows gracefully to 0 for x beyond ~38; callers that
-    need the deep tail work with psi instead."""
-    x = _check_finite(x)
-    return 0.5 * math.erfc(x * INV_SQRT_2)
 
 
 def psi(x: float) -> float:
@@ -190,17 +169,6 @@ def _erfc_array(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erfc, u.tolist()), float, u.size)
 
 
-def inv_tail_asymptotic(p: float) -> float:
-    """First-order asymptotic inverse of the upper tail for small p:
-    y - log(y)/y with y = sqrt(2 log(1/p)).  O(1/y) accuracy only; used as
-    a Newton seed and for consistency checks at extreme cutpoints."""
-    p = float(p)
-    if not (0.0 < p < 0.1):
-        raise DomainError(f"p must lie in (0, 0.1), got {p!r}")
-    y = math.sqrt(2.0 * math.log(1.0 / p))
-    return y - math.log(y) / y
-
-
 def inverse_psi(L: float) -> float:
     """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L).
 
@@ -220,8 +188,8 @@ def inverse_psi(L: float) -> float:
         # the root lies in [0, X_MAX]; no iterate may leave the envelope
         lo, hi = 0.0, min(math.sqrt(2.0 * L) + 2.0, X_MAX)
         if L > 2.5:
-            # same formula as inv_tail_asymptotic(e^{-L}), stated in L so it
-            # works even where e^{-L} underflows
+            # the first-order asymptotic inverse of the tail at p = e^{-L},
+            # stated in L so it works even where e^{-L} underflows
             y = math.sqrt(2.0 * L)
             x = y - math.log(y) / y
         else:

@@ -199,12 +199,12 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
     z = table.z[ks - 1]
     beta = table.beta[ks - 1]
     log_tail = table.log_tail[ks - 1]
+    psi_z = psi_rho_array(z)[0]
 
     # defining equation psi(z_k) = -log tail, re-checked post hoc
-    d = log_tail < 0.0
-    s = (tol["log_tail"] * np.maximum(1.0, -log_tail[d])
-         - np.abs(psi_rho_array(z[d])[0] + log_tail[d]))
-    _add(checks, "defining_eq", n, ks[d], s, tol)
+    s = (tol["log_tail"] * np.maximum(1.0, -log_tail)
+         - np.abs(psi_z + log_tail))
+    _add(checks, "defining_eq", n, ks, s, tol)
 
     # symmetry beta_{n-k+1} + beta_k = n
     s = tol["symmetry"] - np.abs(table.beta[n - ks] + beta - n)
@@ -228,7 +228,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
     if dom.any():
         ek = ks[dom]
         lt = tails[ek]
-        ex = expansion_arrays(n, ek, lt, z[dom])
+        ex = expansion_arrays(n, ek, lt, z[dom], psi_z[dom])
         # an internal identity of the expansion failing at one (n, k) is a
         # failed check there, in place of the rows that rest on it
         ok_r = ~ex.breaks_pieces

@@ -15,31 +15,24 @@ import conftest
 
 from bincoupling import (
     SweepConfig,
-    build_table,
     coupling_check,
-    delta_sandwich,
-    epsilon_of,
-    eq4_extreme,
-    eq5_bounds,
-    gamma_eps,
-    lambda_n,
     log_tail_exact_all,
-    lower_bound_11,
-    phi,
-    psi,
-    r_remainder,
-    rho,
     run_sweep,
-    s_eps,
-    theorem1_breakdown,
-    theorem2_theta,
-    tusnady_bounds,
-    upper_tail,
 )
+from bincoupling.approx import (
+    delta_sandwich,
+    gamma_eps,
+    lower_bound_11,
+    s_eps,
+    tusnady_bounds,
+)
+from bincoupling.binom_exact import lambda_n
 from bincoupling.cli import EXIT_OK, main
+from bincoupling.cutpoints import epsilon_of
 from bincoupling.errors import SmallEpsilonRegime
-from bincoupling.verify import DEFAULT_N_VALUES
+from bincoupling.normal_tail import psi, r_remainder, rho
 from conftest import log_tail_beta_integral
+from reference import eq4_extreme, eq5_bounds, phi, upper_tail
 
 
 def _verdict(num: int, ok: bool, desc: str) -> None:

@@ -6,30 +6,29 @@ import pytest
 
 from bincoupling import (
     DomainError,
-    SmallEpsilonRegime,
     build_table,
+    log_tail_exact_all,
+    tail_numerator,
+)
+from bincoupling.approx import (
+    _gamma_array,
     delta_sandwich,
-    epsilon_of,
-    eq4_extreme,
-    eq5_bounds,
     eta_kappa,
     gamma_eps,
-    h_aux,
     h_third,
-    lambda_n,
     laplace_pieces,
-    log_tail_exact,
-    log_tail_exact_all,
     lower_bound_11,
     s_eps,
-    tail_numerator,
     theorem1_breakdown,
     theorem2_theta,
     theorem2_w,
     tusnady_bounds,
 )
-from bincoupling.approx import _gamma_array
+from bincoupling.binom_exact import lambda_n
+from bincoupling.cutpoints import epsilon_of
+from bincoupling.errors import SmallEpsilonRegime
 from bincoupling.normal_tail import psi
+from reference import eq4_extreme, eq5_bounds, h_aux, log_tail_exact
 
 
 def gamma_oracle(e: float) -> float:

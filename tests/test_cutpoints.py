@@ -12,16 +12,13 @@ from bincoupling import (
     RangeError,
     build_table,
     couple,
-    epsilon_of,
-    export_csv,
-    inverse_psi,
-    log_tail_exact,
     log_tail_exact_all,
-    psi,
-    upper_tail,
 )
 from bincoupling import normal_tail
-from bincoupling.cutpoints import table_csv
+from bincoupling.cli import main
+from bincoupling.cutpoints import epsilon_of, table_csv
+from bincoupling.normal_tail import inverse_psi, psi
+from reference import log_tail_exact, upper_tail
 
 # oracle: inverse_psi(-log(5/16)) recomputed by 50-digit root finding on the
 # quadrature tail
@@ -332,7 +329,7 @@ class TestExportCsv:
     def test_round_trip(self, tmp_path):
         table = build_table(12)
         path = tmp_path / "table.csv"
-        export_csv(table, str(path))
+        assert main(["cutpoints", "12", "--csv", str(path)]) == 0
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12

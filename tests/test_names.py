@@ -1,8 +1,10 @@
 """Every name the package exports, and every function the benchmark's
 tracer wraps, exists: a missing traced target would only be reported as
-untraced, with its per-layer metrics reading 0.  The lazy package namespace
-binds each export to its defining module's object and loads only the
-modules a caller reaches.  The README's CLI block lists exactly the
+untraced, with its per-layer metrics reading 0.  The package exports what a
+caller of the CLI, the sweep or the coupling map uses, and defines no public
+function that only the tests reach.  The lazy package namespace binds each
+export to its defining module's object and loads only the modules a caller
+reaches.  The README's CLI block lists exactly the
 commands the parser has, and the CLI reports a refusal in one place
 only."""
 
@@ -44,6 +46,61 @@ def test_traced_targets_are_callables():
         mod = importlib.import_module(f"bincoupling.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+# the names a caller of the CLI, the sweep or the coupling map uses; the
+# scalar reference formulas the tests use live in tests/reference.py
+EXPORTS = (
+    "CutpointTable", "build_table", "couple",
+    "DEFAULT_N_VALUES", "CheckRows", "ConstantsReport", "SweepConfig",
+    "coupling_check", "emit_report", "load_config", "run_sweep",
+    "DomainError", "RangeError",
+    "log_tail_exact_all", "tail_numerator",
+    "__version__",
+)
+
+
+def test_exports_are_the_callers_names():
+    assert sorted(bincoupling.__all__) == sorted(EXPORTS)
+    assert len(EXPORTS) == 16
+
+
+def package_defs() -> tuple[dict[str, set[str]], list[str]]:
+    """The names each top-level def or class of the package refers to (by
+    name, merged across modules), and the package's public top-level
+    functions as module.name."""
+    refs: dict[str, set[str]] = {}
+    public = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            refs.setdefault(node.name, set()).update(
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute)))
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                public.append(f"{path.stem}.{node.name}")
+    return refs, public
+
+
+def test_every_public_function_is_reached():
+    # reached from a cli function, an export or a traced target, through
+    # the names each reached body refers to
+    refs, public = package_defs()
+    cli_defs = [node.name for node in ast.parse(
+        pathlib.Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef)]
+    todo = [*cli_defs, *bincoupling.__all__,
+            *(name for names in tracer_targets().values() for name in names)]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(refs.get(name, ()))
+    assert [f for f in public if f.split(".")[1] not in reached] == []
 
 
 @pytest.mark.parametrize("module", [None, *MODULES])

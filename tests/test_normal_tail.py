@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bincoupling import (
-    DomainError,
-    RangeError,
-    inv_tail_asymptotic,
+from bincoupling import DomainError, RangeError
+from bincoupling.normal_tail import (
+    X_MAX,
+    X_MIN,
     inverse_psi,
-    phi,
     psi,
+    psi_rho_array,
     r_remainder,
     rho,
-    upper_tail,
 )
-from bincoupling.normal_tail import X_MAX, X_MIN, psi_rho_array
+from reference import inv_tail_asymptotic, phi, upper_tail
 
 # frozen 50-digit quadrature oracle values (tools/gen_normal_tail_fixture.py)
 PHI_1 = 0.24197072451914337

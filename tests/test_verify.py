@@ -59,8 +59,8 @@ def break_eq11_at(monkeypatch, n0, k0):
     violation at (n0, k0)."""
     real = verify.expansion_arrays
 
-    def faulty(n, ks, log_tail, z):
-        ex = real(n, ks, log_tail, z)
+    def faulty(n, ks, *arrays):
+        ex = real(n, ks, *arrays)
         return dataclasses.replace(
             ex, breaks_eq11=ex.breaks_eq11 | ((n == n0) & (ks == k0)))
 

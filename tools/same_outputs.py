@@ -35,8 +35,10 @@ COMMANDS = [
     ["cutpoints", "4"],
     ["cutpoints", "29"],
     ["cutpoints", "4096"],
+    ["cutpoints", "29", "--csv", OUT],
     ["tails", "4", "3"],
     ["tails", "1000", "700"],
+    ["tails", "65536", "0"],
     ["coupling", "100"],
     ["coupling", "4096"],
     ["lemma1"],

@@ -92,8 +92,9 @@ def cmd_lemma1(args) -> int:
         if not all(map(math.isfinite, (a, b, step))):
             raise ValueError
         ordered = step > 0 and b > a
-        # a step too small to count the points by (1e-320) overflows here
-        n_pts = int(round((b - a) / step)) + 1 if ordered else 0
+        # the points a + i step <= b, up to rounding; a step too small to
+        # count them by (1e-320) overflows here
+        n_pts = math.floor((b - a) / step * (1 + 1e-9)) + 1 if ordered else 0
     except (ValueError, OverflowError):
         raise DomainError(
             f"bad grid {args.grid!r}, expected a:b:step") from None

@@ -49,6 +49,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 LOG_SQRT_2PI = math.log(SQRT_2PI)
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+LOG_2 = math.log(2.0)
 
 # Above this x rho takes the continued fraction.  Below it the erfc route's
 # error grows like x^2 * 2^-53 (the rounding of u^2 in exp(-u^2)); it is
@@ -170,77 +171,39 @@ def _erfc_array(u: np.ndarray) -> np.ndarray:
 
 
 def inverse_psi(L: float) -> float:
-    """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L).
-
-    Safeguarded Newton iteration x <- x - (psi(x) - L)/rho(x); psi is convex
-    (its derivative rho is increasing) so Newton from a bracketed seed
-    converges monotonically, with bisection as the fallback.
-    """
+    """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L):
+    inverse_psi_array at one entry for L >= log 2.  A smaller L has a root
+    x < 0, and -x solves the mirrored tail, psi(-x) = -log(-expm1(-L));
+    that root is capped at X_MIN."""
     L = float(L)
     if not (L > 0.0) or not math.isfinite(L):
         raise DomainError(f"L must be positive and finite, got {L!r}")
     psi_max = psi(X_MAX)
     if L > psi_max:
         raise RangeError(f"L = {L} exceeds psi({X_MAX}) = {psi_max}")
-
-    log2 = math.log(2.0)
-    if L >= log2:
-        # the root lies in [0, X_MAX]; no iterate may leave the envelope
-        lo, hi = 0.0, min(math.sqrt(2.0 * L) + 2.0, X_MAX)
-        if L > 2.5:
-            # the first-order asymptotic inverse of the tail at p = e^{-L},
-            # stated in L so it works even where e^{-L} underflows
-            y = math.sqrt(2.0 * L)
-            x = y - math.log(y) / y
-        else:
-            # Newton's first step from x = 0, the root at L = log 2: psi is
-            # convex, so it lands on the root or right of it
-            x = (L - log2) / SQRT_2_OVER_PI
-    else:
-        # mirrored bracket: x < 0, lower tail P{Z <= x} = 1 - e^{-L}
-        p_low = -math.expm1(-L)
-        lo = max(-(math.sqrt(2.0 * math.log(1.0 / p_low)) + 2.0), X_MIN)
-        hi = 0.0
-        x = -0.5
-    x = min(max(x, lo), hi)
-
-    tol = 1e-12 * max(1.0, L)
-    for _ in range(200):
-        f = psi(x) - L
-        if f > 0.0:
-            hi = min(hi, x)
-        else:
-            lo = max(lo, x)
-        if abs(f) <= tol:
-            return x
-        step = f / rho(x)
-        x_new = x - step
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    if abs(psi(x) - L) > 1e-10 * max(1.0, L):
-        raise RangeError(f"inverse_psi failed to converge for L = {L}")
-    return x
+    if L >= LOG_2:
+        return float(inverse_psi_array(np.array([L]))[0])
+    mirrored = -math.log(-math.expm1(-L))
+    return max(-float(inverse_psi_array(np.array([mirrored]))[0]), X_MIN)
 
 
 def inverse_psi_array(L: np.ndarray) -> np.ndarray:
-    """inverse_psi elementwise for L >= log 2 (roots x >= 0), to the same
-    contract |psi(x) - L| <= 1e-10 * max(1, L).
+    """Solve psi(x) = L elementwise for L >= log 2 (roots x >= 0), to
+    |psi(x) - L| <= 1e-10 * max(1, L): the package's one psi^-1 solve.
 
-    The scalar solver's Newton iteration runs on every entry together: the
-    same seed, bracket, step and stopping rule, one numpy pass per
-    iteration.  An entry that misses the contract, such as an L above
-    psi(X_MAX), is a RangeError naming the first such L.  The scalar
-    inverse_psi is the reference this solve is tested against.
+    Safeguarded Newton x <- x - (psi(x) - L)/rho(x), one numpy pass per
+    iteration; psi is convex (rho is increasing), so Newton from a
+    bracketed seed converges monotonically, with bisection as the
+    fallback.  An entry that misses the contract, such as an L above
+    psi(X_MAX), is a RangeError naming the first such L.
     """
     L = np.asarray(L, dtype=float)
-    if L.size and not (np.isfinite(L).all() and L.min() >= math.log(2.0)):
+    if L.size and not (np.isfinite(L).all() and L.min() >= LOG_2):
         raise DomainError("L must be finite and at least log 2")
+    # seed: past L = 2.5 the first-order asymptotic inverse of the tail at
+    # e^{-L}, stated in L; below, Newton's first step from the root at log 2
     y = np.sqrt(2.0 * L)
-    x = np.where(L > 2.5, y - np.log(y) / y,
-                 (L - math.log(2.0)) / SQRT_2_OVER_PI)
+    x = np.where(L > 2.5, y - np.log(y) / y, (L - LOG_2) / SQRT_2_OVER_PI)
     lo = np.zeros_like(L)
     hi = np.minimum(y + 2.0, X_MAX)
     x = np.minimum(np.maximum(x, lo), hi)

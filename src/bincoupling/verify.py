@@ -459,6 +459,8 @@ def load_config(path: str) -> SweepConfig:
             given[key] = lineno
             try:
                 if key == "n_values":
+                    if not all(v.strip() for v in value.split(",")):
+                        raise DomainError(f"empty item in n_values {value!r}")
                     arg = {"n_values": tuple(
                         int(v) for v in value.replace(",", " ").split())}
                 elif key == "k_policy":

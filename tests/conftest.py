@@ -21,18 +21,38 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def oracle_tail(x, dps: int = 50):
-    """Independent oracle: adaptive quadrature in high precision.  Never
-    touches erf/erfc.  Past x = 2 the Gaussian factor is peeled off first
-    so the integrand stays of order one (direct quadrature of the density
-    loses accuracy once the tail is tiny relative to the density at x)."""
-    with mp.workdps(dps):
-        x = mp.mpf(x)
-        if x <= 2:
-            density = lambda t: mp.exp(-t * t / 2) / mp.sqrt(2 * mp.pi)
-            return mp.quad(density, [x, mp.inf])
-        peeled = mp.quad(lambda u: mp.exp(-x * u - u * u / 2), [0, mp.inf])
-        return mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi) * peeled
+# 50-digit references, one per quantity; each evaluates at the caller's
+# mp.dps, so call them inside mp.workdps(50)
+
+def psi_mp(x):
+    """-log P{Z > x}."""
+    return -mp.log(mp.erfc(x / mp.sqrt(2)) / 2)
+
+
+def rho_mp(x):
+    """phi(x) / P{Z > x}."""
+    return mp.sqrt(2 / mp.pi) * mp.exp(-x * x / 2) / mp.erfc(x / mp.sqrt(2))
+
+
+def lambda_mp(m: int):
+    """log m! minus its Stirling lead."""
+    return mp.loggamma(m + 1) - ((m + mp.mpf(1) / 2) * mp.log(m) - m
+                                 + mp.log(mp.sqrt(2 * mp.pi)))
+
+
+def gamma_mp(e):
+    """gamma(e) for e != 0, in closed form."""
+    return ((1 + e) * mp.log(1 + e) + (1 - e) * mp.log(1 - e) - e * e) \
+        / (2 * e ** 4)
+
+
+def log_tail_mp(n: int, k: int):
+    """log P{Bin(n, 1/2) >= k} from the exact big-integer numerator."""
+    num, c = 0, 1  # C(n, j) for j = n, n - 1, ..., k
+    for j in range(n, k - 1, -1):
+        num += c
+        c = c * j // (n - j + 1)
+    return mp.log(num) - n * mp.log(2)
 
 
 def log_tail_beta_integral(n: int, k: int) -> float:
@@ -73,11 +93,6 @@ def log_tail_beta_integral(n: int, k: int) -> float:
     val, _err = integrate.quad(integrand, 0.0, 0.5, epsabs=1e-300,
                                epsrel=1e-11, limit=200, points=points)
     return log_pref + shift + math.log(val)
-
-
-def oracle_psi(x, dps: int = 50):
-    with mp.workdps(dps):
-        return -mp.log(oracle_tail(x, dps))
 
 
 def load_tail_fixture():

@@ -9,7 +9,8 @@ import math
 
 from bincoupling.approx import s_eps
 from bincoupling.binom_exact import tail_numerator
-from bincoupling.errors import DomainError
+from bincoupling.errors import DomainError, RangeError
+from bincoupling.normal_tail import SQRT_2_OVER_PI, X_MAX, X_MIN, psi, rho
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -41,12 +42,69 @@ def upper_tail(x: float) -> float:
 def inv_tail_asymptotic(p: float) -> float:
     """First-order asymptotic inverse of the upper tail for small p:
     y - log(y)/y with y = sqrt(2 log(1/p)).  O(1/y) accuracy only; the
-    Newton seed of inverse_psi for L > 2.5 is the same formula in L."""
+    Newton seed of inverse_psi_newton for L > 2.5 is the same formula in L."""
     p = float(p)
     if not (0.0 < p < 0.1):
         raise DomainError(f"p must lie in (0, 0.1), got {p!r}")
     y = math.sqrt(2.0 * math.log(1.0 / p))
     return y - math.log(y) / y
+
+
+def inverse_psi_newton(L: float) -> float:
+    """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L).
+
+    Safeguarded Newton iteration x <- x - (psi(x) - L)/rho(x); psi is convex
+    (its derivative rho is increasing) so Newton from a bracketed seed
+    converges monotonically, with bisection as the fallback.  One point at
+    a time on the scalar psi and rho: the reference the package's vector
+    solve, normal_tail.inverse_psi_array, is tested against.
+    """
+    L = float(L)
+    if not (L > 0.0) or not math.isfinite(L):
+        raise DomainError(f"L must be positive and finite, got {L!r}")
+    psi_max = psi(X_MAX)
+    if L > psi_max:
+        raise RangeError(f"L = {L} exceeds psi({X_MAX}) = {psi_max}")
+
+    if L >= LOG_2:
+        # the root lies in [0, X_MAX]; no iterate may leave the envelope
+        lo, hi = 0.0, min(math.sqrt(2.0 * L) + 2.0, X_MAX)
+        if L > 2.5:
+            # the first-order asymptotic inverse of the tail at p = e^{-L},
+            # stated in L so it works even where e^{-L} underflows
+            y = math.sqrt(2.0 * L)
+            x = y - math.log(y) / y
+        else:
+            # Newton's first step from x = 0, the root at L = log 2: psi is
+            # convex, so it lands on the root or right of it
+            x = (L - LOG_2) / SQRT_2_OVER_PI
+    else:
+        # mirrored bracket: x < 0, lower tail P{Z <= x} = 1 - e^{-L}
+        p_low = -math.expm1(-L)
+        lo = max(-(math.sqrt(2.0 * math.log(1.0 / p_low)) + 2.0), X_MIN)
+        hi = 0.0
+        x = -0.5
+    x = min(max(x, lo), hi)
+
+    tol = 1e-12 * max(1.0, L)
+    for _ in range(200):
+        f = psi(x) - L
+        if f > 0.0:
+            hi = min(hi, x)
+        else:
+            lo = max(lo, x)
+        if abs(f) <= tol:
+            return x
+        step = f / rho(x)
+        x_new = x - step
+        if not (lo <= x_new <= hi):
+            x_new = 0.5 * (lo + hi)
+        if x_new == x:
+            break
+        x = x_new
+    if abs(psi(x) - L) > 1e-10 * max(1.0, L):
+        raise RangeError(f"inverse_psi_newton failed to converge for L = {L}")
+    return x
 
 
 # exact Binomial tails

@@ -28,17 +28,16 @@ from bincoupling.binom_exact import lambda_n
 from bincoupling.cutpoints import epsilon_of
 from bincoupling.errors import SmallEpsilonRegime
 from bincoupling.normal_tail import psi
+from conftest import gamma_mp
 from reference import eq4_extreme, eq5_bounds, h_aux, log_tail_exact
 
 
 def gamma_oracle(e: float) -> float:
     """Closed form in 50-digit arithmetic (no cancellation there)."""
+    if e == 0:
+        return 1.0 / 12.0
     with mp.workdps(50):
-        ee = mp.mpf(e)
-        if ee == 0:
-            return 1.0 / 12.0
-        num = (1 + ee) * mp.log(1 + ee) + (1 - ee) * mp.log(1 - ee) - ee ** 2
-        return float(num / (2 * ee ** 4))
+        return float(gamma_mp(mp.mpf(e)))
 
 
 class TestGamma:

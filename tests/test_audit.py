@@ -13,38 +13,13 @@ import numpy as np
 import pytest
 
 from bincoupling import SweepConfig, build_table, run_sweep
+from conftest import gamma_mp, lambda_mp, log_tail_mp, psi_mp, rho_mp
 
 N_AUDIT = 4096
 CHECKS = ("sandwich_lower", "sandwich_upper", "eq11_lower", "eq11_upper")
 PER_CHECK = 3
 BOUND = 1e-11
 DPS = 50
-
-
-def psi_mp(x):
-    return -mp.log(mp.erfc(x / mp.sqrt(2)) / 2)
-
-
-def rho_mp(x):
-    return mp.sqrt(2 / mp.pi) * mp.exp(-x * x / 2) / mp.erfc(x / mp.sqrt(2))
-
-
-def lambda_mp(m: int):
-    return mp.loggamma(m + 1) - ((m + mp.mpf(1) / 2) * mp.log(m) - m
-                                 + mp.log(mp.sqrt(2 * mp.pi)))
-
-
-def gamma_mp(e):
-    return ((1 + e) * mp.log(1 + e) + (1 - e) * mp.log(1 - e) - e * e) \
-        / (2 * e ** 4)
-
-
-def log_tail_mp(n: int, k: int):
-    num, c = 0, 1  # C(n, j) for j = n, n - 1, ..., k
-    for j in range(n, k - 1, -1):
-        num += c
-        c = c * j // (n - j + 1)
-    return mp.log(num) - n * mp.log(2)
 
 
 def slack_mp(check: str, n: int, k: int, z_float: float):

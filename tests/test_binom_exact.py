@@ -8,7 +8,7 @@ import pytest
 
 from bincoupling import DomainError, log_tail_exact_all, tail_numerator
 from bincoupling.binom_exact import _log_ratios, lambda_n, lambda_table
-from conftest import log_tail_beta_integral
+from conftest import lambda_mp, log_tail_beta_integral
 from reference import _log_ratio, log_tail_exact
 
 
@@ -197,10 +197,7 @@ class TestLambdaN:
         with mp.workdps(50):
             for n in range(1, 4097):
                 lam = lambda_n(n)
-                nn = mp.mpf(n)
-                lead = (nn + mp.mpf(1) / 2) * mp.log(nn) - nn \
-                    + mp.log(2 * mp.pi) / 2
-                ref = mp.loggamma(nn + 1) - lead
+                ref = lambda_mp(n)
                 assert abs(float(mp.mpf(lam) - ref)) <= 1e-13, n
                 assert 1.0 / (12 * n + 1) < lam < 1.0 / (12 * n), n
 

@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from bincoupling import (
 from bincoupling import normal_tail
 from bincoupling.cli import main
 from bincoupling.cutpoints import epsilon_of, table_csv
-from bincoupling.normal_tail import inverse_psi, psi
-from reference import log_tail_exact, upper_tail
+from bincoupling.normal_tail import psi
+from conftest import log_tail_mp, psi_mp
+from reference import inverse_psi_newton, log_tail_exact, upper_tail
 
-# oracle: inverse_psi(-log(5/16)) recomputed by 50-digit root finding on the
-# quadrature tail
+# oracle: the root of psi(z) = -log(5/16), recomputed by 50-digit root
+# finding on the quadrature tail
 Z3_N4 = 0.48877641111466950
 
 
@@ -120,12 +122,12 @@ class TestBuildTable:
 
 
 def scalar_table(n: int) -> list[tuple[float, float]]:
-    """(z_k, beta_k) for k = 1..n by the scalar reference: inverse_psi per
-    upper-half k, the lower half mirrored."""
+    """(z_k, beta_k) for k = 1..n by the scalar reference: the scalar Newton
+    per upper-half k, the lower half mirrored."""
     tails = log_tail_exact_all(n)
     upper = {}
     for k in range(n // 2 + 1, n + 1):
-        z = inverse_psi(-tails[k])
+        z = inverse_psi_newton(-tails[k])
         upper[k] = (z, n / 2 + math.sqrt(n) * z / 2)
     return [upper[k] if k in upper else
             (-upper[n - k + 1][0], n - upper[n - k + 1][1])
@@ -137,7 +139,7 @@ class TestVectorSolve:
     def test_matches_scalar_inverse_psi(self, n):
         table = build_table(n)
         for k in range(n // 2 + 1, n + 1):
-            ref = inverse_psi(-table.log_tail[k - 1])
+            ref = inverse_psi_newton(-table.log_tail[k - 1])
             assert abs(table.z[k - 1] - ref) <= 1e-10
 
     def test_converged_entries_are_not_evaluated_again(self, monkeypatch):
@@ -203,6 +205,27 @@ def test_vector_table_is_monotone_symmetric_and_matches_scalar(n):
         z_ref, beta_ref = ref[k - 1]
         assert abs(table.z[k - 1] - z_ref) <= 1e-10
         assert abs(beta[k - 1] - beta_ref) <= 1e-10 * math.sqrt(n)
+
+
+@st.composite
+def upper_cutpoint(draw):
+    n = draw(st.integers(min_value=1, max_value=4096))
+    return n, draw(st.integers(min_value=n // 2 + 1, max_value=n))
+
+
+@given(upper_cutpoint())
+@settings(max_examples=40, deadline=None)
+def test_cutpoint_solves_the_exact_tail_to_50_digits(nk):
+    # the solve's contract against references that share none of its code:
+    # psi at the stored z_k and the exact big-integer tail, both in 50
+    # digits; 5e-15 L allows for L's own rounding to a float
+    n, k = nk
+    z = build_table(n).z[k - 1]
+    with mp.workdps(50):
+        L = -log_tail_mp(n, k)
+        residual = float(abs(psi_mp(mp.mpf(float(z))) - L))
+    L = float(L)
+    assert residual <= 1e-10 * max(1.0, L) + 5e-15 * L, (n, k, residual)
 
 
 class TestCouple:

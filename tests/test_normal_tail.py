@@ -12,6 +12,7 @@ from bincoupling.normal_tail import (
     X_MAX,
     X_MIN,
     inverse_psi,
+    inverse_psi_array,
     psi,
     psi_rho_array,
     r_remainder,
@@ -225,6 +226,21 @@ class TestInversePsi:
         # the mirrored bracket is capped at X_MIN, as the other one at X_MAX
         for L in (psi(X_MIN), 1e-300, 5e-324):
             assert X_MIN <= inverse_psi(L) < 0.0
+
+    def test_is_the_vector_solve_at_one_entry(self):
+        # one psi^-1 solve in the package: for L >= log 2 the scalar call
+        # returns the vector solve's entry bit for bit
+        for L in (math.log(2.0), 0.7, 1.0, 2.5, math.nextafter(2.5, 3.0),
+                  10.0, PSI_10, 1e3, psi(X_MAX)):
+            x = inverse_psi(L)
+            assert type(x) is float
+            assert x.hex() == float(inverse_psi_array(np.array([L]))[0]).hex()
+
+    def test_negative_root_is_the_mirrored_solve(self):
+        # psi(x) = L < log 2 has -x solving psi(-x) = -log(-expm1(-L))
+        for L in (0.6, 0.1, 1e-6, 1e-100):
+            mirrored = -math.log(-math.expm1(-L))
+            assert inverse_psi(L) == -inverse_psi_array(np.array([mirrored]))[0]
 
 
 class TestInvTailAsymptotic:

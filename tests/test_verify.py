@@ -190,6 +190,15 @@ class TestLoadConfig:
         assert cfg.tolerances["symmetry"] == 1e-7
         assert cfg.tolerances["cutpoint"] == 1e-9  # default retained
 
+    @pytest.mark.parametrize("value", ["28,29", "28 , 29", "28 29",
+                                       "28, 29  # two"])
+    def test_n_values_separators(self, value, tmp_path):
+        # commas, spaces or both; only an empty comma-separated item is
+        # refused
+        p = tmp_path / "sweep.cfg"
+        p.write_text(f"n_values = {value}\n")
+        assert load_config(str(p)).n_values == (28, 29)
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "bad.cfg"
         for line in ("n_value = 28\n", "parallelism = 2\n",
@@ -201,6 +210,10 @@ class TestLoadConfig:
     @pytest.mark.parametrize("line", [
         "k_policy = stride:abc",
         "n_values = 28, x",
+        "n_values = 28,,29,",
+        "n_values = 28, , 29",
+        "n_values = ,28",
+        "n_values = 28,",
         "tolerance.cutpoint = abc",
         "tolerance.cutpiont = 1e-30",
         "n_values = 28, 5000",
@@ -622,6 +635,21 @@ class TestCli:
         assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK
         assert "601 points" in capsys.readouterr().out
         assert len(calls) <= 5 * 601
+
+    def test_lemma1_evaluates_no_point_past_the_grid_end(self, monkeypatch,
+                                                         capsys):
+        # 0:1:0.6 holds x = 0 and 0.6; x = 1.2 is past b = 1
+        calls = []
+        real = normal_tail.psi
+
+        def counted(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(cli, "psi", counted)
+        assert main(["lemma1", "--grid=0:1:0.6"]) == EXIT_OK
+        assert "step 0.6: 2 points," in capsys.readouterr().out
+        assert max(calls) == 0.6 + 5.0  # the last point + its largest step
 
     def test_lemma1_stops_at_the_envelope_edge(self, capsys):
         # left of X_MIN = -37.5 psi and rho underflow, and no longer pass

@@ -5,8 +5,9 @@ over 2^n, and its double-precision natural log is taken from that integer;
 the logs of every tail of one n come as one float array from one integer
 pass over the upper half, the lower half being its exact complement.
 
-The Stirling correction lambda_n has two closed-form routes: the five-term
-Stirling series for n >= 12 and math.lgamma minus the Stirling lead below.
+The Stirling corrections lambda_n come as one table per n, by two
+closed-form routes: the five-term Stirling series for n >= 12 and
+math.lgamma minus the Stirling lead below.
 Measured against a 50-digit reference over n <= 4096, their largest
 absolute errors are 2.5e-15 and 3.4e-15, and every value lies strictly
 inside Robbins' bracket 1/(12n+1) < lambda_n < 1/(12n).
@@ -26,7 +27,6 @@ from .errors import DomainError
 __all__ = [
     "tail_numerator",
     "log_tail_exact_all",
-    "lambda_n",
     "lambda_table",
 ]
 
@@ -111,28 +111,16 @@ def _log_ratios(nums: list[int], n: int) -> np.ndarray:
     return logs + (e - n) * LOG_2
 
 
-def lambda_n(n: int) -> float:
-    """Stirling correction lambda_n = log n! - [(n + 1/2) log n - n +
-    log sqrt(2 pi)] in closed form, bracketed by 1/(12n+1) and 1/(12n);
-    absolute error <= 1e-13.
-
-    For n >= 12 it is the Stirling series (DLMF 5.11.1) truncated after the
-    B_10 term; the first omitted term is below 3e-15 at n = 12 and shrinks
-    like n^-11.  For n < 12 it is math.lgamma(n + 1) minus the Stirling lead,
-    where log n! < 18 keeps the cancellation error small.  Against a 50-digit
-    reference the measured error over n <= 4096 is at most 2.5e-15 on the
-    series route and 3.4e-15 on the lgamma route.
-    """
-    if not (1 <= n <= N_MAX_EXACT):
-        raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
-    if n < _SERIES_MIN_N:
-        return _lambda_lgamma(n)
-    return _lambda_series(float(n))
-
-
 def lambda_table(m: int) -> np.ndarray:
-    """lambda_j for j = 0 .. m as one array (entry 0 is nan), by the same two
-    routes and operations as lambda_n, so each entry equals lambda_n(j)."""
+    """Stirling corrections lambda_j = log j! - [(j + 1/2) log j - j +
+    log sqrt(2 pi)] for j = 0 .. m as one array (entry 0 is nan), in closed
+    form, each bracketed by 1/(12j+1) and 1/(12j); absolute error <= 1e-13.
+
+    For j >= 12 it is the Stirling series (DLMF 5.11.1) truncated after the
+    B_10 term; the first omitted term is below 3e-15 at j = 12 and shrinks
+    like j^-11.  For j < 12 it is math.lgamma(j + 1) minus the Stirling lead,
+    where log j! < 18 keeps the cancellation error small.
+    """
     if not (0 <= m <= N_MAX_EXACT):
         raise DomainError(f"m must be in [0, {N_MAX_EXACT}], got {m}")
     lam = np.concatenate(([math.nan],

@@ -15,6 +15,7 @@ than a second round-off path.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -26,7 +27,6 @@ from .normal_tail import inverse_psi_array
 
 __all__ = [
     "CutpointTable",
-    "epsilon_of",
     "build_table",
     "couple",
     "table_csv",
@@ -54,18 +54,11 @@ class CutpointTable:
         object.__setattr__(self, "betas", tuple(self.beta.tolist()))
 
 
-def epsilon_of(n: int, k: int) -> float:
-    """Standardized index (2K - N)/N with K = k - 1, N = n - 1, for the
-    upper half k > n/2 only (the lower half is handled by symmetry)."""
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    if not (n / 2 < k <= n):
-        raise DomainError(f"k must satisfy n/2 < k <= n, got k = {k}")
-    return (2 * (k - 1) - (n - 1)) / (n - 1)
-
-
 def build_table(n: int) -> CutpointTable:
     """Cutpoints for all k = 1..n from the exact big-integer tails."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise DomainError(f"n must be an integer, got {n!r}")
+    n = operator.index(n)
     if not (1 <= n <= N_MAX_TABLE):
         raise RangeError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
     log_tail = log_tail_exact_all(n)[1:]

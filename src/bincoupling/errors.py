@@ -8,7 +8,3 @@ class DomainError(ValueError):
 class RangeError(ValueError):
     """An argument is outside the validated accuracy envelope."""
 
-
-class SmallEpsilonRegime(Exception):
-    """Raised when the two-root sandwich is not applicable because the
-    log-tail shift beta is nonpositive (the near-center regime)."""

@@ -37,9 +37,7 @@ from .errors import DomainError, RangeError
 __all__ = [
     "psi",
     "rho",
-    "r_remainder",
     "psi_rho_array",
-    "inverse_psi",
     "inverse_psi_array",
     "X_MIN",
     "X_MAX",
@@ -60,7 +58,7 @@ _RHO_SEAM = 10.0
 # erfc(x/sqrt 2) nears underflow at x ~ 37.
 _PSI_SEAM = 30.0
 
-# Validated accuracy envelope [X_MIN, X_MAX] for psi / rho / inverse_psi.
+# Validated accuracy envelope [X_MIN, X_MAX] for psi, rho and their inverse.
 # Outside it the operations fail loudly rather than silently degrade: left
 # of X_MIN psi and rho become subnormal, and past x ~ -38.5 they are 0.0.
 X_MIN = -37.5
@@ -101,11 +99,6 @@ def rho(x: float) -> float:
         return (SQRT_2_OVER_PI * math.exp(-0.5 * x * x)
                 / math.erfc(x * INV_SQRT_2))
     return _rho_nonneg(x)
-
-
-def r_remainder(x: float) -> float:
-    """rho(x) - x: positive for all x, strictly decreasing, O(1/x) at +inf."""
-    return rho(x) - float(x)
 
 
 def _rho_nonneg(x: float) -> float:
@@ -168,23 +161,6 @@ def psi_rho_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _erfc_array(u: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.erfc, u.tolist()), float, u.size)
-
-
-def inverse_psi(L: float) -> float:
-    """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L):
-    inverse_psi_array at one entry for L >= log 2.  A smaller L has a root
-    x < 0, and -x solves the mirrored tail, psi(-x) = -log(-expm1(-L));
-    that root is capped at X_MIN."""
-    L = float(L)
-    if not (L > 0.0) or not math.isfinite(L):
-        raise DomainError(f"L must be positive and finite, got {L!r}")
-    psi_max = psi(X_MAX)
-    if L > psi_max:
-        raise RangeError(f"L = {L} exceeds psi({X_MAX}) = {psi_max}")
-    if L >= LOG_2:
-        return float(inverse_psi_array(np.array([L]))[0])
-    mirrored = -math.log(-math.expm1(-L))
-    return max(-float(inverse_psi_array(np.array([mirrored]))[0]), X_MIN)
 
 
 def inverse_psi_array(L: np.ndarray) -> np.ndarray:

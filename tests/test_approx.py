@@ -10,26 +10,28 @@ from bincoupling import (
     log_tail_exact_all,
     tail_numerator,
 )
-from bincoupling.approx import (
-    _gamma_array,
+from bincoupling.approx import _gamma_array, expansion_arrays
+from bincoupling.normal_tail import psi
+from conftest import gamma_mp
+from reference import (
+    SmallEpsilonRegime,
     delta_sandwich,
+    epsilon_of,
+    eq4_extreme,
+    eq5_bounds,
     eta_kappa,
     gamma_eps,
+    h_aux,
     h_third,
+    lambda_n,
     laplace_pieces,
+    log_tail_exact,
     lower_bound_11,
     s_eps,
     theorem1_breakdown,
-    theorem2_theta,
     theorem2_w,
     tusnady_bounds,
 )
-from bincoupling.binom_exact import lambda_n
-from bincoupling.cutpoints import epsilon_of
-from bincoupling.errors import SmallEpsilonRegime
-from bincoupling.normal_tail import psi
-from conftest import gamma_mp
-from reference import eq4_extreme, eq5_bounds, h_aux, log_tail_exact
 
 
 def gamma_oracle(e: float) -> float:
@@ -193,11 +195,6 @@ class TestTheorem2:
         assert s_eps(e) == pytest.approx(s_eps(1.0), abs=5e-3)
         assert abs(w - main) < 0.01 * main
 
-    def test_theta_is_difference(self):
-        table = build_table(64)
-        z = table.z[49]
-        assert theorem2_theta(64, 50, z) == z - theorem2_w(64, 50)
-
     def test_zero_epsilon_rejected(self):
         with pytest.raises(DomainError):
             theorem2_w(29, 15)  # eps = 0 for odd n at k = (n+1)/2
@@ -212,19 +209,24 @@ class TestTheorem2:
         x = epsilon_of(n, k) * math.sqrt(N)
         assert epsilon_of(n, k) == 1 / N
         assert x == pytest.approx(1 / math.sqrt(N), rel=1e-15)
-        n_theta = N * theorem2_theta(n, k, build_table(n).z[k - 1])
+        n_theta = N * (build_table(n).z[k - 1] - theorem2_w(n, k))
         assert abs(n_theta + N * lambda_n(n - k) / x) <= 0.2 / math.sqrt(N)
         assert n_theta <= -0.15 * math.sqrt(N)
 
     def test_tail_and_cutpoint_views_at_one_k(self):
-        # the tail residual and the cutpoint residual at one table cutpoint
+        # the tail residual and the cutpoint residual at one table cutpoint,
+        # per point and as the sweep's arrays give them
         n, k = 64, 50
         z = build_table(n).z[k - 1]
         lt = log_tail_exact(n, k)
         an_exact, an_main = an_terms(n, k, lt)
-        assert theorem1_breakdown(n, k, lt) == an_exact - an_main
-        w = theorem2_w(n, k)
-        assert theorem2_theta(n, k, z) == z - w
+        r_k = theorem1_breakdown(n, k, lt)
+        assert r_k == an_exact - an_main
+        theta = z - theorem2_w(n, k)
+        ex = expansion_arrays(n, np.array([k]), np.array([lt]), np.array([z]),
+                              np.array([psi(z)]))
+        assert ex.r_k[0] == pytest.approx(r_k, rel=1e-12, abs=1e-15)
+        assert ex.theta[0] == pytest.approx(theta, rel=1e-12, abs=1e-15)
 
 
 class TestLowerBound11:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bincoupling import DomainError, log_tail_exact_all, tail_numerator
-from bincoupling.binom_exact import _log_ratios, lambda_n, lambda_table
+from bincoupling.binom_exact import N_MAX_EXACT, _log_ratios, lambda_table
 from conftest import lambda_mp, log_tail_beta_integral
-from reference import _log_ratio, log_tail_exact
+from reference import _log_ratio, lambda_n, log_tail_exact
 
 
 def enumerate_tail(n: int, k: int) -> int:
@@ -211,7 +211,8 @@ class TestLambdaN:
                                               abs=1e-13)
 
     def test_table_matches_scalar(self):
-        # the array route behind the sweep equals lambda_n entry by entry
+        # an entry of the table does not depend on the table's length: the
+        # sweep's lambda_table(N) gives each lambda_j that lambda_n reads
         table = lambda_table(4096)
         assert table.shape == (4097,)
         assert math.isnan(table[0])
@@ -221,3 +222,6 @@ class TestLambdaN:
     def test_domain(self):
         with pytest.raises(DomainError):
             lambda_n(0)
+        for bad in (-1, N_MAX_EXACT + 1):
+            with pytest.raises(DomainError):
+                lambda_table(bad)

@@ -17,10 +17,15 @@ from bincoupling import (
 )
 from bincoupling import normal_tail
 from bincoupling.cli import main
-from bincoupling.cutpoints import epsilon_of, table_csv
+from bincoupling.cutpoints import table_csv
 from bincoupling.normal_tail import psi
 from conftest import log_tail_mp, psi_mp
-from reference import inverse_psi_newton, log_tail_exact, upper_tail
+from reference import (
+    epsilon_of,
+    inverse_psi_newton,
+    log_tail_exact,
+    upper_tail,
+)
 
 # oracle: the root of psi(z) = -log(5/16), recomputed by 50-digit root
 # finding on the quadrature tail
@@ -120,6 +125,16 @@ class TestBuildTable:
         with pytest.raises(RangeError):
             build_table(0)
 
+    def test_n_must_be_an_integer(self):
+        # bool is refused as SweepConfig refuses it; a numpy integer is an
+        # index and builds the table of its value
+        for bad in (True, 28.0):
+            with pytest.raises(DomainError, match="integer"):
+                build_table(bad)
+        table = build_table(np.int64(28))
+        assert type(table.n) is int and table.n == 28
+        assert table.z.tolist() == build_table(28).z.tolist()
+
 
 def scalar_table(n: int) -> list[tuple[float, float]]:
     """(z_k, beta_k) for k = 1..n by the scalar reference: the scalar Newton
@@ -179,13 +194,9 @@ class TestVectorSolve:
         with pytest.raises(DomainError):
             normal_tail.inverse_psi_array(np.array([1.0, math.log(2.0) / 2]))
 
-    def test_one_solve_path(self, monkeypatch):
-        # the vector solve never hands an entry to the scalar solver: an L
-        # past psi(X_MAX) is its own RangeError, and a table still builds
-        def no_scalar(L):
-            raise AssertionError("scalar inverse_psi called")
-
-        monkeypatch.setattr(normal_tail, "inverse_psi", no_scalar)
+    def test_one_solve_path(self):
+        # the vector solve is the package's only psi^-1: an L past
+        # psi(X_MAX) is its own RangeError, and a table still builds
         L = psi(normal_tail.X_MAX) + 1.0
         with pytest.raises(RangeError) as exc:
             normal_tail.inverse_psi_array(np.array([2.0, L, L + 1.0]))

@@ -1,10 +1,11 @@
-"""Every name the package exports, and every function the benchmark's
-tracer wraps, exists: a missing traced target would only be reported as
-untraced, with its per-layer metrics reading 0.  The package exports what a
-caller of the CLI, the sweep or the coupling map uses, and defines no public
-function that only the tests reach.  The lazy package namespace binds each
-export to its defining module's object and loads only the modules a caller
-reaches.  The README's CLI block lists exactly the
+"""Every name the package exports exists, and so does every function the
+benchmark's tracer wraps, save the named few that left the package: a
+missing traced target is only reported as untraced, with its per-layer
+metrics reading 0.  The package exports what a caller of the CLI, the sweep
+or the coupling map uses, and defines no public function that only the
+tests reach, nor one that tests/reference.py defines too.  The lazy package
+namespace binds each export to its defining module's object and loads only
+the modules a caller reaches.  The README's CLI block lists exactly the
 commands the parser has, and the CLI reports a refusal in one place
 only."""
 
@@ -24,6 +25,7 @@ import bincoupling
 from bincoupling import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "tests" / "reference.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bincoupling.__path__))
 PACKAGE = pathlib.Path(bincoupling.__file__).parent
@@ -39,13 +41,31 @@ def tracer_targets() -> dict[str, tuple[str, ...]]:
     raise AssertionError(f"no TARGETS in {TRACER}")
 
 
+# Traced targets that left the package: scalar forms no command, sweep or
+# coupling call runs.  perfbench/run.py --workload all --seed 3 --seconds 3
+# --trace 1 read 0 calls for each of them on all three workloads before
+# they left; the tracer now reports each as not traced, with the same 0.
+UNTRACED = (
+    "approx.theorem1_breakdown", "approx.lower_bound_11",
+    "approx.theorem2_theta", "approx.delta_sandwich",
+    "approx.tusnady_bounds", "binom_exact.lambda_n",
+    "normal_tail.r_remainder", "normal_tail.inverse_psi",
+)
+
+
 def test_traced_targets_are_callables():
     targets = tracer_targets()
     assert targets
-    for module, names in targets.items():
+    traced = {f"{module}.{name}"
+              for module, names in targets.items() for name in names}
+    assert set(UNTRACED) <= traced
+    for target in sorted(traced):
+        module, name = target.split(".")
         mod = importlib.import_module(f"bincoupling.{module}")
-        for name in names:
-            assert callable(getattr(mod, name, None)), f"{module}.{name}"
+        # a removed target that comes back is traced again: take it off
+        # the list
+        assert callable(getattr(mod, name, None)) == (
+            target not in UNTRACED), target
 
 
 # the names a caller of the CLI, the sweep or the coupling map uses; the
@@ -101,6 +121,29 @@ def test_every_public_function_is_reached():
             reached.add(name)
             todo.extend(refs.get(name, ()))
     assert [f for f in public if f.split(".")[1] not in reached] == []
+
+
+def top_level_names(path: pathlib.Path) -> set[str]:
+    """Public names a file binds at top level: defs, classes and
+    assignments."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            # verify.CHECKS is an annotated assignment
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_no_reference_formula_is_defined_in_the_package():
+    # a scalar copy beside its array form belongs in tests/reference.py,
+    # and there only
+    package = set().union(*map(top_level_names, PACKAGE.glob("*.py")))
+    assert top_level_names(REFERENCE) & package == set()
 
 
 @pytest.mark.parametrize("module", [None, *MODULES])

@@ -11,14 +11,17 @@ from bincoupling import DomainError, RangeError
 from bincoupling.normal_tail import (
     X_MAX,
     X_MIN,
-    inverse_psi,
     inverse_psi_array,
     psi,
     psi_rho_array,
-    r_remainder,
     rho,
 )
-from reference import inv_tail_asymptotic, phi, upper_tail
+from reference import (
+    inv_tail_asymptotic,
+    inverse_psi_newton,
+    phi,
+    upper_tail,
+)
 
 # frozen 50-digit quadrature oracle values (tools/gen_normal_tail_fixture.py)
 PHI_1 = 0.24197072451914337
@@ -106,7 +109,7 @@ class TestRhoAndRemainder:
     def test_at_zero(self):
         ref = 2.0 / math.sqrt(2 * math.pi)
         assert rho(0.0) == pytest.approx(ref, rel=1e-14)
-        assert r_remainder(0.0) == pytest.approx(ref, rel=1e-14)
+        assert rho(0.0) - 0.0 == pytest.approx(ref, rel=1e-14)
 
     def test_far_left_vanishes(self):
         assert 0.0 < rho(-20.0) < 1e-80
@@ -117,16 +120,17 @@ class TestRhoAndRemainder:
         assert 0.0 < rho(10.0) - 10.0 < 10.0 / 99.0
 
     def test_remainder_bound_at_two(self):
-        assert 0.0 < r_remainder(2.0) < 2.0 / 3.0
+        assert 0.0 < rho(2.0) - 2.0 < 2.0 / 3.0
 
     def test_remainder_decreasing_instance(self):
-        assert r_remainder(1.0) > r_remainder(2.0)
+        assert rho(1.0) - 1.0 > rho(2.0) - 2.0
 
     def test_monotone_on_grid(self):
         xs = [-8 + 0.001 * i for i in range(16001)]
         prev_rho, prev_r = -math.inf, math.inf
         for x in xs:
-            rh, rr = rho(x), r_remainder(x)
+            rh = rho(x)
+            rr = rh - x
             assert rh > prev_rho
             assert rr < prev_r
             assert rh > 0.0 and rr > 0.0
@@ -141,9 +145,8 @@ class TestTailQuantities:
     def test_consistency(self):
         # phi, upper_tail, psi, rho and r agree with one another at one x
         for x in (-3.0, 0.0, 1.5, 8.0, 20.0):
-            rh, r, tail = rho(x), r_remainder(x), upper_tail(x)
-            assert r == rh - x
-            assert rh > 0.0 and r > 0.0
+            rh, tail = rho(x), upper_tail(x)
+            assert rh > 0.0 and rh - x > 0.0
             if tail > 1e-300:
                 assert rh == pytest.approx(phi(x) / tail, rel=1e-12)
                 assert psi(x) == pytest.approx(-math.log(tail), rel=1e-12)
@@ -191,56 +194,60 @@ class TestAgainstMpmath:
             assert abs(rho_a[i] - rho(x)) <= 1e-15 * rho(x), x
 
 
+def solve(L: float) -> float:
+    """psi^-1 at one L: the package's vector solve for L >= log 2, where its
+    roots x >= 0 lie, and the scalar Newton oracle for the negative roots
+    below, which the package never solves (build_table mirrors them)."""
+    if L >= math.log(2.0):
+        return float(inverse_psi_array(np.array([L]))[0])
+    return inverse_psi_newton(L)
+
+
 class TestInversePsi:
     def test_log2_maps_to_zero(self):
-        assert abs(inverse_psi(math.log(2.0))) < 1e-12
+        assert abs(solve(math.log(2.0))) < 1e-12
 
     def test_round_trip(self):
         for x in (0.0, 1.0, 5.0, 20.0):
-            assert inverse_psi(psi(x)) == pytest.approx(x, abs=1e-9)
+            assert solve(psi(x)) == pytest.approx(x, abs=1e-9)
 
     def test_round_trip_negative_in_log_space(self):
         # below x ~ -2 the map is nearly flat (psi' = rho is tiny), so
         # abscissa accuracy degrades; the contract is on psi round trips
         for x in (-5.0, -3.0):
             L = psi(x)
-            assert psi(inverse_psi(L)) == pytest.approx(L, rel=1e-10)
-            assert inverse_psi(L) == pytest.approx(x, abs=1e-6)
+            assert psi(solve(L)) == pytest.approx(L, rel=1e-10)
+            assert solve(L) == pytest.approx(x, abs=1e-6)
 
     def test_oracle_value(self):
-        assert inverse_psi(PSI_10) == pytest.approx(10.0, abs=1e-9)
+        assert solve(PSI_10) == pytest.approx(10.0, abs=1e-9)
 
     def test_round_trip_wide(self):
         for x in (-2 + 0.5 * i for i in range(65)):  # [-2, 30]
-            assert inverse_psi(psi(x)) == pytest.approx(x, abs=1e-9)
+            assert solve(psi(x)) == pytest.approx(x, abs=1e-9)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            inverse_psi(0.0)
-        with pytest.raises(DomainError):
-            inverse_psi(-1.0)
+        for L in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                inverse_psi_array(np.array([L]))
         with pytest.raises(RangeError):
-            inverse_psi(psi(200.0) * 1.01)
+            inverse_psi_array(np.array([psi(200.0) * 1.01]))
 
     def test_tiny_L_stays_in_the_envelope(self):
-        # the mirrored bracket is capped at X_MIN, as the other one at X_MAX
+        # the oracle's bracket for a negative root is capped at X_MIN, as
+        # the other one at X_MAX
         for L in (psi(X_MIN), 1e-300, 5e-324):
-            assert X_MIN <= inverse_psi(L) < 0.0
-
-    def test_is_the_vector_solve_at_one_entry(self):
-        # one psi^-1 solve in the package: for L >= log 2 the scalar call
-        # returns the vector solve's entry bit for bit
-        for L in (math.log(2.0), 0.7, 1.0, 2.5, math.nextafter(2.5, 3.0),
-                  10.0, PSI_10, 1e3, psi(X_MAX)):
-            x = inverse_psi(L)
-            assert type(x) is float
-            assert x.hex() == float(inverse_psi_array(np.array([L]))[0]).hex()
+            assert X_MIN <= inverse_psi_newton(L) < 0.0
 
     def test_negative_root_is_the_mirrored_solve(self):
-        # psi(x) = L < log 2 has -x solving psi(-x) = -log(-expm1(-L))
+        # the reflection build_table's lower half rests on: psi(x) = L < log 2
+        # has -x solving psi(-x) = -log(-expm1(-L)), a root the vector solve
+        # finds
         for L in (0.6, 0.1, 1e-6, 1e-100):
             mirrored = -math.log(-math.expm1(-L))
-            assert inverse_psi(L) == -inverse_psi_array(np.array([mirrored]))[0]
+            x = -float(inverse_psi_array(np.array([mirrored]))[0])
+            assert x < 0.0
+            assert psi(x) == pytest.approx(L, rel=1e-10)
 
 
 class TestInvTailAsymptotic:
@@ -255,7 +262,7 @@ class TestInvTailAsymptotic:
 
     def test_close_to_true_inverse(self):
         p = math.exp(-50.0)
-        assert abs(inv_tail_asymptotic(p) - inverse_psi(50.0)) <= 2.0 / 10.0
+        assert abs(inv_tail_asymptotic(p) - solve(50.0)) <= 2.0 / 10.0
 
     @pytest.mark.parametrize("bad", [0.0, 0.1, 0.5, -0.01])
     def test_domain(self, bad):
@@ -273,10 +280,11 @@ def test_psi_increment_bracket(x, delta):
     assert inc <= rho(x) * delta + delta * delta / 2 + 1e-10
 
 
-# L < log 2 takes the negative-x branch of the solver, L >= log 2 the other
+# L < log 2 has a negative root, solved by the oracle; L >= log 2 by the
+# package's vector solve
 @given(st.one_of(st.floats(min_value=1e-12, max_value=math.log(2.0)),
                  st.floats(min_value=math.log(2.0), max_value=psi(X_MAX))))
 @settings(max_examples=200)
 def test_inverse_psi_is_inverse(L):
     # the documented accuracy, |psi(x) - L| <= 1e-10 max(1, L)
-    assert psi(inverse_psi(L)) == pytest.approx(L, rel=1e-10, abs=1e-10)
+    assert psi(solve(L)) == pytest.approx(L, rel=1e-10, abs=1e-10)

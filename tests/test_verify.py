@@ -30,19 +30,20 @@ from bincoupling.cli import (
     EXIT_OK,
     main,
 )
-from bincoupling.approx import (
-    delta_sandwich,
-    lower_bound_11,
-    theorem1_breakdown,
-    theorem2_theta,
-    tusnady_bounds,
-)
 from bincoupling.binom_exact import log_tail_exact_all
-from bincoupling.cutpoints import N_MAX_TABLE, build_table, epsilon_of
+from bincoupling.cutpoints import N_MAX_TABLE, build_table
 from bincoupling import cli, normal_tail, verify
-from bincoupling.errors import SmallEpsilonRegime
 from bincoupling.normal_tail import psi
 from bincoupling.verify import select_ks
+from reference import (
+    SmallEpsilonRegime,
+    delta_sandwich,
+    epsilon_of,
+    lower_bound_11,
+    theorem1_breakdown,
+    theorem2_w,
+    tusnady_bounds,
+)
 
 
 SMALL = SweepConfig(n_values=(28, 29, 64), k_policy="all")
@@ -785,7 +786,7 @@ def scalar_checks(n: int, tol: dict[str, float]):
             out["eq11_upper", k] = (up - log_tail >= -tol["log_tail"],
                                     up - log_tail)
             if e > 0.0:
-                theta[k] = theorem2_theta(n, k, z)
+                theta[k] = z - theorem2_w(n, k)
             if x < verify.X_SPLIT:
                 continue
             try:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .binom_exact import lambda_table
 from .errors import DomainError
-from .normal_tail import psi_rho_array
+from .normal_tail import LOG_2, psi_rho_array
 
 __all__ = ["ExpansionArrays", "expansion_arrays"]
 
@@ -101,13 +101,12 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
     lam_tail = lam[N - K]  # lambda_{n-k}
     e4 = e ** 4
     log1m_e2 = np.log1p(-e * e)
-    log2 = math.log(2.0)
 
     # laplace_pieces: the entropy identity and Delta
     h_diff = -0.5 * e * e - e4 * g
-    h_mode = 0.5 * ((1.0 + e) * (np.log1p(e) - log2)
-                    + (1.0 - e) * (np.log1p(-e) - log2))
-    breaks_pieces = (np.abs(-log2 - h_mode - h_diff)
+    h_mode = 0.5 * ((1.0 + e) * (np.log1p(e) - LOG_2)
+                    + (1.0 - e) * (np.log1p(-e) - LOG_2))
+    breaks_pieces = (np.abs(-LOG_2 - h_mode - h_diff)
                      > 1e-12 * np.maximum(1.0, np.abs(h_diff)))
     delta = (math.log1p(1.0 / N) + (lam[N] - lam[K] - lam_tail)
              - 0.5 * log1m_e2 - N * e4 * g)

@@ -23,6 +23,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DomainError
+from .normal_tail import LOG_2, LOG_SQRT_2PI
 
 __all__ = [
     "tail_numerator",
@@ -31,9 +32,6 @@ __all__ = [
 ]
 
 N_MAX_EXACT = 1 << 20
-
-LOG_2 = math.log(2.0)
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # B_2m / (2m (2m - 1)) for m = 1..5, from B_2..B_10 = 1/6, -1/30, 1/42,
 # -1/30, 5/66: the coefficients of n^-(2m-1) in the Stirling series

@@ -56,12 +56,7 @@ def cmd_tails(args) -> int:
 
 
 def cmd_cutpoints(args) -> int:
-    text = table_csv(build_table(args.n))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.buffer.write(table_csv(build_table(args.n)).encode())
     return EXIT_OK
 
 
@@ -163,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutpoints", help="cutpoint table for one n")
     p.add_argument("n", type=int)
-    p.add_argument("--csv", help="write the table as CSV")
     p.set_defaults(func=cmd_cutpoints)
 
     p = sub.add_parser("lemma1", help="hazard-rate increment inequalities")

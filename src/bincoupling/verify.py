@@ -63,7 +63,8 @@ _CONSTANT_FLOOR = 1e-9
 @dataclass(frozen=True)
 class SweepConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    k_policy: str = "extremes_plus_grid"  # "all" | "stride:<m>" | this
+    # "all", "stride:<m>" or this: every k to n = 2045, then 512-768 + 6
+    k_policy: str = "extremes_plus_grid"
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -81,11 +82,7 @@ class SweepConfig:
                     f"n_values must lie in [1, {N_MAX_TABLE}], got {n}")
         if len(set(self.n_values)) < len(self.n_values):
             raise DomainError("n_values must not repeat an n")
-        head, _, m = self.k_policy.partition(":")
-        if self.k_policy not in ("all", "extremes_plus_grid") and not (
-                head == "stride" and m.strip().isdecimal() and int(m) >= 1):
-            raise DomainError(f"unknown k_policy {self.k_policy!r}, expected "
-                              "all, extremes_plus_grid or stride:<m>, m >= 1")
+        select_ks(1, self.k_policy)  # raises DomainError on a bad policy
         unknown = sorted(self.tolerances.keys() - DEFAULT_TOLERANCES.keys())
         if unknown:
             raise DomainError(f"unknown tolerance {unknown[0]!r}")
@@ -130,19 +127,24 @@ class ConstantsReport:
 
 
 def select_ks(n: int, policy: str) -> list[int]:
-    """Thresholds in the upper half [ceil(n/2), n] chosen by the policy; the
-    lower half is covered by the reflection symmetry of the table."""
+    """Thresholds in the upper half [ceil(n/2), n]; the table's reflection
+    covers the lower half.  Every m-th k from ceil(n/2) plus the six extreme
+    thresholds: m = 1 for "all", m for "stride:<m>", and w // 512 (at least
+    1, so every k up to n = 2045) for "extremes_plus_grid", w = n//2 + 1."""
+    head, _, m = policy.partition(":")
     lo, hi = math.ceil(n / 2), n
+    if policy == "all":
+        step = 1
+    elif policy == "extremes_plus_grid":
+        step = max(1, (hi - lo + 1) // 512)
+    elif head == "stride" and m.strip().isdecimal() and int(m) >= 1:
+        step = int(m)
+    else:
+        raise DomainError(f"unknown k_policy {policy!r}, expected all, "
+                          "extremes_plus_grid or stride:<m>, m >= 1")
     special = {k for k in (n // 2 + 1, n // 2 + 2, n - 3, n - 2, n - 1, n)
                if lo <= k <= hi}
-    if policy == "all" or (policy == "extremes_plus_grid" and n <= 512):
-        return list(range(lo, hi + 1))
-    if policy.startswith("stride:"):
-        m = int(policy.split(":", 1)[1])
-    else:  # extremes_plus_grid above 512: at most 512 values of k
-        m = max(1, (hi - lo + 1) // 512)
-    ks = set(range(lo, hi + 1, m)) | special
-    return sorted(ks)
+    return sorted(set(range(lo, hi + 1, step)) | special)
 
 
 # Every check the sweep runs, in name order, and the tolerance its slack

@@ -59,13 +59,18 @@ def inv_tail_asymptotic(p: float) -> float:
 
 
 def inverse_psi_newton(L: float) -> float:
-    """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L).
+    """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L), and to
+    1e-10 * L for psi(X_MIN) <= L < log 2, where the root is negative.
 
     Safeguarded Newton iteration x <- x - (psi(x) - L)/rho(x); psi is convex
     (its derivative rho is increasing) so Newton from a bracketed seed
-    converges monotonically, with bisection as the fallback.  One point at
-    a time on the scalar psi and rho: the reference the package's vector
-    solve, normal_tail.inverse_psi_array, is tested against.
+    converges monotonically, with bisection as the fallback.  A negative
+    root is solved on log psi, x <- x - (log psi(x) - log L) psi(x)/rho(x),
+    so that the stop is relative however small L is.  Below psi(X_MIN) the
+    root is past the envelope, and the iteration stops at the capped
+    bracket's edge X_MIN.  One point at a time on the scalar psi and rho:
+    the reference the package's vector solve,
+    normal_tail.inverse_psi_array, is tested against.
     """
     L = float(L)
     if not (L > 0.0) or not math.isfinite(L):
@@ -74,7 +79,8 @@ def inverse_psi_newton(L: float) -> float:
     if L > psi_max:
         raise RangeError(f"L = {L} exceeds psi({X_MAX}) = {psi_max}")
 
-    if L >= LOG_2:
+    negative = L < LOG_2
+    if not negative:
         # the root lies in [0, X_MAX]; no iterate may leave the envelope
         lo, hi = 0.0, min(math.sqrt(2.0 * L) + 2.0, X_MAX)
         if L > 2.5:
@@ -94,23 +100,26 @@ def inverse_psi_newton(L: float) -> float:
         x = -0.5
     x = min(max(x, lo), hi)
 
+    # the stop is on log psi for a negative root, on psi otherwise
     tol = 1e-12 * max(1.0, L)
     for _ in range(200):
-        f = psi(x) - L
+        p = psi(x)
+        f = math.log(p) - math.log(L) if negative else p - L
         if f > 0.0:
             hi = min(hi, x)
         else:
             lo = max(lo, x)
         if abs(f) <= tol:
             return x
-        step = f / rho(x)
+        step = f * p / rho(x) if negative else f / rho(x)
         x_new = x - step
         if not (lo <= x_new <= hi):
             x_new = 0.5 * (lo + hi)
         if x_new == x:
             break
         x = x_new
-    if abs(psi(x) - L) > 1e-10 * max(1.0, L):
+    bound = L if psi(X_MIN) <= L < LOG_2 else max(1.0, L)
+    if abs(psi(x) - L) > 1e-10 * bound:
         raise RangeError(f"inverse_psi_newton failed to converge for L = {L}")
     return x
 

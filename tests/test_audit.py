@@ -11,8 +11,11 @@ checks' 1e-9 tolerance, so no check passes only by its tolerance.
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bincoupling import SweepConfig, build_table, run_sweep
+from bincoupling.verify import _sweep_one_n
 from conftest import gamma_mp, lambda_mp, log_tail_mp, psi_mp, rho_mp
 
 N_AUDIT = 4096
@@ -82,3 +85,36 @@ def test_closest_call_is_the_known_sandwich_record(audited):
     r, ref = min(audited, key=lambda pair: pair[0][4])
     assert r[:3] == ("sandwich_lower", 4096, 2145)
     assert ref == pytest.approx(1.7618e-10, rel=1e-4)
+
+
+# Theorem 1's N r_k as the sweep hands it to the constant fits, against N r_k
+# in 50 digits from the exact tail, psi, gamma and lambda_{n-k}.  The float
+# error is a multiple of N 2^-52 max(1, psi(x)); psi's own 4e-15 relative
+# accuracy is 18 of them.  Every k of 415 n in 28..4096 gave at most 22.4,
+# at (2810, 1501); the bound allows 3.2 times that.
+RK_ULPS = 72
+
+
+@st.composite
+def expansion_point(draw):
+    n = draw(st.integers(min_value=28, max_value=4096))
+    return n, draw(st.integers(min_value=n // 2 + 1, max_value=n - 1))
+
+
+@given(expansion_point())
+@settings(max_examples=40, deadline=None)
+def test_theorem1_remainder_agrees_with_50_digits(nk):
+    n, k = nk
+    fit, _ = _sweep_one_n(n, "all", SweepConfig().tolerances, {})
+    i = k - (n + 1) // 2
+    assert fit["k"][i] == k
+    N, K = n - 1, k - 1
+    with mp.workdps(DPS):
+        e = mp.mpf(2 * K - N) / N
+        psi_x = psi_mp(e * mp.sqrt(N))
+        # the closed form of gamma is 0/0 at e = 0, where its term is 0
+        gamma_term = N * e ** 4 * gamma_mp(e) if e else 0
+        want = N * (log_tail_mp(n, k) + psi_x + gamma_term
+                    + mp.log(1 - e * e) / 2 + lambda_mp(N - K))
+    bound = RK_ULPS * N * 2.0 ** -52 * max(1.0, float(psi_x))
+    assert abs(fit["n_r_k"][i] - float(want)) <= bound, (n, k)

@@ -360,12 +360,10 @@ class TestTusnadyInequality:
         assert a - 1e-9 <= self.sharpest_a(excess, z_sq) <= a + 1e-12
 
 class TestExportCsv:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, capsys):
         table = build_table(12)
-        path = tmp_path / "table.csv"
-        assert main(["cutpoints", "12", "--csv", str(path)]) == 0
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        assert main(["cutpoints", "12"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert len(rows) == 12
         for k, row in zip(range(1, 13), rows):
             assert int(row["n"]) == 12

@@ -239,6 +239,17 @@ class TestInversePsi:
         for L in (psi(X_MIN), 1e-300, 5e-324):
             assert X_MIN <= inverse_psi_newton(L) < 0.0
 
+    @pytest.mark.parametrize("L", [1e-13, 1e-20, 1e-100])
+    def test_oracle_finds_the_deep_negative_root(self, L):
+        # roots -7.349, -9.262 and -21.273, far left of where psi first
+        # comes within an absolute 1e-12 of L (x ~ -7.06)
+        mirrored = -math.log(-math.expm1(-L))
+        want = -float(inverse_psi_array(np.array([mirrored]))[0])
+        x = inverse_psi_newton(L)
+        assert x == pytest.approx(want, abs=1e-9)
+        # abs=0: pytest.approx keeps its default abs of 1e-12 otherwise
+        assert psi(x) == pytest.approx(L, rel=1e-10, abs=0.0)
+
     def test_negative_root_is_the_mirrored_solve(self):
         # the reflection build_table's lower half rests on: psi(x) = L < log 2
         # has -x solving psi(-x) = -log(-expm1(-L)), a root the vector solve
@@ -247,7 +258,7 @@ class TestInversePsi:
             mirrored = -math.log(-math.expm1(-L))
             x = -float(inverse_psi_array(np.array([mirrored]))[0])
             assert x < 0.0
-            assert psi(x) == pytest.approx(L, rel=1e-10)
+            assert psi(x) == pytest.approx(L, rel=1e-10, abs=0.0)
 
 
 class TestInvTailAsymptotic:
@@ -280,11 +291,19 @@ def test_psi_increment_bracket(x, delta):
     assert inc <= rho(x) * delta + delta * delta / 2 + 1e-10
 
 
-# L < log 2 has a negative root, solved by the oracle; L >= log 2 by the
-# package's vector solve
-@given(st.one_of(st.floats(min_value=1e-12, max_value=math.log(2.0)),
+# L < log 2 has a negative root, solved by the oracle, and is drawn
+# log-uniform from psi(X_MIN) so that the deep left tail is drawn too;
+# L >= log 2 by the package's vector solve
+@given(st.one_of(st.floats(min_value=math.log(psi(X_MIN)),
+                           max_value=math.log(math.log(2.0)),
+                           exclude_max=True).map(
+                               lambda v: max(math.exp(v), psi(X_MIN))),
                  st.floats(min_value=math.log(2.0), max_value=psi(X_MAX))))
 @settings(max_examples=200)
 def test_inverse_psi_is_inverse(L):
-    # the documented accuracy, |psi(x) - L| <= 1e-10 max(1, L)
-    assert psi(solve(L)) == pytest.approx(L, rel=1e-10, abs=1e-10)
+    # the documented accuracy: |psi(x) - L| <= 1e-10 L for a negative root,
+    # 1e-10 max(1, L) otherwise
+    if L < math.log(2.0):
+        assert psi(solve(L)) == pytest.approx(L, rel=1e-10, abs=0.0)
+    else:
+        assert psi(solve(L)) == pytest.approx(L, rel=1e-10, abs=1e-10)

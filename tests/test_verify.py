@@ -83,9 +83,25 @@ class TestSelectKs:
         assert select_ks(512, "extremes_plus_grid") == list(range(256, 513))
 
     def test_default_policy_caps_large_n(self):
-        ks = select_ks(2048, "extremes_plus_grid")
-        assert len(ks) <= 512 + 6
-        assert 2048 in ks and 1025 in ks
+        # every k up to n = 2045 (1023 thresholds there); above, a stride
+        # of w // 512 over the w = n//2 + 1 thresholds keeps 512 to 768
+        for n in range(1, 4097):
+            ks = select_ks(n, "extremes_plus_grid")
+            if n <= 2045:
+                assert ks == select_ks(n, "all"), n
+            assert len(ks) <= 1023 + 6, n
+            assert ks[0] == (n + 1) // 2, n
+            extremes = {n // 2 + 1, n // 2 + 2, n - 3, n - 2, n - 1, n}
+            assert {k for k in extremes if ks[0] <= k <= n} <= set(ks), n
+        assert len(select_ks(2046, "extremes_plus_grid")) < 1023
+        assert len(select_ks(3001, "extremes_plus_grid")) == 754
+
+    @pytest.mark.parametrize("policy", [
+        "everything", "stride:abc", "stride:0", "stride:", "stride:-1",
+        "All", "stride", ""])
+    def test_unknown_policy_is_a_domain_error(self, policy):
+        with pytest.raises(DomainError, match="unknown k_policy"):
+            select_ks(3001, policy)
 
 
 class TestSweepConfig:
@@ -545,6 +561,16 @@ class TestCli:
         want = (GOLDEN / "sweep_dense.csv.sha256").read_text().split()[0]
         assert hashlib.sha256(out).hexdigest() == want
 
+    @pytest.mark.parametrize("name", ["sweep_grid", "sweep_stride"])
+    def test_strided_sweep_report_is_pinned(self, name, capsysbinary):
+        # sweep_grid: the default policy at n = 1023, 2046, 3001 and 4096,
+        # steps 1, 2, 2 and 4; sweep_stride: stride:7 at n = 100 and 1001
+        cfg = GOLDEN / f"{name}.cfg"
+        assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
+        out = capsysbinary.readouterr().out
+        want = (GOLDEN / f"{name}.csv.sha256").read_text().split()[0]
+        assert hashlib.sha256(out).hexdigest() == want
+
     def test_sweep_json_report_is_pinned(self, capsysbinary):
         # every byte but the Python version, as first recorded
         cfg = GOLDEN / "sweep_28_29.cfg"
@@ -555,18 +581,12 @@ class TestCli:
         want = (GOLDEN / "sweep_28_29.json.sha256").read_text().split()[0]
         assert hashlib.sha256(out).hexdigest() == want
 
-    def test_cutpoints_csv_file(self, tmp_path):
-        out = tmp_path / "table.csv"
-        assert main(["cutpoints", "12", "--csv", str(out)]) == EXIT_OK
-        assert out.read_text().startswith("n,k,")
-
-    def test_cutpoints_csv_file_equals_stdout(self, tmp_path, capsysbinary):
+    def test_cutpoints_stdout_has_lf_line_ends(self, capsysbinary):
+        # a header and 29 rows, each ended by LF alone, on every platform
         assert main(["cutpoints", "29"]) == EXIT_OK
         printed = capsysbinary.readouterr().out
-        out = tmp_path / "table.csv"
-        assert main(["cutpoints", "29", "--csv", str(out)]) == EXIT_OK
-        assert out.read_bytes() == printed
         assert printed.count(b"\n") == 30 and b"\r" not in printed
+        assert printed.endswith(b"\n")
 
     def test_sweep_writes_report(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

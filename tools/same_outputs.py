@@ -31,11 +31,14 @@ COMMANDS = [
      "--out", OUT],
     ["sweep", "--config", str(CFG / "sweep_28_29.cfg"), "--format", "json",
      "--out", OUT],
+    ["sweep", "--config", str(CFG / "sweep_grid.cfg"), "--format", "json",
+     "--out", OUT],
+    ["sweep", "--config", str(CFG / "sweep_stride.cfg"), "--format", "json",
+     "--out", OUT],
     ["cutpoints", "1"],
     ["cutpoints", "4"],
     ["cutpoints", "29"],
     ["cutpoints", "4096"],
-    ["cutpoints", "29", "--csv", OUT],
     ["tails", "4", "3"],
     ["tails", "1000", "700"],
     ["tails", "65536", "0"],

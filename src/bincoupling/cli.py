@@ -17,7 +17,6 @@ from .cutpoints import build_table, table_csv
 from .errors import DomainError, RangeError
 from .normal_tail import _check_envelope, psi, rho
 from .verify import (
-    DEFAULT_TOLERANCES,
     SweepConfig,
     _fmt,
     coupling_check,
@@ -140,7 +139,7 @@ def cmd_coupling(args) -> int:
     print(f"n = {args.n}")
     print(f"max_k (k - beta_k) = {_fmt(max_excess)}")
     print(f"c_coupling = {_fmt(c)}")
-    ok = passes("coupling_k_minus_beta", 1.0 - max_excess, DEFAULT_TOLERANCES)
+    ok = passes("coupling_k_minus_beta", 1.0 - max_excess)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

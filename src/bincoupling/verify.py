@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 import sys
-import types
-from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import NamedTuple
 
@@ -50,7 +47,7 @@ DEFAULT_N_VALUES = (28, 29, 64, 100, 128, 256, 512, 1024, 2048)
 # (c_thm2_tail_regime) is fitted only above it
 X_SPLIT = 3.0
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "cutpoint": 1e-9,   # deviate units: Tusnady and delta-sandwich slacks
     "log_tail": 1e-9,   # nats: eq.(11) sandwich and defining equation
     "symmetry": 1e-8,   # raw cutpoint units
@@ -65,7 +62,6 @@ class SweepConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
     # "all", "stride:<m>" or this: every k to n = 2045, then 512-768 + 6
     k_policy: str = "extremes_plus_grid"
-    tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for n in self.n_values:
@@ -83,22 +79,6 @@ class SweepConfig:
         if len(set(self.n_values)) < len(self.n_values):
             raise DomainError("n_values must not repeat an n")
         select_ks(1, self.k_policy)  # raises DomainError on a bad policy
-        unknown = sorted(self.tolerances.keys() - DEFAULT_TOLERANCES.keys())
-        if unknown:
-            raise DomainError(f"unknown tolerance {unknown[0]!r}")
-        for key, t in self.tolerances.items():
-            # True would sweep with tolerance 1.0
-            if isinstance(t, bool) or not isinstance(t, numbers.Real):
-                raise DomainError(
-                    f"tolerance {key!r} must be a real number, got {t!r}")
-        # all four tolerances in effect, as floats the JSON report can write,
-        # read-only so that a checked config stays checked
-        object.__setattr__(self, "tolerances", types.MappingProxyType({
-            key: float(t)
-            for key, t in {**DEFAULT_TOLERANCES, **self.tolerances}.items()}))
-        # nan would fail every row, inf would pass every row
-        if not all(0.0 < t < math.inf for t in self.tolerances.values()):
-            raise DomainError("tolerances must be positive and finite")
 
 
 class CheckRows(NamedTuple):
@@ -170,22 +150,21 @@ CHECKS: dict[str, str | None] = {
 }
 
 
-def passes(name: str, slack, tol: dict[str, float]):
+def passes(name: str, slack):
     """The pass rule CHECKS declares for check ``name``, on a slack or an
-    array of slacks, with the tolerances ``tol``."""
+    array of slacks."""
     key = CHECKS[name]
-    return slack >= (-tol[key] if key else 0.0)
+    return slack >= (-TOLERANCES[key] if key else 0.0)
 
 
 def _add(checks: dict[str, list[CheckRows]], name: str, n, ks: np.ndarray,
-         slack: np.ndarray, tol: dict[str, float]) -> None:
+         slack: np.ndarray) -> None:
     """Append one chunk of a declared check, its pass rule from CHECKS."""
     checks.setdefault(name, []).append(CheckRows(
-        np.broadcast_to(n, ks.shape), ks, passes(name, slack, tol), slack))
+        np.broadcast_to(n, ks.shape), ks, passes(name, slack), slack))
 
 
-def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
-                 checks: dict[str, list[CheckRows]]
+def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
                  ) -> tuple[dict[str, np.ndarray], float]:
     """Add every check of one n to ``checks``; return the coupling constant
     of this n and the raw quantities the constant fits need, one array over
@@ -204,19 +183,19 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
     psi_z = psi_rho_array(z)[0]
 
     # defining equation psi(z_k) = -log tail, re-checked post hoc
-    s = (tol["log_tail"] * np.maximum(1.0, -log_tail)
+    s = (TOLERANCES["log_tail"] * np.maximum(1.0, -log_tail)
          - np.abs(psi_z + log_tail))
-    _add(checks, "defining_eq", n, ks, s, tol)
+    _add(checks, "defining_eq", n, ks, s)
 
     # symmetry beta_{n-k+1} + beta_k = n
-    s = tol["symmetry"] - np.abs(table.beta[n - ks] + beta - n)
-    _add(checks, "symmetry", n, ks, s, tol)
+    s = TOLERANCES["symmetry"] - np.abs(table.beta[n - ks] + beta - n)
+    _add(checks, "symmetry", n, ks, s)
 
     # Tusnady's bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))
     for name, s in (("tusnady_lower", beta - (ks - 1)),
                     ("tusnady_upper",
                      1.5 * n - np.sqrt(2.0 * n * (n - ks)) - beta)):
-        _add(checks, name, n, ks, s, tol)
+        _add(checks, name, n, ks, s)
 
     fit = {"n": np.full(ks.shape, n), "k": ks,
            "x": np.full(ks.shape, math.nan),
@@ -241,7 +220,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
 
         for name, s in (("eq11_lower", lt - ex.eq11_lower),
                         ("eq11_upper", ex.eq11_upper - lt)):
-            _add(checks, name, n, ek[ok_11], s[ok_11], tol)
+            _add(checks, name, n, ek[ok_11], s[ok_11])
 
         x, zs = ex.x[ok_sw], z[dom][ok_sw]
         s_lo = zs - (x + ex.d2[ok_sw])
@@ -249,10 +228,10 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
         gap = 4.0 * ex.beta_shift[ok_sw] / x ** 3 - s_up
         for name, s in (("sandwich_lower", s_lo), ("sandwich_upper", s_up),
                         ("sandwich_gap", gap)):
-            _add(checks, name, n, ek[ok_sw], s, tol)
+            _add(checks, name, n, ek[ok_sw], s)
 
         _add(checks, "invariant", n, ek[broken],
-             np.full(int(broken.sum()), math.nan), tol)
+             np.full(int(broken.sum()), math.nan))
 
         fit["x"][dom] = ex.x
         fit["n_r_k"][dom] = np.where(ok_r, N * ex.r_k, math.nan)
@@ -260,7 +239,7 @@ def _sweep_one_n(n: int, k_policy: str, tol: dict[str, float],
 
     max_excess, c_coupling = coupling_check(table)
     _add(checks, "coupling_k_minus_beta", n, np.zeros(1, dtype=int),
-         np.array([1.0 - max_excess]), tol)
+         np.array([1.0 - max_excess]))
     return fit, c_coupling
 
 
@@ -319,12 +298,11 @@ def run_sweep(config: SweepConfig | None = None
     Output is deterministic: per-n work is pure.
     """
     config = config or SweepConfig()
-    tol = config.tolerances
     checks: dict[str, list[CheckRows]] = {}
     fits = []
     c_coupling = _CONSTANT_FLOOR
     for n in config.n_values:
-        fit, c_cpl = _sweep_one_n(n, config.k_policy, tol, checks)
+        fit, c_cpl = _sweep_one_n(n, config.k_policy, checks)
         fits.append(fit)
         c_coupling = max(c_coupling, c_cpl)
     fit = {key: np.concatenate([f[key] for f in fits]) for key in fits[0]}
@@ -337,16 +315,16 @@ def run_sweep(config: SweepConfig | None = None
     has_r = ~np.isnan(fit["n_r_k"])
     nr = fit["n_r_k"][has_r]
     s = np.minimum(c.c_thm1 - nr, nr + c.c_thm1 * log_N[has_r])
-    _add(checks, "thm1_residual", n[has_r], k[has_r], s, tol)
+    _add(checks, "thm1_residual", n[has_r], k[has_r], s)
     has_t = ~np.isnan(fit["n_theta_k"])
     nt, xt = fit["n_theta_k"][has_t], x[has_t]
     s = np.minimum(c.c_thm2 * (xt + log_N[has_t]) - nt,
                    nt + c.c_thm2 * (xt + 1.0))
-    _add(checks, "thm2_residual", n[has_t], k[has_t], s, tol)
+    _add(checks, "thm2_residual", n[has_t], k[has_t], s)
     d, t, sqrt_n = fit["d_eq5"], fit["t_eq5"], np.sqrt(n)
     s = np.minimum(d - (-c.c1_eq5 / sqrt_n + c.c2_eq5 * t),
                    (c.c3_eq5 * fit["log_n"] / sqrt_n + c.c4_eq5 * t) - d)
-    _add(checks, "eq5_window", n, k, s, tol)
+    _add(checks, "eq5_window", n, k, s)
 
     # every n adds its chunk in k order, and the n ascend: joining each
     # check's chunks leaves its rows in (n, k) order
@@ -405,7 +383,7 @@ def emit_report(checks: dict[str, CheckRows],
             "meta": {
                 "config": {"n_values": list(config.n_values),
                            "k_policy": config.k_policy,
-                           "tolerances": dict(config.tolerances)},
+                           "tolerances": TOLERANCES},
                 "versions": {"bincoupling": __version__,
                              "python": sys.version.split()[0]},
             },
@@ -440,14 +418,20 @@ def emit_report(checks: dict[str, CheckRows],
 
 
 def load_config(path: str) -> SweepConfig:
-    """Flat key-value config: one `key = value` per line, '#' comments.
+    """Flat key-value UTF-8 config: one `key = value` per line, '#' comments.
 
-    At most once each: n_values (comma-separated), k_policy, tolerance.<name>.
+    At most once each: n_values (comma-separated) and k_policy.
     """
-    kwargs: dict = {"tolerances": {}}
+    kwargs: dict = {}
     given: dict[str, int] = {}  # the line each key is given on
-    with open(path) as fh:
+    # surrogateescape keeps a byte that is not UTF-8 as a lone surrogate,
+    # which encode() then refuses, so the line it is on can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode()
+            except UnicodeEncodeError:
+                raise DomainError(f"{path}:{lineno}: not UTF-8") from None
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -467,13 +451,10 @@ def load_config(path: str) -> SweepConfig:
                         int(v) for v in value.replace(",", " ").split())}
                 elif key == "k_policy":
                     arg = {key: value}
-                elif key.startswith("tolerance."):
-                    arg = {"tolerances": {key.split(".", 1)[1]: float(value)}}
                 else:
                     raise DomainError(f"unknown key {key!r}")
                 SweepConfig(**arg)  # the line's value must be valid alone
             except ValueError as exc:  # DomainError included
                 raise DomainError(f"{path}:{lineno}: {exc}") from None
-            kwargs["tolerances"].update(arg.pop("tolerances", {}))
             kwargs.update(arg)
     return SweepConfig(**kwargs)

@@ -99,7 +99,7 @@ class TestLaplacePieces:
     def test_lambda_composition(self):
         _, _, lam = laplace_pieces(29, 16)
         ref = lambda_n(28) - lambda_n(15) - lambda_n(13)
-        assert lam == pytest.approx(ref, rel=1e-12)
+        assert lam == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_delta_rearrangement(self):
         for n, k in ((28, 20), (100, 70)):

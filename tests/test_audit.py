@@ -84,7 +84,7 @@ def test_tightest_records_agree_with_50_digits(audited):
 def test_closest_call_is_the_known_sandwich_record(audited):
     r, ref = min(audited, key=lambda pair: pair[0][4])
     assert r[:3] == ("sandwich_lower", 4096, 2145)
-    assert ref == pytest.approx(1.7618e-10, rel=1e-4)
+    assert ref == pytest.approx(1.7618e-10, rel=1e-4, abs=0.0)
 
 
 # Theorem 1's N r_k as the sweep hands it to the constant fits, against N r_k
@@ -105,7 +105,7 @@ def expansion_point(draw):
 @settings(max_examples=40, deadline=None)
 def test_theorem1_remainder_agrees_with_50_digits(nk):
     n, k = nk
-    fit, _ = _sweep_one_n(n, "all", SweepConfig().tolerances, {})
+    fit, _ = _sweep_one_n(n, "all", {})
     i = k - (n + 1) // 2
     assert fit["k"][i] == k
     N, K = n - 1, k - 1

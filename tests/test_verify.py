@@ -119,8 +119,6 @@ class TestSweepConfig:
             SweepConfig(n_values=())
         with pytest.raises(DomainError):
             SweepConfig(n_values=(28, 0))
-        with pytest.raises(DomainError):
-            SweepConfig(tolerances={"cutpoint": 0.0})
 
     def test_rejects_n_beyond_the_table_and_repeated_n(self):
         with pytest.raises(DomainError, match="5000"):
@@ -146,51 +144,15 @@ class TestSweepConfig:
         doc = json.loads(emit_report(checks, constants, "json", config))
         assert doc["meta"]["config"]["n_values"] == [28]
 
-    def test_rejects_a_bool_tolerance(self):
-        # True is a number to float(), and would sweep with tolerance 1.0
-        with pytest.raises(DomainError, match="True"):
-            SweepConfig(tolerances={"cutpoint": True})
-
-    def test_rejects_a_str_tolerance(self):
-        with pytest.raises(DomainError, match="'1e-9'"):
-            SweepConfig(tolerances={"cutpoint": "1e-9"})
-
-    def test_numpy_tolerance_is_stored_as_a_float(self):
-        config = SweepConfig(n_values=(28,), k_policy="all",
-                             tolerances={"cutpoint": np.float32(1e-9)})
-        assert type(config.tolerances["cutpoint"]) is float
-        doc = json.loads(emit_report(*run_sweep(config), "json", config))
-        assert doc["meta"]["config"]["tolerances"] == {
-            **verify.DEFAULT_TOLERANCES, "cutpoint": float(np.float32(1e-9))}
-
     def test_meta_records_every_tolerance_in_effect(self):
-        # a partial dict sweeps with the defaults for the rest, and the
-        # report says so
-        config = SweepConfig(n_values=(28,), k_policy="all",
-                             tolerances={"fit": 1e-3})
-        want = {**verify.DEFAULT_TOLERANCES, "fit": 1e-3}
-        assert config.tolerances == want
-        doc = json.loads(emit_report(*run_sweep(config), "json", config))
-        assert doc["meta"]["config"]["tolerances"] == want
-
-    def test_tolerances_are_read_only(self):
-        # a checked config stays checked: nan would fail every row
+        # the four fixed tolerances, written into every JSON report
         config = SweepConfig(n_values=(28,), k_policy="all")
-        with pytest.raises(TypeError):
-            config.tolerances["fit"] = math.nan
-        with pytest.raises(TypeError):
-            del config.tolerances["fit"]
-        assert config.tolerances == verify.DEFAULT_TOLERANCES
+        doc = json.loads(emit_report(*run_sweep(config), "json", config))
+        assert doc["meta"]["config"]["tolerances"] == verify.TOLERANCES
 
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
             SweepConfig(k_policy="stride:abc")
-
-    def test_rejects_unknown_tolerance(self):
-        # a misspelt name would otherwise be ignored by every check and
-        # still be written into the report's meta
-        with pytest.raises(DomainError, match="cutpiont"):
-            SweepConfig(tolerances={"cutpiont": 1e-30})
 
 
 class TestLoadConfig:
@@ -199,13 +161,10 @@ class TestLoadConfig:
         p.write_text(
             "# comment\n"
             "n_values = 28, 64, 256\n"
-            "k_policy = stride:3\n"
-            "tolerance.symmetry = 1e-7\n")
+            "k_policy = stride:3\n")
         cfg = load_config(str(p))
         assert cfg.n_values == (28, 64, 256)
         assert cfg.k_policy == "stride:3"
-        assert cfg.tolerances["symmetry"] == 1e-7
-        assert cfg.tolerances["cutpoint"] == 1e-9  # default retained
 
     @pytest.mark.parametrize("value", ["28,29", "28 , 29", "28 29",
                                        "28, 29  # two"])
@@ -237,6 +196,7 @@ class TestLoadConfig:
         "n_values = 28, 28",
         "tolerance.cutpoint = nan",
         "tolerance.cutpoint = 1e400",
+        "tolerance.cutpoint = 1e-9",
     ])
     def test_bad_value_names_its_line(self, line, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -246,12 +206,14 @@ class TestLoadConfig:
         assert main(["sweep", "--config", str(p)]) == EXIT_BAD_CONFIG
         out = capsys.readouterr()
         assert f"error: {p}:2: " in out.err
+        if line.startswith("tolerance."):  # fixed in verify.TOLERANCES
+            key = line.partition(" ")[0]
+            assert out.err == f"error: {p}:2: unknown key {key!r}\n"
         assert out.out == ""  # rejected before any row is swept
 
     @pytest.mark.parametrize("first, again", [
         ("n_values = 28", "n_values = 29"),
         ("k_policy = all", "k_policy = stride:2"),
-        ("tolerance.fit = 1e-3", "tolerance.fit = 1e-4"),
     ])
     def test_repeated_key_names_both_lines(self, first, again, tmp_path,
                                            capsys):
@@ -264,6 +226,19 @@ class TestLoadConfig:
         assert main(["sweep", "--config", str(p)]) == EXIT_BAD_CONFIG
         out = capsys.readouterr()
         assert f"error: {p}:4: " in out.err and "line 2" in out.err
+        assert out.out == ""
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path,
+                                                     capsys):
+        # a refusal, whatever the locale, not a UnicodeDecodeError
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"n_values = 28\n\xff\xfe = 1\n")
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(str(p))}:2: not UTF-8$"):
+            load_config(str(p))
+        assert main(["sweep", "--config", str(p)]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr()
+        assert out.err == f"error: {p}:2: not UTF-8\n"
         assert out.out == ""
 
     def test_missing_equals(self, tmp_path):
@@ -310,8 +285,7 @@ class TestRunSweep:
     def test_checks_table_declares_exactly_the_checks_run(self,
                                                           monkeypatch):
         assert list(verify.CHECKS) == sorted(verify.CHECKS)
-        assert set(verify.CHECKS.values()) <= {*verify.DEFAULT_TOLERANCES,
-                                               None}
+        assert set(verify.CHECKS.values()) <= {*verify.TOLERANCES, None}
         checks, _ = run_sweep(SweepConfig(n_values=(28, 64), k_policy="all"))
         break_eq11_at(monkeypatch, 28, 25)
         broken, _ = run_sweep(SweepConfig(n_values=(28,), k_policy="all"))
@@ -321,7 +295,7 @@ class TestRunSweep:
     def test_an_undeclared_check_is_refused(self):
         with pytest.raises(KeyError):
             verify._add({}, "thm2_corner", 28, np.array([15]),
-                        np.array([0.0]), verify.DEFAULT_TOLERANCES)
+                        np.array([0.0]))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_report_bytes_do_not_depend_on_n_order(self, fmt, small_sweep):
@@ -368,7 +342,7 @@ class TestEmitReport:
         doc = {
             "meta": {
                 "config": {"n_values": [28, 29, 64], "k_policy": "all",
-                           "tolerances": dict(SMALL.tolerances)},
+                           "tolerances": verify.TOLERANCES},
                 "versions": {"bincoupling": bincoupling.__version__,
                              "python": sys.version.split()[0]},
             },
@@ -414,7 +388,7 @@ def per_row_emit(checks, constants, fmt, config) -> bytes:
             "config": {
                 "n_values": list(config.n_values),
                 "k_policy": config.k_policy,
-                "tolerances": dict(config.tolerances),
+                "tolerances": verify.TOLERANCES,
             },
             "versions": {"bincoupling": bincoupling.__version__,
                          "python": sys.version.split()[0]},
@@ -745,7 +719,7 @@ class TestCli:
         monkeypatch.setattr(cli, "coupling_check",
                             lambda table: (1.0 + 2e-9, 0.5))
         assert main(["coupling", "28"]) == EXIT_CHECK_FAILED
-        monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "cutpoint", 1e-8)
+        monkeypatch.setitem(verify.TOLERANCES, "cutpoint", 1e-8)
         assert main(["coupling", "28"]) == EXIT_OK
 
     def test_bad_domain_is_config_error(self, capsys):
@@ -833,10 +807,10 @@ def scalar_checks(n: int, tol: dict[str, float]):
 
 @pytest.mark.parametrize("n", [12, 28, 29, 64, 1000, 3001, 4096])
 def test_kernels_match_scalar_reference(n):
-    tol = dict(verify.DEFAULT_TOLERANCES)
+    tol = verify.TOLERANCES
     ref, r_k, theta, (max_excess, c_ref) = scalar_checks(n, tol)
     checks = {}
-    fit, c = verify._sweep_one_n(n, "all", tol, checks)
+    fit, c = verify._sweep_one_n(n, "all", checks)
     got = {}
     for name, chunks in checks.items():
         for ns, ks, passed, slack in chunks:

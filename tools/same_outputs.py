@@ -45,6 +45,11 @@ COMMANDS = [
     ["coupling", "100"],
     ["coupling", "4096"],
     ["lemma1"],
+    # refusals main reports as one error line and exit 2
+    ["cutpoints", "5000"],
+    ["coupling", "0"],
+    ["tails", "1048576", "0"],
+    ["lemma1", "--grid=-40:190:0.0517"],
 ]
 
 

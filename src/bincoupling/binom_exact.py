@@ -3,7 +3,8 @@
 A tail probability P{Bin(n, 1/2) >= k} is an exact big integer numerator
 over 2^n, and its double-precision natural log is taken from that integer;
 the logs of every tail of one n come as one float array from one integer
-pass over the upper half, the lower half being its exact complement.
+pass over the upper half, the lower half being its exact complement (or,
+for a tail near 1, log1p of minus its mirror tail).
 
 The Stirling corrections lambda_n come as one table per n, by two
 closed-form routes: the five-term Stirling series for n >= 12 and
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections import deque
 from itertools import islice
 
@@ -60,10 +62,13 @@ def log_tail_exact_all(n: int) -> np.ndarray:
 
     One big-integer pass runs the numerators of the upper half, k >= h =
     n//2 + 1; each lower one is then the exact complement 2^n - num_{n-k+1},
-    which halves the O(n^2)-bit work.  The numerators come in blocks whose
-    logs are taken column-wise by _log_ratios, and each block is released
-    before the next is made, so at most 2 * _BLOCK of them are held at
-    once."""
+    which halves the O(n^2)-bit work.  A lower tail whose mirror u is below
+    1/4 is log1p(-u) from the log of u, so it keeps its relative accuracy:
+    within 1.2e-13 of 50 digits at every n <= 199 and n = 257, 1000, 2048
+    and 4096, over the tails above the smallest normal double.  The
+    numerators come in blocks whose logs are taken column-wise by
+    _log_ratios, and each block is released before the next is made, so at
+    most 2 * _BLOCK of them are held at once."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     h = n // 2 + 1
@@ -77,6 +82,12 @@ def log_tail_exact_all(n: int) -> np.ndarray:
         # the complements num_j for j = n - k + 1, ... while j < h
         lower = [full - x for x in block[:k + h - n - 1]]
         out[n - k + 1:n - k + 1 + len(lower)] = _log_ratios(lower, n)
+    # a lower tail 1 - u, u = P{X >= n - k + 1}, rounded to 53 bits keeps
+    # its log only to 1e-16 absolute; where u < 1/4 take log1p(-u) from
+    # u's log instead (Maechler 2012).  The u rise with k.
+    logs_u = out[n:n - h + 1:-1].tolist()
+    m = bisect_left(logs_u, -2.0 * LOG_2)
+    out[1:m + 1] = [math.log1p(-math.exp(v)) for v in logs_u[:m]]
     return out
 
 

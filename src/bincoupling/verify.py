@@ -169,8 +169,8 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
     """Add every check of one n to ``checks``; return the coupling constant
     of this n and the raw quantities the constant fits need, one array over
     k each: x = epsilon sqrt(N), n_r_k = N r_k, n_theta_k = N theta_k (nan
-    where the expansion does not apply), d_eq5 = beta_k - k + 1/2,
-    t_eq5 = |k - n/2|^3 / n^2, log_N = log(n - 1) and log_n = log(n)."""
+    where the expansion does not apply), d = beta_k - k + 1/2,
+    log_N = log(n - 1) and log_n = log(n), beside the columns n and k."""
     table = build_table(n)
     # the expansion reads its exact tails from a second pass (the table's
     # log_tail holds the same values)
@@ -201,7 +201,7 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
            "x": np.full(ks.shape, math.nan),
            "n_r_k": np.full(ks.shape, math.nan),
            "n_theta_k": np.full(ks.shape, math.nan),
-           "d_eq5": beta - ks + 0.5, "t_eq5": np.abs(ks - n / 2) ** 3 / n ** 2,
+           "d": beta - ks + 0.5,
            "log_N": np.full(ks.shape, math.log(N) if N > 0 else math.nan),
            "log_n": np.full(ks.shape, math.log(n))}
 
@@ -247,23 +247,29 @@ def _max(a: np.ndarray) -> float:
     return float(a.max(initial=_CONSTANT_FLOOR))
 
 
-def _fit_constants(fit: dict[str, np.ndarray],
-                   c_coupling: float) -> ConstantsReport:
-    def fit_half(rows: np.ndarray) -> tuple[float, float, float]:
-        has_r = rows & ~np.isnan(fit["n_r_k"])
-        nr = fit["n_r_k"][has_r]
-        c1t = max(_max(nr), _max(-nr / fit["log_N"][has_r]))
-        has_t = rows & ~np.isnan(fit["n_theta_k"])
-        nt, x = fit["n_theta_k"][has_t], fit["x"][has_t]
-        need = np.maximum(-nt / (x + 1.0), nt / (x + fit["log_N"][has_t]))
-        return c1t, _max(need), _max(need[x >= X_SPLIT])
+def _fit_constants(fit: dict[str, np.ndarray], c_coupling: float,
+                   checks: dict[str, list[CheckRows]]) -> ConstantsReport:
+    """Fit each constant as the largest need of its inequality over the
+    rows; add to ``checks`` the inequality's margins under it (feasible by
+    construction, recorded so the report shows them)."""
+    n, k, x, log_N, log_n = (fit[c] for c in ("n", "k", "x", "log_N", "log_n"))
+    nr, nt = fit["n_r_k"], fit["n_theta_k"]
+    has_r, has_t = ~np.isnan(nr), ~np.isnan(nt)
+    # Theorem 1: -C log N <= N r_k <= C
+    need_r = np.maximum(nr, -nr / log_N)
+    # Theorem 2: -C' (x + 1) <= N theta_k <= C' (x + log N)
+    need_t = np.maximum(-nt / (x + 1.0), nt / (x + log_N))
 
-    every = np.ones(fit["n"].shape, dtype=bool)
-    c_thm1, c_thm2, c_thm2_tail = fit_half(every)
+    def fit_half(rows: np.ndarray) -> tuple[float, float, float]:
+        t_rows = rows & has_t
+        return (_max(need_r[rows & has_r]), _max(need_t[t_rows]),
+                _max(need_t[t_rows & (x >= X_SPLIT)]))
+
+    c_thm1, c_thm2, c_thm2_tail = fit_half(np.ones(n.shape, dtype=bool))
 
     # Eq. (5): the quadruple is anchored on the cubic-dominated rows, then
     # the sqrt(n) terms absorb whatever is left near the center
-    d, t, sqrt_n = fit["d_eq5"], fit["t_eq5"], np.sqrt(fit["n"])
+    d, t, sqrt_n = fit["d"], np.abs(k - n / 2) ** 3 / n ** 2, np.sqrt(n)
     big = t >= 1.0
     if big.any():
         ratio_dt = d[big] / t[big]
@@ -273,16 +279,24 @@ def _fit_constants(fit: dict[str, np.ndarray],
         c2, c4 = _CONSTANT_FLOOR, 1.0
     c1 = _max(sqrt_n * (c2 * t - d))
     # at n = 1 the C3 term log(n)/sqrt(n) is 0: that row does not bound C3
-    pos = fit["log_n"] > 0.0
-    c3 = _max(sqrt_n[pos] * (d[pos] - c4 * t[pos]) / fit["log_n"][pos])
+    pos = log_n > 0.0
+    c3 = _max(sqrt_n[pos] * (d[pos] - c4 * t[pos]) / log_n[pos])
 
     mid = 384  # splits the default sweep into {<=256} and {>=512}
-    low, high = fit["n"] <= mid, fit["n"] > mid
+    low, high = n <= mid, n > mid
     ratio = 1.0
     if low.any() and high.any():
         for a, b in zip(fit_half(low), fit_half(high)):
             if a > _CONSTANT_FLOOR and b > _CONSTANT_FLOOR:
                 ratio = max(ratio, a / b, b / a)
+
+    _add(checks, "thm1_residual", n[has_r], k[has_r],
+         np.minimum(c_thm1 - nr, nr + c_thm1 * log_N)[has_r])
+    _add(checks, "thm2_residual", n[has_t], k[has_t],
+         np.minimum(c_thm2 * (x + log_N) - nt, nt + c_thm2 * (x + 1.0))[has_t])
+    _add(checks, "eq5_window", n, k,
+         np.minimum(d - (-c1 / sqrt_n + c2 * t),
+                    (c3 * log_n / sqrt_n + c4 * t) - d))
     return ConstantsReport(
         c_thm1=c_thm1, c_thm2=c_thm2, c1_eq5=c1, c2_eq5=c2, c3_eq5=c3,
         c4_eq5=c4, c_coupling=c_coupling, stability_ratio=ratio,
@@ -306,25 +320,7 @@ def run_sweep(config: SweepConfig | None = None
         fits.append(fit)
         c_coupling = max(c_coupling, c_cpl)
     fit = {key: np.concatenate([f[key] for f in fits]) for key in fits[0]}
-
-    c = _fit_constants(fit, c_coupling)
-
-    # residual brackets under the fitted constants; feasible by construction,
-    # recorded so the report shows the margins
-    n, k, x, log_N = fit["n"], fit["k"], fit["x"], fit["log_N"]
-    has_r = ~np.isnan(fit["n_r_k"])
-    nr = fit["n_r_k"][has_r]
-    s = np.minimum(c.c_thm1 - nr, nr + c.c_thm1 * log_N[has_r])
-    _add(checks, "thm1_residual", n[has_r], k[has_r], s)
-    has_t = ~np.isnan(fit["n_theta_k"])
-    nt, xt = fit["n_theta_k"][has_t], x[has_t]
-    s = np.minimum(c.c_thm2 * (xt + log_N[has_t]) - nt,
-                   nt + c.c_thm2 * (xt + 1.0))
-    _add(checks, "thm2_residual", n[has_t], k[has_t], s)
-    d, t, sqrt_n = fit["d_eq5"], fit["t_eq5"], np.sqrt(n)
-    s = np.minimum(d - (-c.c1_eq5 / sqrt_n + c.c2_eq5 * t),
-                   (c.c3_eq5 * fit["log_n"] / sqrt_n + c.c4_eq5 * t) - d)
-    _add(checks, "eq5_window", n, k, s)
+    c = _fit_constants(fit, c_coupling, checks)
 
     # every n adds its chunk in k order, and the n ascend: joining each
     # check's chunks leaves its rows in (n, k) order

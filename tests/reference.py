@@ -9,6 +9,7 @@ sandwich and Tusnady's bracket.
 """
 
 import math
+from functools import partial
 
 from bincoupling.approx import _GAMMA_SEAM
 from bincoupling.binom_exact import N_MAX_EXACT, lambda_table, tail_numerator
@@ -135,10 +136,22 @@ def _log_ratio(num: int, n: int) -> float:
     return math.log(mant) + (e - n) * LOG_2
 
 
+def _log_tail(num, n: int, k: int) -> float:
+    """log P{Bin(n,1/2) >= k} from num(j), the exact numerator of the tail
+    at j, by the route of binom_exact.log_tail_exact_all: the _log_ratio of
+    num(k), except that a lower tail 1 - u with u = P{Bin >= n - k + 1}
+    below 1/4 is log1p(-u), from the log of u."""
+    if 1 <= k <= n // 2:
+        log_u = _log_ratio(num(n - k + 1), n)
+        if log_u < -2.0 * LOG_2:
+            return math.log1p(-math.exp(log_u))
+    return _log_ratio(num(k), n)
+
+
 def log_tail_exact(n: int, k: int) -> float:
-    """log P{Bin(n,1/2) >= k}, from the exact numerator
-    tail_numerator(n, k)."""
-    return _log_ratio(tail_numerator(n, k), n)
+    """log P{Bin(n,1/2) >= k}, from the exact numerators
+    tail_numerator(n, j)."""
+    return _log_tail(partial(tail_numerator, n), n, k)
 
 
 def lambda_n(n: int) -> float:

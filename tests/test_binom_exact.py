@@ -9,7 +9,7 @@ import pytest
 from bincoupling import DomainError, log_tail_exact_all, tail_numerator
 from bincoupling.binom_exact import N_MAX_EXACT, _log_ratios, lambda_table
 from conftest import lambda_mp, log_tail_beta_integral
-from reference import _log_ratio, lambda_n, log_tail_exact
+from reference import _log_tail, lambda_n, log_tail_exact
 
 
 def enumerate_tail(n: int, k: int) -> int:
@@ -50,10 +50,10 @@ class TestLogTailExact:
 
     @pytest.mark.parametrize("n", [511, 512, 1000, 1023, 2047, 3001, 4096])
     def test_batch_matches_single_for_large_n(self, n):
-        # the per-k reference, _log_ratio of the exact numerator, with the
-        # numerators summed cumulatively (tail_numerator(n, k) for every k
-        # would cost O(n^3) bits); both mantissa routes, e <= 52 near k = n
-        # and e > 52 below, are taken
+        # the per-k reference route on the exact numerators, summed
+        # cumulatively (tail_numerator(n, k) for every k would cost O(n^3)
+        # bits); both mantissa routes, e <= 52 near k = n and e > 52
+        # below, are taken
         nums = list(accumulate(math.comb(n, j) for j in range(n, -1, -1)))
         nums.reverse()
         for k in (0, 1, n // 2, n // 2 + 1, n - 1, n):
@@ -61,8 +61,8 @@ class TestLogTailExact:
         assert nums[n - 2].bit_length() <= 53 < nums[n // 2].bit_length()
         batch = log_tail_exact_all(n)
         assert batch.shape == (n + 1,)
-        for k, num in enumerate(nums):
-            assert batch[k] == _log_ratio(num, n), k
+        for k in range(n + 1):
+            assert batch[k] == _log_tail(nums.__getitem__, n, k), k
 
     def test_batch_holds_a_bounded_number_of_numerators(self):
         # the numerators are released block by block; holding all n + 1 of
@@ -108,6 +108,24 @@ class TestLogTailExact:
         with mp.workdps(40):
             ref = float(mp.log(mp.mpf(num)) - 1000 * mp.log(2))
         assert log_tail_exact(1000, 700) == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 28, 29, 100, 101, 199, 257, 1000, 2048, 4096])
+    def test_lower_half_against_mpmath(self, n):
+        # a lower tail is 1 - u with u the upper tail at n - k + 1, so its
+        # 50-digit log is log1p(-u); the log of a ratio near 1 would need
+        # far more digits.  The error of log u is a few ulp of |log u| and
+        # exp carries it into u, relatively; 2^-1074 allows for subnormals
+        nums = list(accumulate(math.comb(n, j) for j in range(n, -1, -1)))
+        nums.reverse()
+        batch = log_tail_exact_all(n)
+        with mp.workdps(50):
+            for k in range(1, n // 2 + 1):
+                u = mp.mpf(nums[n - k + 1]) / mp.mpf(2) ** n
+                ref = mp.log1p(-u)
+                rel = 8 * 2.0 ** -53 * max(1.0, float(-mp.log(u)))
+                err = abs(batch[k] - ref)
+                assert err <= rel * abs(ref) + 2.0 ** -1074, (k, batch[k])
 
     @pytest.mark.parametrize("n", [29, 1001, 3001, 4095, 4096])
     def test_log_near_center_against_mpmath(self, n):

@@ -17,7 +17,7 @@ from bincoupling import (
 )
 from bincoupling import normal_tail
 from bincoupling.cli import main
-from bincoupling.cutpoints import table_csv
+from bincoupling.cutpoints import N_MAX_TABLE, table_csv
 from bincoupling.normal_tail import psi
 from conftest import log_tail_mp, psi_mp
 from reference import (
@@ -67,7 +67,7 @@ class TestBuildTable:
     def test_defining_equation(self, n):
         table = build_table(n)
         for z, log_tail in zip(table.z.tolist(), table.log_tail.tolist()):
-            assert psi(z) == pytest.approx(-log_tail, rel=1e-9)
+            assert psi(z) == pytest.approx(-log_tail, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 28, 29, 1000])
     def test_log_tail_matches_reference(self, n):
@@ -77,12 +77,14 @@ class TestBuildTable:
         for k in range(1, n + 1):
             assert table.log_tail[k - 1] == log_tail_exact(n, k)
 
-    @pytest.mark.parametrize("n", [2, 28, 29, 100])
+    @pytest.mark.parametrize(
+        "n", [*range(1, 65), 100, *range(128, N_MAX_TABLE + 1, 64)])
     def test_symmetry(self, n):
+        # beta_k + beta_{n-k+1} == n exactly: the sweep's symmetry rows
+        # cannot fail
         table = build_table(n)
-        for k in range(1, n + 1):
-            total = table.beta[k - 1] + table.beta[n - k]
-            assert total == pytest.approx(n, abs=1e-8)
+        assert np.array_equal(table.beta + table.beta[::-1],
+                              np.full(n, float(n)))
 
     def test_even_center_cell(self):
         n = 28

@@ -48,6 +48,8 @@ from reference import (
 
 SMALL = SweepConfig(n_values=(28, 29, 64), k_policy="all")
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "cli"
+# the twelve n of the sweep-dense workload, k_policy = all
+DENSE = load_config(str(GOLDEN / "sweep_dense.cfg"))
 
 
 @pytest.fixture(scope="module")
@@ -475,6 +477,34 @@ class TestCouplingCheck:
     def test_scaled_constant_below_one(self):
         _, c = coupling_check(build_table(1024))
         assert c < 1.0
+
+    def test_top_row_ratios_rise_below_their_limit(self):
+        # d/t at k = n, (beta_n - n + 1/2) 8/n, is where c4_eq5 binds, and
+        # the coupling constant binds at the cell above k = n - 1; with the
+        # exact tail about exp(-n H(u)) both tend to g(1) = 4(sqrt(2 log 2)
+        # - 1) = 0.70964 from below as n grows
+        g1 = 4.0 * (math.sqrt(2.0 * math.log(2.0)) - 1.0)
+        top, cpl = [], []
+        for n in DENSE.n_values:
+            table = build_table(n)
+            top.append((table.beta[n - 1] - n + 0.5) * 8 / n)
+            cpl.append(coupling_check(table)[1])
+        for seq in (top, cpl):
+            assert all(a < b for a, b in zip(seq, seq[1:])), seq
+            assert seq[-1] < g1
+        assert (top[0], top[-1]) == pytest.approx((0.51246, 0.70627),
+                                                  abs=5e-6)
+        assert (cpl[0], cpl[-1]) == pytest.approx((0.60322, 0.70690),
+                                                  abs=5e-6)
+
+    def test_coupling_row_is_the_least_tusnady_lower_slack(self):
+        # 1 - max_k (k - beta_k) over k > n/2 is min_k (beta_k - (k - 1)):
+        # the coupling row repeats what the tusnady_lower rows hold
+        checks, _ = run_sweep(DENSE)
+        cpl, low = checks["coupling_k_minus_beta"], checks["tusnady_lower"]
+        assert cpl.n.tolist() == list(DENSE.n_values)
+        for n, slack in zip(DENSE.n_values, cpl.slack.tolist()):
+            assert slack == low.slack[(low.n == n) & (low.k > n / 2)].min()
 
 
 class TestCli:

@@ -38,6 +38,7 @@ COMMANDS = [
     ["cutpoints", "1"],
     ["cutpoints", "4"],
     ["cutpoints", "29"],
+    ["cutpoints", "100"],
     ["cutpoints", "4096"],
     ["tails", "4", "3"],
     ["tails", "1000", "700"],

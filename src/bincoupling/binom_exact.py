@@ -3,8 +3,8 @@
 A tail probability P{Bin(n, 1/2) >= k} is an exact big integer numerator
 over 2^n, and its double-precision natural log is taken from that integer;
 the logs of every tail of one n come as one float array from one integer
-pass over the upper half, the lower half being its exact complement (or,
-for a tail near 1, log1p of minus its mirror tail).
+recurrence run down from k = n, a lower tail near 1 being log1p of minus
+its mirror tail.
 
 The Stirling corrections lambda_n come as one table per n, by two
 closed-form routes: the five-term Stirling series for n >= 12 and
@@ -43,6 +43,8 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 _SERIES_MIN_N = 12
 # numerators log_tail_exact_all takes the logs of at a time
 _BLOCK = 128
+# a lower tail 1 - u with log u below this, u < 1/4, is taken as log1p(-u)
+_LOG_QUARTER = -2.0 * LOG_2
 
 
 def tail_numerator(n: int, k: int) -> int:
@@ -52,51 +54,61 @@ def tail_numerator(n: int, k: int) -> int:
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     if not (0 <= k <= n):
         raise DomainError(f"k must be in [0, {n}], got {k}")
-    return deque(_upper_numerators(n, k), maxlen=1)[0]
+    return deque(islice(_numerators(n), n - k + 1), maxlen=1)[0]
 
 
 def log_tail_exact_all(n: int) -> np.ndarray:
     """All log tails for a fixed n as a float64 array of length n + 1;
     entry [k] is log P{Bin(n,1/2) >= k}, the log of tail_numerator(n, k)
-    over 2^n.
+    over 2^n, each entry written once.
 
-    One big-integer pass runs the numerators of the upper half, k >= h =
-    n//2 + 1; each lower one is then the exact complement 2^n - num_{n-k+1},
-    which halves the O(n^2)-bit work.  A lower tail whose mirror u is below
-    1/4 is log1p(-u) from the log of u, so it keeps its relative accuracy:
-    within 1.2e-13 of 50 digits at every n <= 199 and n = 257, 1000, 2048
-    and 4096, over the tails above the smallest normal double.  The
-    numerators come in blocks whose logs are taken column-wise by
-    _log_ratios, and each block is released before the next is made, so at
-    most 2 * _BLOCK of them are held at once."""
+    One big-integer recurrence runs the numerators down from k = n; no
+    complement 2^n - num is formed.  The upper half, k >= h = n//2 + 1,
+    takes the log of its numerator.  A lower tail 1 - u whose mirror u =
+    P{X >= n - k + 1} is below 1/4 is log1p(-u) from the log of u
+    (Maechler 2012), so it keeps its relative accuracy: within 1.2e-13 of
+    50 digits at every n <= 199 and n = 257, 1000, 2048 and 4096, over the
+    tails above the smallest normal double.  Only the centre tails, in
+    (1/2, 3/4], about 0.34 sqrt(n) of them, carry the recurrence past h.
+    The numerators come in blocks whose logs are taken column-wise by
+    _log_ratios, and each block is released once the next is made, so at
+    most 2 * _BLOCK of them are held at once: two blocks, or the last block
+    and the centre's (31 at n = 8192)."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     h = n // 2 + 1
-    full = 1 << n
-    nums = _upper_numerators(n, h)
+    nums = _numerators(n)
     out = np.empty(n + 1)
     out[0] = 0.0
     for k in range(n, h - 1, -_BLOCK):
-        block = list(islice(nums, _BLOCK))  # num_k, num_{k-1}, ...
+        block = list(islice(nums, min(_BLOCK, k - h + 1)))  # num_k, ...
         out[k:k - len(block):-1] = _log_ratios(block, n)
-        # the complements num_j for j = n - k + 1, ... while j < h
-        lower = [full - x for x in block[:k + h - n - 1]]
-        out[n - k + 1:n - k + 1 + len(lower)] = _log_ratios(lower, n)
-    # a lower tail 1 - u, u = P{X >= n - k + 1}, rounded to 53 bits keeps
-    # its log only to 1e-16 absolute; where u < 1/4 take log1p(-u) from
-    # u's log instead (Maechler 2012).  The u rise with k.
+    # the mirrors u of k = 1, 2, ..., h - 1 rise with k
     logs_u = out[n:n - h + 1:-1].tolist()
-    m = bisect_left(logs_u, -2.0 * LOG_2)
+    m = bisect_left(logs_u, _LOG_QUARTER)
     out[1:m + 1] = [math.log1p(-math.exp(v)) for v in logs_u[:m]]
+    # the centre, k = h - 1 down to m + 1, from the same stream
+    out[h - 1:m:-1] = _log_ratios(list(islice(nums, h - 1 - m)), n)
     return out
 
 
-def _upper_numerators(n: int, h: int):
-    """The numerators Sum_{j>=k} C(n,j) for k = n, n - 1, ..., h, by one
-    recurrence."""
+def _log_tail(n: int, k: int, num: int) -> float:
+    """log P{Bin(n,1/2) >= k} from its numerator num = tail_numerator(n, k),
+    by the rule of log_tail_exact_all, to the bit; the mirror tail's
+    numerator is 2^n - num."""
+    if 1 <= k <= n // 2:
+        log_u = _log_ratios([(1 << n) - num], n)[0]
+        if log_u < _LOG_QUARTER:
+            return math.log1p(-math.exp(log_u))
+    return _log_ratios([num], n)[0]
+
+
+def _numerators(n: int):
+    """The numerators Sum_{j>=k} C(n,j) for k = n, n - 1, ..., 0, by one
+    recurrence, as they are asked for."""
     num = c = 1
     yield num
-    for k in range(n - 1, h - 1, -1):
+    for k in range(n - 1, -1, -1):
         c = c * (k + 1) // (n - k)
         num += c
         yield num

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .binom_exact import _log_ratios, tail_numerator
+from .binom_exact import _log_tail, tail_numerator
 from .cutpoints import build_table, table_csv
 from .errors import DomainError, RangeError
 from .normal_tail import _check_envelope, psi, rho
@@ -46,7 +46,7 @@ def cmd_tails(args) -> int:
                           f"bit-terms, more than {TAILS_MAX_BIT_TERMS}")
     # one O(n^2)-bit sum serves both lines
     num = tail_numerator(args.n, args.k)
-    log_prob = _log_ratios([num], args.n)[0]
+    log_prob = _log_tail(args.n, args.k, num)
     print(f"n = {args.n}  k = {args.k}")
     print(f"numerator bits = {num.bit_length()}")
     print(f"log_prob = {_fmt(log_prob)}")

@@ -12,7 +12,12 @@ import math
 from functools import partial
 
 from bincoupling.approx import _GAMMA_SEAM
-from bincoupling.binom_exact import N_MAX_EXACT, lambda_table, tail_numerator
+from bincoupling.binom_exact import (
+    _LOG_QUARTER,
+    N_MAX_EXACT,
+    lambda_table,
+    tail_numerator,
+)
 from bincoupling.errors import DomainError, RangeError
 from bincoupling.normal_tail import (
     INV_SQRT_2,
@@ -143,7 +148,7 @@ def _log_tail(num, n: int, k: int) -> float:
     below 1/4 is log1p(-u), from the log of u."""
     if 1 <= k <= n // 2:
         log_u = _log_ratio(num(n - k + 1), n)
-        if log_u < -2.0 * LOG_2:
+        if log_u < _LOG_QUARTER:
             return math.log1p(-math.exp(log_u))
     return _log_ratio(num(k), n)
 

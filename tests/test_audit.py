@@ -8,14 +8,19 @@ the same sign and lie within 1e-11 of the 50-digit one, a hundredth of the
 checks' 1e-9 tolerance, so no check passes only by its tolerance.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bincoupling import SweepConfig, build_table, run_sweep
-from bincoupling.verify import _sweep_one_n
+from bincoupling.approx import expansion_arrays
+from bincoupling.binom_exact import log_tail_exact_all
+from bincoupling.normal_tail import psi_rho_array
+from bincoupling.verify import X_SPLIT, _sweep_one_n
 from conftest import gamma_mp, lambda_mp, log_tail_mp, psi_mp, rho_mp
 
 N_AUDIT = 4096
@@ -118,3 +123,45 @@ def test_theorem1_remainder_agrees_with_50_digits(nk):
                     + mp.log(1 - e * e) / 2 + lambda_mp(N - K))
     bound = RK_ULPS * N * 2.0 ** -52 * max(1.0, float(psi_x))
     assert abs(fit["n_r_k"][i] - float(want)) <= bound, (n, k)
+
+
+# The two-root sandwich's d1 and d2 as the sweep computes them, from the
+# table's z_k, against d1 and d2 in 50 digits from the exact tail and psi,
+# where the sweep applies the bracket (x >= X_SPLIT = 3, beta_shift > 0).
+# The float error is the few 1e-12 the Newton stop leaves in z_k, relative
+# to d ~ z - x, so it grows with n.  Every k with x >= 3 of 45 n in
+# 28..4096 (the twelve of sweep-dense and 33 drawn) gave at most 4.21e-9,
+# at (4095, 2168); the bound allows 2.4 times that.
+D_REL = 1e-8
+
+
+@st.composite
+def sandwich_point(draw):
+    n = draw(st.integers(min_value=28, max_value=4096))
+    N = n - 1
+    # the smallest K with 2K - N >= 3 sqrt(N), i.e. x >= 3 (in floats x
+    # may round below 3 there, as at n = 2210)
+    m = math.isqrt(9 * N - 1) + 1
+    return n, draw(st.integers(min_value=(N + m + 1) // 2 + 1,
+                               max_value=n - 1))
+
+
+@given(sandwich_point())
+@settings(max_examples=40, deadline=None)
+def test_sandwich_pieces_agree_with_50_digits(nk):
+    n, k = nk
+    ks = np.arange(n // 2 + 1, n)
+    z = build_table(n).z[ks - 1]
+    ex = expansion_arrays(n, ks, log_tail_exact_all(n)[ks], z,
+                          psi_rho_array(z)[0])
+    i = k - ks[0]
+    assume(ex.x[i] >= X_SPLIT and ex.beta_shift[i] > 0.0)
+    N, K = n - 1, k - 1
+    with mp.workdps(DPS):
+        x = mp.mpf(2 * K - N) / N * mp.sqrt(N)
+        beta = -log_tail_mp(n, k) - psi_mp(x)
+        rx = rho_mp(x)
+        d1 = 2 * beta / (mp.sqrt(x * x + 2 * beta) + x)
+        d2 = 2 * beta / (mp.sqrt(rx * rx + 2 * beta) + rx)
+    for got, want in ((ex.d1[i], d1), (ex.d2[i], d2)):
+        assert abs(got - float(want)) <= D_REL * float(want), (n, k)

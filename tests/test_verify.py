@@ -513,6 +513,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.3125" in out
 
+    def test_tails_prints_the_log_tail_of_the_batch(self, capsys):
+        # one rule for every log tail: a lower tail near 1 is log1p(-u), so
+        # tails 100 1 prints -7.8886090522101049e-31, not -1.1e-16
+        cases = [(n, k) for n in range(1, 65) for k in range(n + 1)]
+        for n, k in cases + [(100, 1), (100, 2)]:
+            assert main(["tails", str(n), str(k)]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            want = verify._fmt(log_tail_exact_all(n)[k])
+            assert lines[2] == f"log_prob = {want}", (n, k)
+
     def test_tails_refuses_a_sum_beyond_the_bit_term_limit(self, monkeypatch,
                                                           capsys):
         # (n - k + 1) n = 1.1e12 bit-terms; refused before any summing

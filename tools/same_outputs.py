@@ -43,6 +43,10 @@ COMMANDS = [
     ["tails", "4", "3"],
     ["tails", "1000", "700"],
     ["tails", "65536", "0"],
+    # lower-half tails: two near 1, one at the centre
+    ["tails", "100", "1"],
+    ["tails", "100", "2"],
+    ["tails", "100", "49"],
     ["coupling", "100"],
     ["coupling", "4096"],
     ["lemma1"],

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binom_exact import lambda_table
-from .errors import DomainError
 from .normal_tail import LOG_2, psi_rho_array
 
 __all__ = ["ExpansionArrays", "expansion_arrays"]
@@ -85,14 +84,10 @@ def _gamma_array(e: np.ndarray) -> np.ndarray:
 def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
                      z: np.ndarray, psi_z: np.ndarray) -> ExpansionArrays:
     """Array form of theorem1_breakdown, lower_bound_11, z - theorem2_w and
-    delta_sandwich at every k of ``ks`` (n >= 28, n/2 < k <= n - 1), with the
-    exact log tails, the cutpoints z and psi(z) at those k.  lambda is taken
-    from one table per n."""
-    if n < 28:
-        raise DomainError(f"n must be >= 28, got {n}")
+    delta_sandwich at every k of ``ks``, with the exact log tails, the
+    cutpoints z and psi(z) at those k.  lambda is taken from one table per
+    n.  The caller keeps n >= 28 and n/2 < k <= n - 1."""
     ks = np.asarray(ks)
-    if ks.size and not (ks.min() > n / 2 and ks.max() <= n - 1):
-        raise DomainError(f"k must satisfy n/2 < k <= n-1 for n = {n}")
     N = n - 1
     K = ks - 1
     e = (2 * K - N) / N

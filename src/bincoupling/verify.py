@@ -44,8 +44,9 @@ DEFAULT_N_VALUES = (28, 29, 64, 100, 128, 256, 512, 1024, 2048)
 
 # epsilon sqrt(N) below this is the near-center regime: the two-root cutpoint
 # sandwich is skipped there, and the regime-restricted residual constant
-# (c_thm2_tail_regime) is fitted only above it
-X_SPLIT = 3.0
+# (c_thm2_tail_regime) is fitted only above it.  The sweep decides x >= 3 in
+# integers, (2k - n - 1)^2 >= 9(n - 1), since the float x can round 3 down
+X_SPLIT = 3
 
 TOLERANCES = {
     "cutpoint": 1e-9,   # deviate units: Tusnady and delta-sandwich slacks
@@ -170,7 +171,8 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
     of this n and the raw quantities the constant fits need, one array over
     k each: x = epsilon sqrt(N), n_r_k = N r_k, n_theta_k = N theta_k (nan
     where the expansion does not apply), d = beta_k - k + 1/2,
-    log_N = log(n - 1) and log_n = log(n), beside the columns n and k."""
+    log_N = log(n - 1), log_n = log(n) and the mask tail of k > n/2 with
+    x >= X_SPLIT, beside the columns n and k."""
     table = build_table(n)
     # the expansion reads its exact tails from a second pass (the table's
     # log_tail holds the same values)
@@ -203,7 +205,8 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
            "n_theta_k": np.full(ks.shape, math.nan),
            "d": beta - ks + 0.5,
            "log_N": np.full(ks.shape, math.log(N) if N > 0 else math.nan),
-           "log_n": np.full(ks.shape, math.log(n))}
+           "log_n": np.full(ks.shape, math.log(n)),
+           "tail": (ks > n / 2) & ((2 * ks - n - 1) ** 2 >= X_SPLIT ** 2 * N)}
 
     dom = (ks > n / 2) & (ks <= n - 1) if n >= 28 else np.zeros_like(ks, bool)
     if dom.any():
@@ -214,7 +217,7 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
         # failed check there, in place of the rows that rest on it
         ok_r = ~ex.breaks_pieces
         ok_11 = ok_r & ~ex.breaks_eq11
-        in_sw = ok_11 & (ex.x >= X_SPLIT) & (ex.beta_shift > 0.0)
+        in_sw = ok_11 & fit["tail"][dom] & (ex.beta_shift > 0.0)
         ok_sw = in_sw & ~ex.breaks_sandwich
         broken = ~ok_11 | (in_sw & ex.breaks_sandwich)
 
@@ -253,7 +256,7 @@ def _fit_constants(fit: dict[str, np.ndarray], c_coupling: float,
     rows; add to ``checks`` the inequality's margins under it (feasible by
     construction, recorded so the report shows them)."""
     n, k, x, log_N, log_n = (fit[c] for c in ("n", "k", "x", "log_N", "log_n"))
-    nr, nt = fit["n_r_k"], fit["n_theta_k"]
+    nr, nt, tail = fit["n_r_k"], fit["n_theta_k"], fit["tail"]
     has_r, has_t = ~np.isnan(nr), ~np.isnan(nt)
     # Theorem 1: -C log N <= N r_k <= C
     need_r = np.maximum(nr, -nr / log_N)
@@ -263,7 +266,7 @@ def _fit_constants(fit: dict[str, np.ndarray], c_coupling: float,
     def fit_half(rows: np.ndarray) -> tuple[float, float, float]:
         t_rows = rows & has_t
         return (_max(need_r[rows & has_r]), _max(need_t[t_rows]),
-                _max(need_t[t_rows & (x >= X_SPLIT)]))
+                _max(need_t[t_rows & tail]))
 
     c_thm1, c_thm2, c_thm2_tail = fit_half(np.ones(n.shape, dtype=bool))
 

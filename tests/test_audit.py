@@ -127,7 +127,8 @@ def test_theorem1_remainder_agrees_with_50_digits(nk):
 
 # The two-root sandwich's d1 and d2 as the sweep computes them, from the
 # table's z_k, against d1 and d2 in 50 digits from the exact tail and psi,
-# where the sweep applies the bracket (x >= X_SPLIT = 3, beta_shift > 0).
+# where the sweep applies the bracket (x >= X_SPLIT = 3 decided in
+# integers, beta_shift > 0).
 # The float error is the few 1e-12 the Newton stop leaves in z_k, relative
 # to d ~ z - x, so it grows with n.  Every k with x >= 3 of 45 n in
 # 28..4096 (the twelve of sweep-dense and 33 drawn) gave at most 4.21e-9,
@@ -139,9 +140,8 @@ D_REL = 1e-8
 def sandwich_point(draw):
     n = draw(st.integers(min_value=28, max_value=4096))
     N = n - 1
-    # the smallest K with 2K - N >= 3 sqrt(N), i.e. x >= 3 (in floats x
-    # may round below 3 there, as at n = 2210)
-    m = math.isqrt(9 * N - 1) + 1
+    # the smallest K with (2K - N)^2 >= 9N, i.e. x >= 3, the sweep's rule
+    m = math.isqrt(X_SPLIT ** 2 * N - 1) + 1
     return n, draw(st.integers(min_value=(N + m + 1) // 2 + 1,
                                max_value=n - 1))
 
@@ -155,7 +155,7 @@ def test_sandwich_pieces_agree_with_50_digits(nk):
     ex = expansion_arrays(n, ks, log_tail_exact_all(n)[ks], z,
                           psi_rho_array(z)[0])
     i = k - ks[0]
-    assume(ex.x[i] >= X_SPLIT and ex.beta_shift[i] > 0.0)
+    assume(ex.beta_shift[i] > 0.0)
     N, K = n - 1, k - 1
     with mp.workdps(DPS):
         x = mp.mpf(2 * K - N) / N * mp.sqrt(N)
@@ -165,3 +165,43 @@ def test_sandwich_pieces_agree_with_50_digits(nk):
         d2 = 2 * beta / (mp.sqrt(rx * rx + 2 * beta) + rx)
     for got, want in ((ex.d1[i], d1), (ex.d2[i], d2)):
         assert abs(got - float(want)) <= D_REL * float(want), (n, k)
+
+
+# Theorem 2's N theta_k = N (z_k - w_k) as the sweep hands it to the
+# constant fits, against 50 digits: z_k by findroot on psi at the exact
+# tail, w_k from gamma and lambda_{n-k}.  The float error is the Newton
+# stop of z_k, |psi(z) - L| <= 1e-12 max(1, L), which leaves up to
+# 1e-12 max(1, L) / rho(z) in z, times N (5.2e-8 at (4096, 2853)).  Every
+# k with e > 0 of 33 n in 28..4096 (the twelve of sweep-dense, 2210 and 20
+# drawn) gave at most 0.998 of that, at (3754, 2646); the bound allows
+# twice it.
+THETA_STOPS = 2.0
+
+
+@st.composite
+def theta_point(draw):
+    n = draw(st.integers(min_value=28, max_value=4096))
+    # e > 0: 2K > N
+    return n, draw(st.integers(min_value=(n + 1) // 2 + 1, max_value=n - 1))
+
+
+@given(theta_point())
+@settings(max_examples=40, deadline=None)
+def test_theorem2_remainder_agrees_with_50_digits(nk):
+    n, k = nk
+    ks = np.arange(n // 2 + 1, n)
+    z = build_table(n).z[ks - 1]
+    tails = log_tail_exact_all(n)[ks]
+    psi_z, rho_z = psi_rho_array(z)
+    ex = expansion_arrays(n, ks, tails, z, psi_z)
+    i = k - ks[0]
+    N, K = n - 1, k - 1
+    with mp.workdps(DPS):
+        lt = log_tail_mp(n, k)
+        z_k = mp.findroot(lambda t: psi_mp(t) + lt, mp.mpf(z[i]))
+        e = mp.mpf(2 * K - N) / N
+        xs = e * mp.sqrt(N) * mp.sqrt(1 + 2 * e * e * gamma_mp(e))
+        w_k = xs + (mp.log(1 - e * e) + 2 * lambda_mp(N - K)) / (2 * xs)
+        want = N * (z_k - w_k)
+    bound = THETA_STOPS * N * 1e-12 * max(1.0, -tails[i]) / rho_z[i]
+    assert abs(N * ex.theta[i] - float(want)) <= bound, (n, k)

@@ -199,6 +199,21 @@ class TestAgainstMpmath:
             assert abs(rho_a[i] - rho(x)) <= 1e-15 * rho(x), x
 
 
+def test_array_values_do_not_depend_on_the_batch():
+    # psi_rho_array cuts the continued fraction at the depth of the batch's
+    # smallest x > 10; any deeper cut must leave each entry at the same
+    # double, so a value is the same alone, in the whole grid and in tail
+    # batches whose minima fall in every depth band, bit for bit
+    xs = np.linspace(10.0, 200.0, 40001)
+    psi_all, rho_all = psi_rho_array(xs)
+    for i in np.linspace(0, xs.size - 1, 100).astype(int).tolist():
+        p, r = psi_rho_array(xs[i:])
+        assert (p == psi_all[i:]).all() and (r == rho_all[i:]).all(), xs[i]
+    for i in range(0, xs.size, 97):
+        p, r = psi_rho_array(xs[i:i + 1])
+        assert (p[0], r[0]) == (psi_all[i], rho_all[i]), xs[i]
+
+
 def solve(L: float) -> float:
     """psi^-1 at one L: the package's vector solve for L >= log 2, where its
     roots x >= 0 lie, and the scalar Newton oracle for the negative roots

@@ -277,6 +277,17 @@ class TestRunSweep:
         assert all(rows.passed.all() for rows in checks.values())
         assert math.isfinite(constants.c3_eq5)
 
+    def test_x_equal_to_3_is_in_the_tail_regime(self):
+        # at (2210, 1176) x = 141/47 = 3 exactly (N = 2209 = 47^2); the
+        # float e sqrt(N) reads it as 2.9999999999999996, the integer rule
+        # as 3, so the sandwich rows start at k = 1176 and all three pass
+        N, K = 2209, 1175
+        assert (2 * K - N) / N * math.sqrt(N) < verify.X_SPLIT
+        checks, _ = run_sweep(SweepConfig(n_values=(2210,), k_policy="all"))
+        for name in ("sandwich_gap", "sandwich_lower", "sandwich_upper"):
+            rows = checks[name]
+            assert rows.k[0] == 1176 and rows.passed[0], name
+
     def test_sorted_output(self, small_sweep):
         checks, _ = small_sweep
         keys = [(name, n, k) for name, rows in checks.items()
@@ -497,6 +508,28 @@ class TestCouplingCheck:
         assert (cpl[0], cpl[-1]) == pytest.approx((0.60322, 0.70690),
                                                   abs=5e-6)
 
+    def test_top_rows_of_every_n_rise_below_their_limit(self):
+        # the tail at k = n is 2^-n, so z_n solves psi(z_n) = n log 2 with
+        # no table: one solve covers every n up to 28862, the largest n
+        # with n log 2 <= psi(X_MAX); there the two ratios read 0.709047
+        # and 0.709136, 5.9e-4 and 5.0e-4 below g(1)
+        g1 = 4.0 * (math.sqrt(2.0 * math.log(2.0)) - 1.0)
+        n_top = int(psi(normal_tail.X_MAX) / math.log(2.0))
+        assert n_top == 28862
+        n = np.arange(2, n_top + 1)
+        z = normal_tail.inverse_psi_array(n * math.log(2.0))
+        beta = n / 2 + np.sqrt(n) * z / 2
+        top = (beta - n + 0.5) * 8 / n
+        cpl = (beta - (n - 1)) / (1.0 + (n / 2 - 1) ** 3 / n ** 2)
+        for seq in (top, cpl):
+            assert (np.diff(seq) > 0.0).all()
+            assert seq[-1] < g1
+        assert (top[-1], cpl[-1]) == pytest.approx((0.709047, 0.709136),
+                                                   abs=5e-7)
+        # the same z_n as the tables' k = n entries, bit for bit
+        for m in DENSE.n_values:
+            assert build_table(m).z[m - 1] == z[m - 2], m
+
     def test_coupling_row_is_the_least_tusnady_lower_slack(self):
         # 1 - max_k (k - beta_k) over k > n/2 is min_k (beta_k - (k - 1)):
         # the coupling row repeats what the tusnady_lower rows hold
@@ -585,15 +618,25 @@ class TestCli:
         want = (GOLDEN / f"{name}.csv.sha256").read_text().split()[0]
         assert hashlib.sha256(out).hexdigest() == want
 
-    def test_sweep_json_report_is_pinned(self, capsysbinary):
+    @staticmethod
+    def assert_json_report_pinned(name, capsysbinary):
         # every byte but the Python version, as first recorded
-        cfg = GOLDEN / "sweep_28_29.cfg"
+        cfg = GOLDEN / f"{name}.cfg"
         assert main(["sweep", "--config", str(cfg),
                      "--format", "json"]) == EXIT_OK
         out = re.sub(rb'"python": "[^"]*"', b'"python": "<python>"',
                      capsysbinary.readouterr().out)
-        want = (GOLDEN / "sweep_28_29.json.sha256").read_text().split()[0]
+        want = (GOLDEN / f"{name}.json.sha256").read_text().split()[0]
         assert hashlib.sha256(out).hexdigest() == want
+
+    def test_sweep_json_report_is_pinned(self, capsysbinary):
+        self.assert_json_report_pinned("sweep_28_29", capsysbinary)
+
+    def test_boundary_sweep_json_report_is_pinned(self, capsysbinary):
+        # n = 2210, k_policy = all: the one n <= 4096 at which the float x
+        # rounds an exact 3 down (k = 1176); the report holds its three
+        # sandwich rows there
+        self.assert_json_report_pinned("sweep_2210", capsysbinary)
 
     def test_cutpoints_stdout_has_lf_line_ends(self, capsysbinary):
         # a header and 29 rows, each ended by LF alone, on every platform
@@ -821,7 +864,9 @@ def scalar_checks(n: int, tol: dict[str, float]):
                                     up - log_tail)
             if e > 0.0:
                 theta[k] = z - theorem2_w(n, k)
-            if x < verify.X_SPLIT:
+            # x >= X_SPLIT in integers, as the sweep decides it: the float
+            # x rounds an exact 3 down at (2210, 1176)
+            if (2 * k - n - 1) ** 2 < verify.X_SPLIT ** 2 * N:
                 continue
             try:
                 d1, d2, shift = delta_sandwich(n, k, z)
@@ -845,7 +890,7 @@ def scalar_checks(n: int, tol: dict[str, float]):
     return out, r_k, theta, (max_excess, c)
 
 
-@pytest.mark.parametrize("n", [12, 28, 29, 64, 1000, 3001, 4096])
+@pytest.mark.parametrize("n", [12, 28, 29, 64, 1000, 2210, 3001, 4096])
 def test_kernels_match_scalar_reference(n):
     tol = verify.TOLERANCES
     ref, r_k, theta, (max_excess, c_ref) = scalar_checks(n, tol)

@@ -35,6 +35,9 @@ COMMANDS = [
      "--out", OUT],
     ["sweep", "--config", str(CFG / "sweep_stride.cfg"), "--format", "json",
      "--out", OUT],
+    # the one n <= 4096 whose float x rounds an exact 3 down, at k = 1176
+    ["sweep", "--config", str(CFG / "sweep_2210.cfg"), "--format", "json",
+     "--out", OUT],
     ["cutpoints", "1"],
     ["cutpoints", "4"],
     ["cutpoints", "29"],

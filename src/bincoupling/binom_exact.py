@@ -1,10 +1,10 @@
 """Exact symmetric-Binomial tails and Stirling corrections.
 
 A tail probability P{Bin(n, 1/2) >= k} is an exact big integer numerator
-over 2^n, and its double-precision natural log is taken from that integer;
-the logs of every tail of one n come as one float array from one integer
-recurrence run down from k = n, a lower tail near 1 being log1p of minus
-its mirror tail.
+over 2^n.  An upper tail, k > n/2, takes its double-precision natural log
+from that integer, the numerators of one n coming from one integer
+recurrence run down from k = n to the centre; every lower tail 1 - u, k in
+1..n/2, is log1p(-u) of its mirror tail u < 1/2.
 
 The Stirling corrections lambda_n come as one table per n, by two
 closed-form routes: the five-term Stirling series for n >= 12 and
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
 from collections import deque
 from itertools import islice
 
@@ -43,8 +42,6 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 _SERIES_MIN_N = 12
 # numerators log_tail_exact_all takes the logs of at a time
 _BLOCK = 128
-# a lower tail 1 - u with log u below this, u < 1/4, is taken as log1p(-u)
-_LOG_QUARTER = -2.0 * LOG_2
 
 
 def tail_numerator(n: int, k: int) -> int:
@@ -62,18 +59,17 @@ def log_tail_exact_all(n: int) -> np.ndarray:
     entry [k] is log P{Bin(n,1/2) >= k}, the log of tail_numerator(n, k)
     over 2^n, each entry written once.
 
-    One big-integer recurrence runs the numerators down from k = n; no
-    complement 2^n - num is formed.  The upper half, k >= h = n//2 + 1,
-    takes the log of its numerator.  A lower tail 1 - u whose mirror u =
-    P{X >= n - k + 1} is below 1/4 is log1p(-u) from the log of u
-    (Maechler 2012), so it keeps its relative accuracy: within 1.2e-13 of
-    50 digits at every n <= 199 and n = 257, 1000, 2048 and 4096, over the
-    tails above the smallest normal double.  Only the centre tails, in
-    (1/2, 3/4], about 0.34 sqrt(n) of them, carry the recurrence past h.
-    The numerators come in blocks whose logs are taken column-wise by
-    _log_ratios, and each block is released once the next is made, so at
-    most 2 * _BLOCK of them are held at once: two blocks, or the last block
-    and the centre's (31 at n = 8192)."""
+    One big-integer recurrence runs the numerators down from k = n to the
+    centre, k = h = n//2 + 1, and the upper half takes the log of its
+    numerator.  Every lower tail, k = 1..h - 1, is 1 - u with mirror u =
+    P{X >= n - k + 1} < 1/2, taken as log1p(-u) from the log of u (Maechler
+    2012), so no complement 2^n - num is formed and no numerator below h is
+    drawn.  Against 50 digits a lower tail is within 1.3e-13 relative at
+    every n <= 199 and n = 257, 1000, 1001, 2048, 4095 and 4096, over the
+    tails above the smallest normal double.  The numerators come in blocks
+    whose logs are taken column-wise by _log_ratios, and each block is
+    released once the next is made, so at most two blocks, 2 * _BLOCK
+    numerators, are held at once."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
     h = n // 2 + 1
@@ -83,23 +79,18 @@ def log_tail_exact_all(n: int) -> np.ndarray:
     for k in range(n, h - 1, -_BLOCK):
         block = list(islice(nums, min(_BLOCK, k - h + 1)))  # num_k, ...
         out[k:k - len(block):-1] = _log_ratios(block, n)
-    # the mirrors u of k = 1, 2, ..., h - 1 rise with k
-    logs_u = out[n:n - h + 1:-1].tolist()
-    m = bisect_left(logs_u, _LOG_QUARTER)
-    out[1:m + 1] = [math.log1p(-math.exp(v)) for v in logs_u[:m]]
-    # the centre, k = h - 1 down to m + 1, from the same stream
-    out[h - 1:m:-1] = _log_ratios(list(islice(nums, h - 1 - m)), n)
+    # k = 1, 2, ..., h - 1 from their mirrors out[n], out[n - 1], ...
+    out[1:h] = [math.log1p(-math.exp(v)) for v in out[n:n - h + 1:-1].tolist()]
     return out
 
 
 def _log_tail(n: int, k: int, num: int) -> float:
     """log P{Bin(n,1/2) >= k} from its numerator num = tail_numerator(n, k),
-    by the rule of log_tail_exact_all, to the bit; the mirror tail's
-    numerator is 2^n - num."""
+    by the rule of log_tail_exact_all, to the bit: a lower tail, k in
+    1..n//2, is log1p(-u) of its mirror tail u, whose numerator is
+    2^n - num."""
     if 1 <= k <= n // 2:
-        log_u = _log_ratios([(1 << n) - num], n)[0]
-        if log_u < _LOG_QUARTER:
-            return math.log1p(-math.exp(log_u))
+        return math.log1p(-math.exp(_log_ratios([(1 << n) - num], n)[0]))
     return _log_ratios([num], n)[0]
 
 

@@ -13,7 +13,6 @@ from functools import partial
 
 from bincoupling.approx import _GAMMA_SEAM
 from bincoupling.binom_exact import (
-    _LOG_QUARTER,
     N_MAX_EXACT,
     lambda_table,
     tail_numerator,
@@ -143,13 +142,12 @@ def _log_ratio(num: int, n: int) -> float:
 
 def _log_tail(num, n: int, k: int) -> float:
     """log P{Bin(n,1/2) >= k} from num(j), the exact numerator of the tail
-    at j, by the route of binom_exact.log_tail_exact_all: the _log_ratio of
-    num(k), except that a lower tail 1 - u with u = P{Bin >= n - k + 1}
-    below 1/4 is log1p(-u), from the log of u."""
+    at j, by the rule of binom_exact.log_tail_exact_all: the _log_ratio of
+    num(k) for an upper tail, k > n/2, and for every lower tail 1 - u,
+    k in 1..n/2, log1p(-u) from the log of its mirror u =
+    P{Bin >= n - k + 1} < 1/2.  No numerator below the centre is read."""
     if 1 <= k <= n // 2:
-        log_u = _log_ratio(num(n - k + 1), n)
-        if log_u < _LOG_QUARTER:
-            return math.log1p(-math.exp(log_u))
+        return math.log1p(-math.exp(_log_ratio(num(n - k + 1), n)))
     return _log_ratio(num(k), n)
 
 

@@ -205,3 +205,36 @@ def test_theorem2_remainder_agrees_with_50_digits(nk):
         want = N * (z_k - w_k)
     bound = THETA_STOPS * N * 1e-12 * max(1.0, -tails[i]) / rho_z[i]
     assert abs(N * ex.theta[i] - float(want)) <= bound, (n, k)
+
+
+# Eq. (5)'s d_k = beta_k - k + 1/2 as the sweep hands it to the C1..C4
+# fits, from the table's beta_k, against 50 digits: beta_k = n/2 +
+# sqrt(n) z_k / 2 with z_k by findroot on psi at the exact tail.  The float
+# error is one Newton stop of z_k, where |psi(z) - L| <= 1e-12 max(1, L),
+# plus psi's own 4e-15 relative error, over rho(z), carried into beta_k by
+# sqrt(n)/2.  The solve stops just inside its tolerance: over 12,400
+# uniform (n, k) the error reached 0.9997 of the stop alone, at
+# (1217, 1032), so the psi term is what keeps the bound from being tight.
+PSI_REL = 4e-15
+
+
+@st.composite
+def eq5_point(draw):
+    n = draw(st.integers(min_value=28, max_value=4096))
+    return n, draw(st.integers(min_value=n // 2 + 1, max_value=n))
+
+
+@given(eq5_point())
+@settings(max_examples=40, deadline=None)
+def test_eq5_gap_agrees_with_50_digits(nk):
+    n, k = nk
+    table = build_table(n)
+    z, L = table.z[k - 1:k], -float(table.log_tail[k - 1])
+    d = table.beta[k - 1] - k + 0.5
+    with mp.workdps(DPS):
+        lt = log_tail_mp(n, k)
+        z_k = mp.findroot(lambda t: psi_mp(t) + lt, mp.mpf(z[0]))
+        want = mp.mpf(n) / 2 + mp.sqrt(n) * z_k / 2 - k + mp.mpf(1) / 2
+    bound = (math.sqrt(n) / 2 * (1e-12 * max(1.0, L) + PSI_REL * L)
+             / psi_rho_array(z)[1][0])
+    assert abs(d - float(want)) <= bound, (n, k)

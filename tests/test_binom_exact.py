@@ -127,7 +127,8 @@ class TestLogTailExact:
                 err = abs(batch[k] - ref)
                 assert err <= rel * abs(ref) + 2.0 ** -1074, (k, batch[k])
 
-    @pytest.mark.parametrize("n", [29, 1001, 3001, 4095, 4096])
+    @pytest.mark.parametrize("n", [29, 64, 100, 256, 1000, 1001, 1024, 2048,
+                                   3001, 4095, 4096])
     def test_log_near_center_against_mpmath(self, n):
         # log tails near 1/2 carry no cancellation error of size ulp(0.69 n)
         batch = log_tail_exact_all(n)

@@ -508,6 +508,24 @@ class TestCouplingCheck:
         assert (cpl[0], cpl[-1]) == pytest.approx((0.60322, 0.70690),
                                                   abs=5e-6)
 
+    def test_eq5_ratio_minimum_rises_below_its_limit(self):
+        # c2_eq5 is the least d/t over t >= 1, d = beta_k - k + 1/2 and
+        # t = |k - n/2|^3 / n^2; per n it rises towards 1/3, the limit of
+        # d/t as u = 2k/n - 1 -> 0, since the smallest u with t >= 1
+        # shrinks like n^(-1/3): 0.3101 at n = 64, 0.3280 at n = 4096
+        mins = []
+        for n in (m for m in DENSE.n_values if m >= 64):
+            table = build_table(n)
+            k = np.arange(-(-n // 2), n + 1)
+            d = table.beta[k - 1] - k + 0.5
+            t = np.abs(k - n / 2) ** 3 / n ** 2
+            mins.append(float((d[t >= 1.0] / t[t >= 1.0]).min()))
+        assert len(mins) == 10
+        assert all(a < b for a, b in zip(mins, mins[1:])), mins
+        assert mins[-1] < 1.0 / 3.0
+        assert (mins[0], mins[-1]) == pytest.approx((0.3101, 0.3280),
+                                                    abs=5e-5)
+
     def test_top_rows_of_every_n_rise_below_their_limit(self):
         # the tail at k = n is 2^-n, so z_n solves psi(z_n) = n log 2 with
         # no table: one solve covers every n up to 28862, the largest n

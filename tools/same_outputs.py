@@ -9,16 +9,21 @@ on that tree and once on this checkout, as ``python -m bincoupling.cli``
 with PYTHONPATH at the tree's ``src/``, in a fresh temporary working
 directory and without writing bytecode, so nothing is written in the
 checkout.  The config files are this checkout's fixtures on both sides.
-Stdout, stderr, the exit code and any ``--out`` file are compared.  Exit 0
-when every output matches; exit 1 naming each difference; exit 2 when REF
+Stdout, stderr, the exit code and any ``--out`` file are compared.  Where
+two JSON ``--out`` reports differ, both are parsed, and the tool prints per
+check how many records differ (or are on one side only), the first
+differing (check, n, k) and whether the constants differ.  Exit 0 when
+every output matches; exit 1 naming each difference; exit 2 when REF
 cannot be extracted.
 """
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CFG = ROOT / "tests" / "fixtures" / "cli"
@@ -80,6 +85,27 @@ def first_difference(a: bytes, b: bytes) -> int:
                 min(len(a), len(b)))
 
 
+def report_differences(want: bytes, have: bytes) -> list[str]:
+    """Lines naming what differs between two JSON sweep reports: per check,
+    the records that differ or are on one side only; the first of them in
+    report order; and whether the constants differ.  No lines when either
+    side is not JSON."""
+    try:
+        docs = json.loads(want), json.loads(have)
+    except ValueError:
+        return []
+    a, b = ({(r["check"], r["n"], r["k"]): r for r in doc["records"]}
+            for doc in docs)
+    moved = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+    lines = [f"  {check}: {count} records differ"
+             for check, count in Counter(key[0] for key in moved).items()]
+    if moved:
+        lines.append(f"  first differing (check, n, k): {moved[0]}")
+    same = docs[0]["constants"] == docs[1]["constants"]
+    lines.append(f"  constants {'are the same' if same else 'differ'}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -106,6 +132,10 @@ def main(argv: list[str]) -> int:
                     print(f"DIFFERENT {part} of `{name}`: {len(want[part])} "
                           f"bytes at {ref}, {len(have[part])} here, first "
                           f"difference at byte {at}")
+                    if part == "--out file":
+                        for line in report_differences(want[part],
+                                                       have[part]):
+                            print(line)
     if differences:
         return 1
     print(f"same outputs as {ref}: {len(COMMANDS)} commands, stdout, stderr, "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binom_exact import lambda_table
-from .normal_tail import LOG_2, psi_rho_array
+from .normal_tail import psi_rho_array
 
 __all__ = ["ExpansionArrays", "expansion_arrays"]
 
@@ -38,10 +38,10 @@ class ExpansionArrays:
     """The expansion's terms for one n over an array of k, as arrays.
 
     Each entry is what the scalar reference functions of tests/reference.py
-    give at that k.  The three ``breaks_*`` masks mark where an internal
-    identity fails: the entropy identity of laplace_pieces, the eta/kappa
-    conditions of lower_bound_11 and the quadratic identity of
-    delta_sandwich.  Values behind a broken identity are not to be used.
+    give at that k.  The identities those functions assert (the entropy
+    identity of laplace_pieces, the eta/kappa conditions of lower_bound_11,
+    the quadratic identities of delta_sandwich and beta > 0 at x >= 3) are
+    held as facts by the tests, not re-tested here.
     """
 
     x: np.ndarray           # e sqrt(N)
@@ -53,9 +53,6 @@ class ExpansionArrays:
     d1: np.ndarray
     d2: np.ndarray
     beta_shift: np.ndarray
-    breaks_pieces: np.ndarray
-    breaks_eq11: np.ndarray
-    breaks_sandwich: np.ndarray
 
 
 def _gamma_array(e: np.ndarray) -> np.ndarray:
@@ -86,7 +83,9 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
     """Array form of theorem1_breakdown, lower_bound_11, z - theorem2_w and
     delta_sandwich at every k of ``ks``, with the exact log tails, the
     cutpoints z and psi(z) at those k.  lambda is taken from one table per
-    n.  The caller keeps n >= 28 and n/2 < k <= n - 1."""
+    n.  The caller keeps n/2 < k <= n - 1 and n >= 28, where eq. (11)'s
+    eta <= sqrt(2 log N / N) is at most 1/2 (0.4941 at n = 28, 0.5006 at
+    n = 27, falling with n)."""
     ks = np.asarray(ks)
     N = n - 1
     K = ks - 1
@@ -97,12 +96,7 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
     e4 = e ** 4
     log1m_e2 = np.log1p(-e * e)
 
-    # laplace_pieces: the entropy identity and Delta
-    h_diff = -0.5 * e * e - e4 * g
-    h_mode = 0.5 * ((1.0 + e) * (np.log1p(e) - LOG_2)
-                    + (1.0 - e) * (np.log1p(-e) - LOG_2))
-    breaks_pieces = (np.abs(-LOG_2 - h_mode - h_diff)
-                     > 1e-12 * np.maximum(1.0, np.abs(h_diff)))
+    # laplace_pieces' Delta
     delta = (math.log1p(1.0 / N) + (lam[N] - lam[K] - lam_tail)
              - 0.5 * log1m_e2 - N * e4 * g)
 
@@ -116,10 +110,6 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
     eta = 2.0 * ell / (e + np.sqrt(e * e + 2.0 * ell))
     h3 = (1.0 - e) / (1.0 + eta) ** 3 - (1.0 + e) / (1.0 - eta) ** 3
     kappa_sq = 1.0 - eta * h3 / 3.0
-    breaks_eq11 = ((eta > 0.5)
-                   | (kappa_sq > 1.0 + 6.0 * eta * (eta + e) + 1e-12)
-                   | (np.abs(0.5 * eta * eta + eta * e - ell)
-                      > 1e-12 * max(1.0, ell)))
     eq11_upper = delta - psi_x
     bracket = np.log1p(-np.exp(-N * e * eta - 0.5 * N * kappa_sq * eta * eta))
     eq11_lower = delta - 0.5 * np.log(kappa_sq) - psi_x + bracket
@@ -134,14 +124,8 @@ def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
         beta_shift = psi_z - psi_x
         d1 = 2.0 * beta_shift / (np.sqrt(x * x + 2.0 * beta_shift) + x)
         d2 = 2.0 * beta_shift / (np.sqrt(rx * rx + 2.0 * beta_shift) + rx)
-        quad_tol = 1e-10 * np.maximum(1.0, beta_shift)
-        breaks_sandwich = (
-            (np.abs(d1 * x + 0.5 * d1 * d1 - beta_shift) > quad_tol)
-            | (np.abs(d2 * rx + 0.5 * d2 * d2 - beta_shift) > quad_tol))
 
     return ExpansionArrays(
         x=x, r_k=r_k, eq11_lower=eq11_lower, eq11_upper=eq11_upper,
-        theta=theta, d1=d1, d2=d2, beta_shift=beta_shift,
-        breaks_pieces=breaks_pieces, breaks_eq11=breaks_eq11,
-        breaks_sandwich=breaks_sandwich)
+        theta=theta, d1=d1, d2=d2, beta_shift=beta_shift)
 

@@ -130,16 +130,13 @@ def select_ks(n: int, policy: str) -> list[int]:
 
 # Every check the sweep runs, in name order, and the tolerance its slack
 # may go below 0 by (None: pass is slack >= 0, because the slack already
-# holds its tolerance, or is nan and always fails).  A failed "invariant"
-# record at (n, k) stands for the eq. (11) and sandwich rows the expansion
-# could not produce there.
+# holds its tolerance).
 CHECKS: dict[str, str | None] = {
     "coupling_k_minus_beta": "cutpoint",
     "defining_eq": None,
     "eq11_lower": "log_tail",
     "eq11_upper": "log_tail",
     "eq5_window": "fit",
-    "invariant": None,
     "sandwich_gap": "cutpoint",
     "sandwich_lower": "cutpoint",
     "sandwich_upper": "cutpoint",
@@ -213,32 +210,21 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
         ek = ks[dom]
         lt = tails[ek]
         ex = expansion_arrays(n, ek, lt, z[dom], psi_z[dom])
-        # an internal identity of the expansion failing at one (n, k) is a
-        # failed check there, in place of the rows that rest on it
-        ok_r = ~ex.breaks_pieces
-        ok_11 = ok_r & ~ex.breaks_eq11
-        in_sw = ok_11 & fit["tail"][dom] & (ex.beta_shift > 0.0)
-        ok_sw = in_sw & ~ex.breaks_sandwich
-        broken = ~ok_11 | (in_sw & ex.breaks_sandwich)
+        _add(checks, "eq11_lower", n, ek, lt - ex.eq11_lower)
+        _add(checks, "eq11_upper", n, ek, ex.eq11_upper - lt)
 
-        for name, s in (("eq11_lower", lt - ex.eq11_lower),
-                        ("eq11_upper", ex.eq11_upper - lt)):
-            _add(checks, name, n, ek[ok_11], s[ok_11])
-
-        x, zs = ex.x[ok_sw], z[dom][ok_sw]
-        s_lo = zs - (x + ex.d2[ok_sw])
-        s_up = (x + ex.d1[ok_sw]) - zs
-        gap = 4.0 * ex.beta_shift[ok_sw] / x ** 3 - s_up
+        sw = fit["tail"][dom]
+        x, zs = ex.x[sw], z[dom][sw]
+        s_lo = zs - (x + ex.d2[sw])
+        s_up = (x + ex.d1[sw]) - zs
+        gap = 4.0 * ex.beta_shift[sw] / x ** 3 - s_up
         for name, s in (("sandwich_lower", s_lo), ("sandwich_upper", s_up),
                         ("sandwich_gap", gap)):
-            _add(checks, name, n, ek[ok_sw], s)
-
-        _add(checks, "invariant", n, ek[broken],
-             np.full(int(broken.sum()), math.nan))
+            _add(checks, name, n, ek[sw], s)
 
         fit["x"][dom] = ex.x
-        fit["n_r_k"][dom] = np.where(ok_r, N * ex.r_k, math.nan)
-        fit["n_theta_k"][dom] = np.where(ok_11, N * ex.theta, math.nan)
+        fit["n_r_k"][dom] = N * ex.r_k
+        fit["n_theta_k"][dom] = N * ex.theta
 
     max_excess, c_coupling = coupling_check(table)
     _add(checks, "coupling_k_minus_beta", n, np.zeros(1, dtype=int),

@@ -11,7 +11,9 @@ from bincoupling import (
     tail_numerator,
 )
 from bincoupling.approx import _gamma_array, expansion_arrays
+from bincoupling.cutpoints import N_MAX_TABLE
 from bincoupling.normal_tail import psi
+from bincoupling.verify import X_SPLIT
 from conftest import gamma_mp
 from reference import (
     SmallEpsilonRegime,
@@ -247,6 +249,15 @@ class TestLowerBound11:
             assert ell == math.log(27) / 27
             assert kappa_sq > 1.0
 
+    def test_eta_bound_is_under_half_from_n28(self):
+        # eta = 2l/(e + sqrt(e^2 + 2l)) <= sqrt(2l), l = log(N)/N: the bound
+        # the sweep's expansion rests on, and why it starts at n = 28
+        def bound(n):
+            return math.sqrt(2.0 * math.log(n - 1) / (n - 1))
+
+        assert bound(27) > 0.5
+        assert all(bound(n) <= 0.5 for n in range(28, N_MAX_TABLE + 1))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lower_bound_11(28, 28)
@@ -277,6 +288,18 @@ class TestDeltaSandwich:
         table = build_table(28)
         with pytest.raises(SmallEpsilonRegime):
             delta_sandwich(28, 15, table.z[14])
+
+
+def test_expansion_identities_hold_at_every_k():
+    # the identities the scalar references assert and the sweep relies on:
+    # the entropy identity, eta and kappa at every n/2 < k < n, and the two
+    # quadratic identities with beta > 0 where x >= X_SPLIT in integers
+    for n in [*range(28, 65), 512, 1024, 2048, 4096]:
+        z = build_table(n).z
+        for k in range(n // 2 + 1, n):
+            lower_bound_11(n, k)
+            if (2 * k - n - 1) ** 2 >= X_SPLIT ** 2 * (n - 1):
+                delta_sandwich(n, k, z[k - 1])
 
 
 class TestTusnady:

@@ -36,7 +36,6 @@ from bincoupling import cli, normal_tail, verify
 from bincoupling.normal_tail import psi
 from bincoupling.verify import select_ks
 from reference import (
-    SmallEpsilonRegime,
     delta_sandwich,
     epsilon_of,
     lower_bound_11,
@@ -57,15 +56,14 @@ def small_sweep():
     return run_sweep(SMALL)
 
 
-def break_eq11_at(monkeypatch, n0, k0):
-    """Make the eq. (11) identity check of the expansion report a
-    violation at (n0, k0)."""
+def raise_d2_at(monkeypatch, n0, k0):
+    """Raise the expansion's d2 by 1 at (n0, k0), so that x + d2 lies above
+    z_k there and sandwich_lower fails at that row alone."""
     real = verify.expansion_arrays
 
     def faulty(n, ks, *arrays):
         ex = real(n, ks, *arrays)
-        return dataclasses.replace(
-            ex, breaks_eq11=ex.breaks_eq11 | ((n == n0) & (ks == k0)))
+        return dataclasses.replace(ex, d2=ex.d2 + ((n == n0) & (ks == k0)))
 
     monkeypatch.setattr(verify, "expansion_arrays", faulty)
 
@@ -295,15 +293,11 @@ class TestRunSweep:
         assert keys == sorted(keys)
         assert all(rows.n.size for rows in checks.values())
 
-    def test_checks_table_declares_exactly_the_checks_run(self,
-                                                          monkeypatch):
+    def test_checks_table_declares_exactly_the_checks_run(self):
         assert list(verify.CHECKS) == sorted(verify.CHECKS)
         assert set(verify.CHECKS.values()) <= {*verify.TOLERANCES, None}
         checks, _ = run_sweep(SweepConfig(n_values=(28, 64), k_policy="all"))
-        break_eq11_at(monkeypatch, 28, 25)
-        broken, _ = run_sweep(SweepConfig(n_values=(28,), k_policy="all"))
-        assert set(broken) - set(checks) == {"invariant"}
-        assert set(checks) | {"invariant"} == set(verify.CHECKS)
+        assert set(checks) == set(verify.CHECKS)
 
     def test_an_undeclared_check_is_refused(self):
         with pytest.raises(KeyError):
@@ -348,7 +342,7 @@ class TestEmitReport:
         checks, constants = small_sweep
         failed = CheckRows(np.array([28]), np.array([25]), np.array([False]),
                            np.array([math.nan]))
-        checks = dict(sorted({**checks, "invariant": failed}.items()))
+        checks = dict(sorted({**checks, "synthetic_nan": failed}.items()))
         records = [(name, n, k, p, s) for name, rows in checks.items()
                    for n, k, p, s in zip(*(col.tolist() for col in rows))]
         fmt = lambda x: format(x, ".17g")  # noqa: E731
@@ -671,29 +665,25 @@ class TestCli:
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text().startswith("n,k,check,passed,slack")
 
-    def test_broken_invariant_is_a_failed_record(self, tmp_path,
-                                                 monkeypatch, capsys):
-        # (28, 25) has x >= X_SPLIT, so the sandwich rows are lost there too
+    def test_failed_check_is_a_failed_record(self, tmp_path, monkeypatch,
+                                             capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("n_values = 28\nk_policy = all\n")
         clean, broken = tmp_path / "clean.csv", tmp_path / "broken.csv"
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(clean)]) == EXIT_OK
 
-        break_eq11_at(monkeypatch, 28, 25)
+        raise_d2_at(monkeypatch, 28, 25)
         assert main(["sweep", "--config", str(cfg),
                      "--out", str(broken)]) == EXIT_CHECK_FAILED
 
-        def rows(path):
-            lines = path.read_text().splitlines()[1:]
-            return {tuple(line.split(",")[:4]) for line in lines}
-
-        ok, bad = rows(clean), rows(broken)
-        assert bad - ok == {("28", "25", "invariant", "false")}
-        lost = {row[:3] for row in ok - bad}
-        assert ("28", "25", "sandwich_upper") in lost
-        assert all(row[:2] == ("28", "25") for row in lost)
-        assert "FAILED invariant at (n=28, k=25)" in capsys.readouterr().err
+        ok = clean.read_text().splitlines()
+        bad = broken.read_text().splitlines()
+        assert len(bad) == len(ok)
+        (diff,) = [b for a, b in zip(ok, bad) if a != b]
+        assert diff.startswith("28,25,sandwich_lower,false,")
+        assert "FAILED sandwich_lower at (n=28, k=25)" in \
+            capsys.readouterr().err
 
     def test_sweep_json_stdout(self, tmp_path, capsysbinary):
         cfg = tmp_path / "sweep.cfg"
@@ -873,30 +863,24 @@ def scalar_checks(n: int, tol: dict[str, float]):
             continue
         e = epsilon_of(n, k)
         x = e * math.sqrt(N)
-        try:
-            r_k[k] = theorem1_breakdown(n, k, log_tail)
-            lo, up = lower_bound_11(n, k)
-            out["eq11_lower", k] = (log_tail - lo >= -tol["log_tail"],
-                                    log_tail - lo)
-            out["eq11_upper", k] = (up - log_tail >= -tol["log_tail"],
-                                    up - log_tail)
-            if e > 0.0:
-                theta[k] = z - theorem2_w(n, k)
-            # x >= X_SPLIT in integers, as the sweep decides it: the float
-            # x rounds an exact 3 down at (2210, 1176)
-            if (2 * k - n - 1) ** 2 < verify.X_SPLIT ** 2 * N:
-                continue
-            try:
-                d1, d2, shift = delta_sandwich(n, k, z)
-            except SmallEpsilonRegime:
-                continue
-            s_up = x + d1 - z
-            for name, s in (("sandwich_lower", z - (x + d2)),
-                            ("sandwich_upper", s_up),
-                            ("sandwich_gap", 4.0 * shift / x ** 3 - s_up)):
-                out[name, k] = (s >= -tol["cutpoint"], s)
-        except AssertionError:
-            out["invariant", k] = (False, math.nan)
+        r_k[k] = theorem1_breakdown(n, k, log_tail)
+        lo, up = lower_bound_11(n, k)
+        out["eq11_lower", k] = (log_tail - lo >= -tol["log_tail"],
+                                log_tail - lo)
+        out["eq11_upper", k] = (up - log_tail >= -tol["log_tail"],
+                                up - log_tail)
+        if e > 0.0:
+            theta[k] = z - theorem2_w(n, k)
+        # x >= X_SPLIT in integers, as the sweep decides it: the float
+        # x rounds an exact 3 down at (2210, 1176)
+        if (2 * k - n - 1) ** 2 < verify.X_SPLIT ** 2 * N:
+            continue
+        d1, d2, shift = delta_sandwich(n, k, z)
+        s_up = x + d1 - z
+        for name, s in (("sandwich_lower", z - (x + d2)),
+                        ("sandwich_upper", s_up),
+                        ("sandwich_gap", 4.0 * shift / x ** 3 - s_up)):
+            out[name, k] = (s >= -tol["cutpoint"], s)
     max_excess, c = -math.inf, verify._CONSTANT_FLOOR
     for k in range(n // 2 + 1, n + 1):
         beta_k = betas[k - 1]
@@ -924,12 +908,11 @@ def test_kernels_match_scalar_reference(n):
     assert coupling == (max_excess <= 1.0 + tol["cutpoint"], 1.0 - max_excess)
     assert c == pytest.approx(c_ref, rel=1e-12)
 
-    # the same checks run and are skipped, the same identities hold
+    # the same checks run and are skipped
     assert got.keys() == ref.keys()
     for key, (passed, slack) in ref.items():
         assert got[key][0] == passed, key
-        if key[0] != "invariant":
-            assert abs(got[key][1] - slack) <= 1e-9 * max(1.0, abs(slack)), key
+        assert abs(got[key][1] - slack) <= 1e-9 * max(1.0, abs(slack)), key
 
     # the raw terms behind the fitted constants
     N = n - 1

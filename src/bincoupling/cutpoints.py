@@ -5,8 +5,8 @@ The cutpoints beta_1 < ... < beta_n are defined by matching tails,
     P{Bin(n, 1/2) >= k} = P{Y > beta_k},   Y ~ N(n/2, n/4),
 
 with sentinels beta_0 = -inf and beta_{n+1} = +inf.  In standardized units
-z_k = 2(beta_k - n/2)/sqrt(n) this is psi(z_k) = -log tail, solved by the
-safeguarded Newton inverse of psi, run on every k of one n at once.  Only
+z_k = 2(beta_k - n/2)/sqrt(n) this is psi(z_k) = -log tail, solved by
+Newton's method on the convex psi, run on every k of one n at once.  Only
 k > n/2 is solved directly; the lower half follows from the reflection
 beta_{n-k+1} = n - beta_k, which makes the symmetry identity exact rather
 than a second round-off path.

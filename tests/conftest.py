@@ -55,6 +55,14 @@ def log_tail_mp(n: int, k: int):
     return mp.log(num) - n * mp.log(2)
 
 
+def z_unit(z: float, L: float, rho_z: float) -> float:
+    """The unit of a solved cutpoint's float error: an ulp of z plus an ulp
+    of L = -log tail carried into z by 1/rho(z).  L is rounded to a float
+    before the solve, so near the centre, where z is small and L near
+    log 2, the second term outweighs ulp(z) many times over."""
+    return math.ulp(z) + math.ulp(L) / rho_z
+
+
 def log_tail_beta_integral(n: int, k: int) -> float:
     """Log of P{Bin(n, 1/2) >= k} via its incomplete-beta representation:
 

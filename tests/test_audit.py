@@ -13,7 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bincoupling import SweepConfig, build_table, run_sweep
@@ -21,7 +21,14 @@ from bincoupling.approx import expansion_arrays
 from bincoupling.binom_exact import log_tail_exact_all
 from bincoupling.normal_tail import psi_rho_array
 from bincoupling.verify import X_SPLIT, _sweep_one_n
-from conftest import gamma_mp, lambda_mp, log_tail_mp, psi_mp, rho_mp
+from conftest import (
+    gamma_mp,
+    lambda_mp,
+    log_tail_mp,
+    psi_mp,
+    rho_mp,
+    z_unit,
+)
 
 N_AUDIT = 4096
 CHECKS = ("sandwich_lower", "sandwich_upper", "eq11_lower", "eq11_upper")
@@ -129,11 +136,13 @@ def test_theorem1_remainder_agrees_with_50_digits(nk):
 # table's z_k, against d1 and d2 in 50 digits from the exact tail and psi,
 # where the sweep applies the bracket (x >= X_SPLIT = 3 decided in
 # integers, beta_shift > 0).
-# The float error is the few 1e-12 the Newton stop leaves in z_k, relative
-# to d ~ z - x, so it grows with n.  Every k with x >= 3 of 45 n in
-# 28..4096 (the twelve of sweep-dense and 33 drawn) gave at most 4.21e-9,
-# at (4095, 2168); the bound allows 2.4 times that.
-D_REL = 1e-8
+# beta_shift = psi(z_k) - psi(x) cancels two terms of size L = -log tail,
+# so its float error is a few ulp of L, and d ~ beta_shift / x carries it
+# over x: the unit is 2^-52 L / x.  Every k with x >= 3 among 2,300
+# drawn (n, k) and the first 24 k above the centre of 11 chosen n gave at
+# most 3.75 units, at (103, 83); the bound allows about twice that.  At
+# (4095, 2168) a solve that drops its last Newton step is 4,400 units off.
+D_ULPS = 8.0
 
 
 @st.composite
@@ -147,6 +156,7 @@ def sandwich_point(draw):
 
 
 @given(sandwich_point())
+@example((4095, 2168))
 @settings(max_examples=40, deadline=None)
 def test_sandwich_pieces_agree_with_50_digits(nk):
     n, k = nk
@@ -159,23 +169,28 @@ def test_sandwich_pieces_agree_with_50_digits(nk):
     N, K = n - 1, k - 1
     with mp.workdps(DPS):
         x = mp.mpf(2 * K - N) / N * mp.sqrt(N)
-        beta = -log_tail_mp(n, k) - psi_mp(x)
+        L = -log_tail_mp(n, k)
+        beta = L - psi_mp(x)
         rx = rho_mp(x)
         d1 = 2 * beta / (mp.sqrt(x * x + 2 * beta) + x)
         d2 = 2 * beta / (mp.sqrt(rx * rx + 2 * beta) + rx)
+    bound = D_ULPS * 2.0 ** -52 * float(L) / ex.x[i]
     for got, want in ((ex.d1[i], d1), (ex.d2[i], d2)):
-        assert abs(got - float(want)) <= D_REL * float(want), (n, k)
+        assert abs(got - float(want)) <= bound, (n, k)
 
 
 # Theorem 2's N theta_k = N (z_k - w_k) as the sweep hands it to the
 # constant fits, against 50 digits: z_k by findroot on psi at the exact
-# tail, w_k from gamma and lambda_{n-k}.  The float error is the Newton
-# stop of z_k, |psi(z) - L| <= 1e-12 max(1, L), which leaves up to
-# 1e-12 max(1, L) / rho(z) in z, times N (5.2e-8 at (4096, 2853)).  Every
-# k with e > 0 of 33 n in 28..4096 (the twelve of sweep-dense, 2210 and 20
-# drawn) gave at most 0.998 of that, at (3754, 2646); the bound allows
-# twice it.
-THETA_STOPS = 2.0
+# tail, w_k from gamma and lambda_{n-k}.  The float error is stated as the
+# error in z that a residual of THETA_RESIDUAL max(1, L) in psi(z) would
+# leave, N THETA_RESIDUAL max(1, L) / rho(z).  z_k itself is within a few
+# ulp; what is left is lambda_{n-k}'s series truncation over x near the
+# centre and gamma's closed form just above its seam.  Every k with e > 0
+# among 2,300 drawn (n, k) and the first 24 k above the centre of 11 chosen
+# n gave at most 0.53e-14 of that, at (2810, 1501); the bound allows 3.8
+# times that.  A solve that drops its last Newton step leaves 0.999 of a
+# 1e-12 residual, at (1217, 1032).
+THETA_RESIDUAL = 2e-14
 
 
 @st.composite
@@ -186,6 +201,7 @@ def theta_point(draw):
 
 
 @given(theta_point())
+@example((1217, 1032))
 @settings(max_examples=40, deadline=None)
 def test_theorem2_remainder_agrees_with_50_digits(nk):
     n, k = nk
@@ -203,19 +219,19 @@ def test_theorem2_remainder_agrees_with_50_digits(nk):
         xs = e * mp.sqrt(N) * mp.sqrt(1 + 2 * e * e * gamma_mp(e))
         w_k = xs + (mp.log(1 - e * e) + 2 * lambda_mp(N - K)) / (2 * xs)
         want = N * (z_k - w_k)
-    bound = THETA_STOPS * N * 1e-12 * max(1.0, -tails[i]) / rho_z[i]
+    bound = N * THETA_RESIDUAL * max(1.0, -tails[i]) / rho_z[i]
     assert abs(N * ex.theta[i] - float(want)) <= bound, (n, k)
 
 
 # Eq. (5)'s d_k = beta_k - k + 1/2 as the sweep hands it to the C1..C4
 # fits, from the table's beta_k, against 50 digits: beta_k = n/2 +
 # sqrt(n) z_k / 2 with z_k by findroot on psi at the exact tail.  The float
-# error is one Newton stop of z_k, where |psi(z) - L| <= 1e-12 max(1, L),
-# plus psi's own 4e-15 relative error, over rho(z), carried into beta_k by
-# sqrt(n)/2.  The solve stops just inside its tolerance: over 12,400
-# uniform (n, k) the error reached 0.9997 of the stop alone, at
-# (1217, 1032), so the psi term is what keeps the bound from being tight.
-PSI_REL = 4e-15
+# error is beta_k's own rounding plus z_k's error carried by sqrt(n)/2, so
+# the unit is ulp(beta_k) + sqrt(n)/2 z_unit.  Every k among 2,300 drawn
+# (n, k) and the first 24 k above the centre of 11 chosen n gave at most
+# 0.95 units, at (275, 246); the bound allows about twice that.  A solve
+# that drops its last Newton step is 684 units off at (1217, 1032).
+EQ5_UNITS = 2.0
 
 
 @st.composite
@@ -225,16 +241,18 @@ def eq5_point(draw):
 
 
 @given(eq5_point())
+@example((1217, 1032))
 @settings(max_examples=40, deadline=None)
 def test_eq5_gap_agrees_with_50_digits(nk):
     n, k = nk
     table = build_table(n)
-    z, L = table.z[k - 1:k], -float(table.log_tail[k - 1])
     d = table.beta[k - 1] - k + 0.5
     with mp.workdps(DPS):
         lt = log_tail_mp(n, k)
-        z_k = mp.findroot(lambda t: psi_mp(t) + lt, mp.mpf(z[0]))
-        want = mp.mpf(n) / 2 + mp.sqrt(n) * z_k / 2 - k + mp.mpf(1) / 2
-    bound = (math.sqrt(n) / 2 * (1e-12 * max(1.0, L) + PSI_REL * L)
-             / psi_rho_array(z)[1][0])
-    assert abs(d - float(want)) <= bound, (n, k)
+        z_k = mp.findroot(lambda t: psi_mp(t) + lt,
+                          mp.mpf(float(table.z[k - 1])))
+        beta_k = mp.mpf(n) / 2 + mp.sqrt(n) * z_k / 2
+        want = beta_k - k + mp.mpf(1) / 2
+        unit = (math.ulp(float(beta_k)) + math.sqrt(n) / 2
+                * z_unit(float(z_k), float(-lt), float(rho_mp(z_k))))
+    assert abs(d - float(want)) <= EQ5_UNITS * unit, (n, k)

@@ -5,7 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bincoupling import (
@@ -19,7 +19,7 @@ from bincoupling import normal_tail
 from bincoupling.cli import main
 from bincoupling.cutpoints import N_MAX_TABLE, table_csv
 from bincoupling.normal_tail import psi
-from conftest import log_tail_mp, psi_mp
+from conftest import log_tail_mp, psi_mp, rho_mp, z_unit
 from reference import (
     epsilon_of,
     inverse_psi_newton,
@@ -199,10 +199,12 @@ class TestVectorSolve:
     def test_one_solve_path(self):
         # the vector solve is the package's only psi^-1: an L past
         # psi(X_MAX) is its own RangeError, and a table still builds
-        L = psi(normal_tail.X_MAX) + 1.0
-        with pytest.raises(RangeError) as exc:
-            normal_tail.inverse_psi_array(np.array([2.0, L, L + 1.0]))
-        assert repr(L) in str(exc.value)  # the first L that misses
+        edge = psi(normal_tail.X_MAX)
+        for L in (edge + 1.0, math.nextafter(edge, math.inf)):
+            with pytest.raises(RangeError) as exc:
+                normal_tail.inverse_psi_array(
+                    np.array([2.0, edge, L, L + 1.0]))
+            assert repr(L) in str(exc.value)  # the first L that misses
         assert len(build_table(4096).z) == 4096
 
 
@@ -239,6 +241,29 @@ def test_cutpoint_solves_the_exact_tail_to_50_digits(nk):
         residual = float(abs(psi_mp(mp.mpf(float(z))) - L))
     L = float(L)
     assert residual <= 1e-10 * max(1.0, L) + 5e-15 * L, (n, k, residual)
+
+
+# Each stored z_k against z*, the 50-digit root of psi(t) = -log tail with
+# the tail from its exact big-integer numerator, in the units of z_unit.
+# Every upper k of n = 354, 1217, 2114, 2810 and 4096, the 40 k above the
+# centre of 12 more n and 2,100 drawn (n, k) gave at most 1.45 units, at
+# (2114, 1407); the bound allows about twice that.  At (1217, 1032) a
+# solve that drops its last Newton step is 2,200 units (3,619 ulp) off.
+Z_UNITS = 3.0
+
+
+@given(upper_cutpoint())
+@example((1217, 1032))
+@settings(max_examples=40, deadline=None)
+def test_cutpoint_is_within_a_few_units_of_the_50_digit_root(nk):
+    n, k = nk
+    z = float(build_table(n).z[k - 1])
+    with mp.workdps(50):
+        lt = log_tail_mp(n, k)
+        root = mp.findroot(lambda t: psi_mp(t) + lt, mp.mpf(z))
+        err = float(abs(z - root))
+        unit = z_unit(float(root), float(-lt), float(rho_mp(root)))
+    assert err <= Z_UNITS * unit, (n, k, err / unit)
 
 
 class TestCouple:

@@ -252,6 +252,15 @@ class TestInversePsi:
                 inverse_psi_array(np.array([L]))
         with pytest.raises(RangeError):
             inverse_psi_array(np.array([psi(200.0) * 1.01]))
+        # the envelope's edge: psi(X_MAX) solves to X_MAX within the
+        # contract, and the next float above it is past the edge
+        edge = psi(X_MAX)
+        x = inverse_psi_array(np.array([edge]))
+        assert x[0] == pytest.approx(X_MAX, rel=1e-15, abs=0.0)
+        assert abs(psi_rho_array(x)[0][0] - edge) <= 1e-10 * edge
+        for L in (math.nextafter(edge, math.inf), edge * (1.0 + 1e-11)):
+            with pytest.raises(RangeError, match=repr(L)):
+                inverse_psi_array(np.array([L]))
 
     def test_tiny_L_stays_in_the_envelope(self):
         # the oracle's bracket for a negative root is capped at X_MIN, as

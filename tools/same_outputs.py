@@ -11,13 +11,15 @@ directory and without writing bytecode, so nothing is written in the
 checkout.  The config files are this checkout's fixtures on both sides.
 Stdout, stderr, the exit code and any ``--out`` file are compared.  Where
 two JSON ``--out`` reports differ, both are parsed, and the tool prints per
-check how many records differ (or are on one side only), the first
-differing (check, n, k) and whether the constants differ.  Exit 0 when
-every output matches; exit 1 naming each difference; exit 2 when REF
-cannot be extracted.
+check how many records differ (or are on one side only), how many
+``passed`` flags moved and the largest |slack change|, the first differing
+(check, n, k), and each constant that differs with its relative change.
+Exit 0 when every output matches; exit 1 naming each difference; exit 2
+when REF cannot be extracted.
 """
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -87,9 +89,11 @@ def first_difference(a: bytes, b: bytes) -> int:
 
 def report_differences(want: bytes, have: bytes) -> list[str]:
     """Lines naming what differs between two JSON sweep reports: per check,
-    the records that differ or are on one side only; the first of them in
-    report order; and whether the constants differ.  No lines when either
-    side is not JSON."""
+    the records that differ or are on one side only, how many of the shared
+    ones flipped their ``passed`` flag and the largest |slack change|; the
+    first differing record in report order; the total of flipped flags; and
+    each constant that differs, with its relative change.  No lines when
+    either side is not JSON."""
     try:
         docs = json.loads(want), json.loads(have)
     except ValueError:
@@ -97,12 +101,33 @@ def report_differences(want: bytes, have: bytes) -> list[str]:
     a, b = ({(r["check"], r["n"], r["k"]): r for r in doc["records"]}
             for doc in docs)
     moved = [key for key in {**a, **b} if a.get(key) != b.get(key)]
-    lines = [f"  {check}: {count} records differ"
-             for check, count in Counter(key[0] for key in moved).items()]
+    count, flips, dslack = Counter(), Counter(), {}
+    for key in moved:
+        check = key[0]
+        count[check] += 1
+        if key in a and key in b:
+            flips[check] += a[key]["passed"] != b[key]["passed"]
+            d = abs(float(b[key]["slack"]) - float(a[key]["slack"]))
+            dslack[check] = max(dslack.get(check, 0.0), d)
+    lines = [f"  {check}: {count[check]} records differ, {flips[check]} "
+             f"passed flags moved, largest |slack change| "
+             f"{dslack.get(check, 0.0):.3g}" for check in count]
     if moved:
         lines.append(f"  first differing (check, n, k): {moved[0]}")
-    same = docs[0]["constants"] == docs[1]["constants"]
-    lines.append(f"  constants {'are the same' if same else 'differ'}")
+    lines.append(f"  passed flags moved: {sum(flips.values())}")
+    ca, cb = (doc["constants"] for doc in docs)
+    names = [name for name in {**ca, **cb} if ca.get(name) != cb.get(name)]
+    for name in names:
+        if name not in ca or name not in cb:
+            side = "here" if name in cb else "at the ref"
+            lines.append(f"  constant {name}: only {side}")
+            continue
+        old, new = float(ca[name]), float(cb[name])
+        rel = abs(new - old) / abs(old) if old else math.inf
+        lines.append(f"  constant {name}: {ca[name]} -> {cb[name]}, "
+                     f"relative change {rel:.3g}")
+    if not names:
+        lines.append("  constants are the same")
     return lines
 
 

@@ -30,7 +30,13 @@ from .normal_tail import psi_rho_array
 
 __all__ = ["ExpansionArrays", "expansion_arrays"]
 
-_GAMMA_SEAM = 0.05
+# gamma(e) = sum_{r>=0} e^{2r} / ((2r+3)(2r+4)), summed below the seam by
+# Horner's rule over these coefficients; at e = 1/2 the terms left out come
+# to 2e-17 relative.  Against 50 digits the series is within 1.7e-16
+# relative below the seam and the closed form within 1.6e-14 above it;
+# further down the closed form cancels more, to 8e-12 at e = 0.05.
+_GAMMA_SEAM = 0.5
+_GAMMA_COEFFS = tuple(1.0 / ((2 * r + 3) * (2 * r + 4)) for r in range(24))
 
 
 @dataclass(frozen=True)
@@ -56,22 +62,11 @@ class ExpansionArrays:
 
 
 def _gamma_array(e: np.ndarray) -> np.ndarray:
-    """gamma_eps elementwise for 0 <= e < 1, with the same series below the
-    seam (summed term by term in the same order) and closed form above."""
+    """gamma_eps elementwise for 0 <= e < 1: the series in e^2 below the
+    seam, the closed form above."""
     g = np.empty_like(e)
     small = e < _GAMMA_SEAM
-    e2 = e[small] * e[small]
-    total = np.zeros_like(e2)
-    term_pow = np.ones_like(e2)
-    active = np.ones(e2.shape, dtype=bool)
-    r = 0
-    while active.any():
-        term = term_pow / ((2 * r + 3) * (2 * r + 4))
-        total = np.where(active, total + term, total)
-        active &= ~(term < 1e-17)
-        term_pow = term_pow * e2
-        r += 1
-    g[small] = total
+    g[small] = np.polyval(_GAMMA_COEFFS[::-1], e[small] ** 2)
     eb = e[~small]
     g[~small] = ((1.0 + eb) * np.log1p(eb) + (1.0 - eb) * np.log1p(-eb)
                  - eb * eb) / (2.0 * eb ** 4)

@@ -1,12 +1,12 @@
 """Standard-normal tail machinery.
 
-Two routes keep the negative log-tail ``psi`` and the hazard rate ``rho``
-accurate far past the point where the raw tail probability underflows (the
-cutpoint solver routinely needs psi at x > 50):
+Two routes, split at one seam x = 10, keep the negative log-tail ``psi``
+and the hazard rate ``rho`` accurate far past the point where the raw tail
+probability underflows (the cutpoint solver routinely needs psi at x > 50):
 
-- the erfc route, P{Z > x} = erfc(x / sqrt 2) / 2 from math.erfc, for psi
-  up to x = 30 and rho up to x = 10;
-- beyond those seams the continued fraction of the Mills ratio
+- the erfc route, P{Z > x} = erfc(x / sqrt 2) / 2 from math.erfc, on
+  [0, 10];
+- beyond the seam the continued fraction of the Mills ratio
   R(x) = tail(x) / phi(x) = 1/(x + 1/(x + 2/(x + 3/(x + ...))))
   (Laplace; DLMF 7.9.3), so rho = 1/R and psi = x^2/2 + log sqrt(2 pi)
   + log rho, with no tail probability formed at all.
@@ -49,14 +49,13 @@ SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 LOG_2 = math.log(2.0)
 
-# Above this x rho takes the continued fraction.  Below it the erfc route's
-# error grows like x^2 * 2^-53 (the rounding of u^2 in exp(-u^2)); it is
-# under 4e-15 relative up to x = 10, and the fraction needs 16 terms there.
-_RHO_SEAM = 10.0
-# Above this x psi takes the continued fraction.  The erfc route's error in
-# psi is absolute and psi ~ x^2/2, so it stays at a few ulp until
-# erfc(x/sqrt 2) nears underflow at x ~ 37.
-_PSI_SEAM = 30.0
+# Above this x psi and rho take the continued fraction.  Below it the erfc
+# route's error in rho grows like x^2 * 2^-53 (the rounding of u^2 in
+# exp(-u^2)); it is under 4e-15 relative up to x = 10, and the fraction
+# needs 16 terms there.  psi = x^2/2 + log sqrt(2 pi) + log rho from the
+# fraction is within 2.2e-16 relative of 50 digits over (10, 30], where
+# -log of the erfc route's tail reaches 5.2e-16.
+_SEAM = 10.0
 
 # Validated accuracy envelope [X_MIN, X_MAX] for psi, rho and their inverse.
 # Outside it the operations fail loudly rather than silently degrade: left
@@ -78,7 +77,7 @@ def _check_envelope(x: float) -> float:
 def psi(x: float) -> float:
     """Negative log of the upper tail, -log P{Z > x}.
 
-    Never logs an underflowed probability: the erfc route up to x = 30 and
+    Never logs an underflowed probability: the erfc route up to x = 10 and
     the continued fraction beyond keep it accurate over the whole envelope
     [X_MIN, X_MAX] = [-37.5, 200].
     """
@@ -87,7 +86,7 @@ def psi(x: float) -> float:
         # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
         q = math.exp(-0.5 * x * x) / (SQRT_2PI * _rho_nonneg(-x))
         return -math.log1p(-q)
-    if x <= _PSI_SEAM:
+    if x <= _SEAM:
         return -math.log(0.5 * math.erfc(x * INV_SQRT_2))
     return 0.5 * x * x + LOG_SQRT_2PI + math.log(_rho_nonneg(x))
 
@@ -103,7 +102,7 @@ def rho(x: float) -> float:
 
 def _rho_nonneg(x: float) -> float:
     """rho for x >= 0, unchecked."""
-    if x > _RHO_SEAM:
+    if x > _SEAM:
         return _mills_cf(x, _cf_depth(x))
     # phi/tail at the rounded u = x/sqrt 2, so the error of that rounding
     # cancels between exp(-u^2) and erfc(u)
@@ -127,35 +126,34 @@ def _mills_cf(x, depth: int):
 
 
 def psi_rho_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, rho) elementwise, by the routes and seams of the scalar psi and
-    rho, with each piece the two share evaluated once: erfc(x/sqrt 2) on
-    [0, 10], exp(-x^2/2) left of 0 and the continued fraction past 30, cut
-    at rho's depth.  math.erfc runs in a comprehension, the fraction in
-    numpy.  The caller keeps x finite and inside the envelope."""
+    """(psi, rho) elementwise, by the routes and the seam of the scalar psi
+    and rho, with each piece the two share evaluated once: exp(-x^2/2) left
+    of 0, erfc(x/sqrt 2) on [0, 10] and the continued fraction past 10, cut
+    at the depth of the smallest x there.  math.erfc runs in a
+    comprehension, the fraction in numpy.  The caller keeps x finite and
+    inside the envelope."""
     x = np.asarray(x, dtype=float)
     p, r = np.empty_like(x), np.empty_like(x)
     neg = x < 0.0
+    far = x > _SEAM
+    mid = ~(neg | far)
     if neg.any():
         xn = x[neg]
         ex = np.exp(-0.5 * xn * xn)
         # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
         p[neg] = -np.log1p(-ex / (SQRT_2PI * psi_rho_array(-xn)[1]))
         r[neg] = SQRT_2_OVER_PI * ex / _erfc_array(xn * INV_SQRT_2)
-    far = x > _RHO_SEAM
     if far.any():
         xf = x[far]
-        r[far] = _mills_cf(xf, _cf_depth(xf.min()))
-    erfc_route = ~neg & (x <= _PSI_SEAM)
-    u = x[erfc_route] * INV_SQRT_2
+        # a cut deeper than _cf_depth(x) leaves the fraction at the same
+        # converged double
+        r[far] = rf = _mills_cf(xf, _cf_depth(xf.min()))
+        p[far] = 0.5 * xf * xf + LOG_SQRT_2PI + np.log(rf)
+    u = x[mid] * INV_SQRT_2
     erfc_u = _erfc_array(u)
-    p[erfc_route] = -np.log(0.5 * erfc_u)
+    p[mid] = -np.log(0.5 * erfc_u)
     # phi/tail at the rounded u, as in _rho_nonneg
-    mid = ~far[erfc_route]
-    r[~(neg | far)] = SQRT_2_OVER_PI * np.exp(-u[mid] ** 2) / erfc_u[mid]
-    # psi past 30 reuses rho's fraction: a cut deeper than _cf_depth(x)
-    # leaves the fraction at the same converged double
-    cf = x > _PSI_SEAM
-    p[cf] = 0.5 * x[cf] ** 2 + LOG_SQRT_2PI + np.log(r[cf])
+    r[mid] = SQRT_2_OVER_PI * np.exp(-u * u) / erfc_u
     return p, r
 
 

@@ -3,7 +3,10 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
-from same_outputs import report_differences  # noqa: E402
+from same_outputs import (  # noqa: E402
+    report_differences,
+    table_differences,
+)
 
 
 def report(records, constants):
@@ -48,3 +51,29 @@ def test_a_constant_on_one_side_only_is_named():
 
 def test_a_side_that_is_not_json_gives_no_lines():
     assert report_differences(b"n,k\n", WANT) == []
+
+
+TABLE = (b"n,k,epsilon,z,beta,log_tail\n"
+         b"4,1,-1,-12.5,-2.25,-0.0625\n"
+         b"4,2,-0.5,-0.5,1.75,-0.375\n"
+         b"4,3,0.5,0.5,2.25,-1.125\n"
+         b"4,4,1,12.5,6.25,-2.75\n")
+
+
+def test_same_tables_have_no_lines():
+    assert table_differences(TABLE, TABLE) == []
+
+
+def test_moved_columns_and_the_smallest_moved_z_are_named():
+    have = TABLE.replace(b"-12.5,-2.25", b"-12.625,-2.3125").replace(
+        b"1,12.5,6.25", b"1,12.625,6.3125")
+    assert table_differences(TABLE, have) == [
+        "  z: 2 rows moved, largest relative change 0.01",
+        "  beta: 2 rows moved, largest relative change 0.0278",
+        "  rows moved: 2 of 4, smallest |z| among them 12.5"]
+
+
+def test_a_side_that_is_not_a_table_gives_no_lines():
+    assert table_differences(b"log_prob = -1\n", TABLE) == []
+    assert table_differences(TABLE, b"") == []
+    assert table_differences(TABLE, TABLE + b"4,5,1,1,1,1\n") == []

@@ -14,10 +14,15 @@ two JSON ``--out`` reports differ, both are parsed, and the tool prints per
 check how many records differ (or are on one side only), how many
 ``passed`` flags moved and the largest |slack change|, the first differing
 (check, n, k), and each constant that differs with its relative change.
+Where two cutpoint tables on stdout differ, the tool prints per column how
+many rows moved and the largest relative change, and the smallest |z|
+among the rows that moved.
 Exit 0 when every output matches; exit 1 naming each difference; exit 2
 when REF cannot be extracted.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -131,6 +136,33 @@ def report_differences(want: bytes, have: bytes) -> list[str]:
     return lines
 
 
+def table_differences(want: bytes, have: bytes) -> list[str]:
+    """Lines naming what differs between two cutpoint tables as CSV: per
+    column, how many rows moved and the largest relative change, then how
+    many rows moved in all and the smallest |z| among them.  No lines when
+    either side is not a table with a z column, or the two differ in
+    shape."""
+    a, b = (list(csv.reader(io.StringIO(doc.decode())))
+            for doc in (want, have))
+    if not (a and len(a) == len(b) and a[0] == b[0] and "z" in a[0]):
+        return []
+    header, z = a[0], a[0].index("z")
+    moved = [(x, y) for x, y in zip(a[1:], b[1:]) if x != y]
+    lines = []
+    for j, name in enumerate(header):
+        pairs = [(float(x[j]), float(y[j])) for x, y in moved if x[j] != y[j]]
+        if pairs:
+            rel = max(abs(new - old) / abs(old) if old else math.inf
+                      for old, new in pairs)
+            lines.append(f"  {name}: {len(pairs)} rows moved, largest "
+                         f"relative change {rel:.3g}")
+    if moved:
+        least = min(abs(float(x[z])) for x, _ in moved)
+        lines.append(f"  rows moved: {len(moved)} of {len(a) - 1}, smallest "
+                     f"|z| among them {least:.17g}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -157,10 +189,10 @@ def main(argv: list[str]) -> int:
                     print(f"DIFFERENT {part} of `{name}`: {len(want[part])} "
                           f"bytes at {ref}, {len(have[part])} here, first "
                           f"difference at byte {at}")
-                    if part == "--out file":
-                        for line in report_differences(want[part],
-                                                       have[part]):
-                            print(line)
+                    explain = (report_differences if part == "--out file"
+                               else table_differences)
+                    for line in explain(want[part], have[part]):
+                        print(line)
     if differences:
         return 1
     print(f"same outputs as {ref}: {len(COMMANDS)} commands, stdout, stderr, "

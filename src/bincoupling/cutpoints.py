@@ -60,7 +60,8 @@ def build_table(n: int) -> CutpointTable:
         raise DomainError(f"n must be an integer, got {n!r}")
     n = operator.index(n)
     if not (1 <= n <= N_MAX_TABLE):
-        raise RangeError(f"n must be in [1, {N_MAX_TABLE}], got {n}")
+        raise (DomainError if n < 1 else RangeError)(
+            f"n must be in [1, {N_MAX_TABLE}], got {n}")
     log_tail = log_tail_exact_all(n)[1:]
 
     # upper half k > n/2 solved directly (tail <= 1/2), lower half mirrored

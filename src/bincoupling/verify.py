@@ -61,8 +61,8 @@ _CONSTANT_FLOOR = 1e-9
 @dataclass(frozen=True)
 class SweepConfig:
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    # "all", "stride:<m>" or this: every k to n = 2045, then 512-768 + 6
-    k_policy: str = "extremes_plus_grid"
+    # "all" or "stride:<m>", m >= 1
+    k_policy: str = "all"
 
     def __post_init__(self):
         for n in self.n_values:
@@ -110,19 +110,16 @@ class ConstantsReport:
 def select_ks(n: int, policy: str) -> list[int]:
     """Thresholds in the upper half [ceil(n/2), n]; the table's reflection
     covers the lower half.  Every m-th k from ceil(n/2) plus the six extreme
-    thresholds: m = 1 for "all", m for "stride:<m>", and w // 512 (at least
-    1, so every k up to n = 2045) for "extremes_plus_grid", w = n//2 + 1."""
+    thresholds: m = 1 for "all", m for "stride:<m>"."""
     head, _, m = policy.partition(":")
     lo, hi = math.ceil(n / 2), n
     if policy == "all":
         step = 1
-    elif policy == "extremes_plus_grid":
-        step = max(1, (hi - lo + 1) // 512)
     elif head == "stride" and m.strip().isdecimal() and int(m) >= 1:
         step = int(m)
     else:
-        raise DomainError(f"unknown k_policy {policy!r}, expected all, "
-                          "extremes_plus_grid or stride:<m>, m >= 1")
+        raise DomainError(f"unknown k_policy {policy!r}, expected all or "
+                          "stride:<m>, m >= 1")
     special = {k for k in (n // 2 + 1, n // 2 + 2, n - 3, n - 2, n - 1, n)
                if lo <= k <= hi}
     return sorted(set(range(lo, hi + 1, step)) | special)

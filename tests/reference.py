@@ -182,7 +182,7 @@ def gamma_eps(epsilon: float) -> float:
         [(1+e) log(1+e) + (1-e) log(1-e) - e^2] / (2 e^4),
 
     increasing on [0, 1] from 1/12 to log 2 - 1/2.  The closed form
-    cancels more as e falls (8e-12 relative at e = 0.05), so below e = 1/2
+    cancels more as e falls (8e-12 relative at e = 0.05), so below e = 3/4
     the power series in e^2 is summed forward, term by term, until a term
     falls below 1e-17: a second algorithm to approx._gamma_array's Horner
     sum over a fixed set of coefficients.
@@ -190,7 +190,7 @@ def gamma_eps(epsilon: float) -> float:
     e = float(epsilon)
     if not (0.0 <= e <= 1.0):
         raise DomainError(f"epsilon must be in [0, 1], got {epsilon!r}")
-    if e < 0.5:
+    if e < 0.75:
         # sum_{r>=0} e^{2r} / ((2r+3)(2r+4))
         e2 = e * e
         total = 0.0

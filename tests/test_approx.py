@@ -54,29 +54,31 @@ class TestGamma:
 
     def test_seam_agreement(self):
         # both branches of the reference and of the package against the
-        # high-precision closed form, on both sides of the seam at 1/2.  The
-        # closed form above 1/2 was measured within 1.6e-14 relative over
-        # 2,000 points (worst at e = 0.512), and the series below within
-        # 1.7e-16; the closed form taken below 1/2 would be 4.7e-12 off at
-        # 0.050001 and 6.1e-13 at 0.08.
-        es = [0.005, 0.02, 0.049999, 0.050001, 0.08, 0.49999, 0.5, 0.50001,
-              0.99]
-        for e, g in zip(es, _gamma_array(np.array(es)).tolist()):
+        # high-precision closed form, over 2,500 points of [0.001, 0.9995]
+        # and on both sides of the seam at 3/4.  Measured there: the
+        # series within 6.8e-16 relative below the seam (the package's
+        # Horner sum 1.7e-16) and the closed form within 3.8e-15 above it.
+        # The closed form taken from e = 1/2 up would be 1.25e-14 off at
+        # e = 0.536, and from 0.05 up 4.7e-12 off at 0.050001.
+        es = np.concatenate([np.linspace(0.001, 0.9995, 2500),
+                             [0.005, 0.049999, 0.050001, 0.5, 0.74999, 0.75,
+                              0.75001, 0.99]])
+        for e, g in zip(es.tolist(), _gamma_array(es).tolist()):
+            want = gamma_oracle(e)
             for have in (gamma_eps(e), g):
-                assert have == pytest.approx(gamma_oracle(e), rel=2e-14,
-                                             abs=0.0), e
+                assert abs(have - want) <= 4e-15 * want, e
 
     def test_array_form_matches_scalar(self):
         # two algorithms below the seam: the package's Horner sum over fixed
         # coefficients and the reference's forward sum until a term falls
-        # below 1e-17 (7.6e-16 relative apart at most over this grid).
+        # below 1e-17 (9.4e-16 relative apart at most over this grid).
         # Above it both take the closed form, by np.log1p and math.log1p,
-        # which the cancellation there parts by up to 1e-14.
-        es = np.concatenate([np.linspace(0.0, 0.5, 20001)[:-1],
-                             [0.5, 0.50001, 0.6, 0.99]])
+        # which the cancellation there parts by up to 4.1e-15.
+        es = np.concatenate([np.linspace(0.0, 0.75, 30001)[:-1],
+                             [0.75, 0.75001, 0.8, 0.99]])
         got = _gamma_array(es)
         want = np.array([gamma_eps(e) for e in es.tolist()])
-        bound = np.where(es < 0.5, 1e-15, 1e-14) * want
+        bound = np.where(es < 0.75, 1e-15, 1e-14) * want
         assert (np.abs(got - want) <= bound).all()
 
     def test_increasing(self):

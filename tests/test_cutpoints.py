@@ -122,10 +122,13 @@ class TestBuildTable:
         assert np.abs(table.z).max() < 200.0
 
     def test_range(self):
+        # past N_MAX_TABLE is outside the validated envelope; below 1 there
+        # is no Binomial to couple, a DomainError as in log_tail_exact_all
         with pytest.raises(RangeError):
             build_table(4097)
-        with pytest.raises(RangeError):
-            build_table(0)
+        for n in (0, -1):
+            with pytest.raises(DomainError, match=r"must be in \[1, 4096\]"):
+                build_table(n)
 
     def test_n_must_be_an_integer(self):
         # bool is refused as SweepConfig refuses it; a numpy integer is an

@@ -199,17 +199,31 @@ class TestAgainstMpmath:
                 assert abs(have - r) <= 3e-14 * r, x
 
     def test_scalar_and_array_agree(self):
+        # past the seam both cut the same fraction at the same depth, so rho
+        # agrees to the bit there
         psi_a, rho_a = psi_rho_array(self.XS)
         for i, x in enumerate(self.XS.tolist()):
             assert abs(psi_a[i] - psi(x)) <= 1e-15 * psi(x), x
             assert abs(rho_a[i] - rho(x)) <= 1e-15 * rho(x), x
+            if x > 10.0:
+                assert rho_a[i] == rho(x), x
+
+
+def _mills_cf_80(x: np.ndarray) -> np.ndarray:
+    """rho past the seam from the Mills-ratio continued fraction cut after
+    80 terms, far past the depth at which it stops changing."""
+    t = x
+    for k in range(80, 0, -1):
+        t = x + k / t
+    return t
 
 
 def test_array_values_do_not_depend_on_the_batch():
-    # psi_rho_array cuts the continued fraction at the depth of the batch's
-    # smallest x > 10; any deeper cut must leave each entry at the same
-    # double, so a value is the same alone, in the whole grid and in tail
-    # batches whose minima fall in every depth band, bit for bit
+    # every value past the seam is the converged double of the continued
+    # fraction at its own x: the same alone, beside 10.5, in the whole grid
+    # and in tail batches, bit for bit, and equal to an 80-term cut.  A depth
+    # set by the batch's smallest x missed at 11.848557500000002 and
+    # 21.695212500000004 alone and at about one point in 10^4 of (10, 10.1]
     xs = np.linspace(10.0, 200.0, 40001)
     psi_all, rho_all = psi_rho_array(xs)
     for i in np.linspace(0, xs.size - 1, 100).astype(int).tolist():
@@ -218,6 +232,21 @@ def test_array_values_do_not_depend_on_the_batch():
     for i in range(0, xs.size, 97):
         p, r = psi_rho_array(xs[i:i + 1])
         assert (p[0], r[0]) == (psi_all[i], rho_all[i]), xs[i]
+    assert (rho_all[1:] == _mills_cf_80(xs[1:])).all()
+
+    for x in (11.848557500000002, 21.695212500000004):
+        p, r = psi_rho_array(np.array([x]))
+        pb, rb = psi_rho_array(np.array([10.5, x]))
+        assert (p[0], r[0]) == (pb[1], rb[1]), x
+        assert r[0] == _mills_cf_80(np.array([x]))[0] == rho(x), x
+
+    dense = np.linspace(10.0, 10.1, 200001)[1:]
+    p, r = psi_rho_array(dense)
+    pb, rb = psi_rho_array(np.append(dense, 10.5))
+    assert (p == pb[:-1]).all() and (r == rb[:-1]).all()
+    assert (r == _mills_cf_80(dense)).all()
+    for i in range(0, dense.size, 997):
+        assert psi_rho_array(dense[i:i + 1])[1][0] == r[i], dense[i]
 
 
 def solve(L: float) -> float:

@@ -32,11 +32,12 @@ def test_flags_slack_changes_and_constants_are_named():
                    ("b", 29, 15, True, "1")],
                   {"c1": "0.25", "c2": "4.5", "c3": "1"})
     assert report_differences(WANT, have) == [
-        "  a: 1 records differ, 1 passed flags moved, largest |slack change| "
-        "4e-10",
-        "  b: 3 records differ, 0 passed flags moved, largest |slack change| "
-        "0.25",
+        "  a: 1 shared records differ, 0 only here, 0 only at the ref, "
+        "1 passed flags moved, largest |slack change| 4e-10",
+        "  b: 2 shared records differ, 1 only here, 0 only at the ref, "
+        "0 passed flags moved, largest |slack change| 0.25",
         "  first differing (check, n, k): ('a', 28, 16)",
+        "  records only here: 1, at n = 29",
         "  passed flags moved: 1",
         "  constant c2: 4 -> 4.5, relative change 0.125"]
 
@@ -45,12 +46,66 @@ def test_a_constant_on_one_side_only_is_named():
     have = report([], {"c1": "0.25", "c2": "4"})
     lines = report_differences(WANT, have)
     assert "  constant c3: only at the ref" in lines
-    assert "  a: 2 records differ, 0 passed flags moved, largest |slack " \
-        "change| 0" in lines
+    assert "  a: 0 shared records differ, 0 only here, 2 only at the ref, " \
+        "0 passed flags moved, largest |slack change| 0" in lines
+    assert "  records only at the ref: 4, at n = 28" in lines
 
 
 def test_a_side_that_is_not_json_gives_no_lines():
     assert report_differences(b"n,k\n", WANT) == []
+
+
+def test_outputs_that_are_not_reports_give_no_lines():
+    # every differing output is offered to the report reader: empty
+    # stdout, exit codes and a cutpoint table are not reports
+    assert report_differences(b"", WANT) == []
+    assert report_differences(b"0", b"2") == []
+    assert report_differences(TABLE, TABLE.replace(b"12.5", b"12")) == []
+
+
+def csv_report(records):
+    return "".join(["n,k,check,passed,slack\n"] + [
+        f"{n},{k},{c},{'true' if p else 'false'},{s}\n"
+        for c, n, k, p, s in records]).encode()
+
+
+CSV_WANT = csv_report([("a", 28, 15, True, "0.5"), ("a", 28, 16, True, "1"),
+                       ("b", 28, 15, True, "2")])
+
+
+def test_same_csv_reports_have_nothing_but_the_flag_total():
+    assert report_differences(CSV_WANT, CSV_WANT) == [
+        "  passed flags moved: 0"]
+
+
+def test_csv_records_on_one_side_are_counted_with_their_n():
+    # a report that adds rows at one n and keeps every other row's bytes
+    have = csv_report([("a", 28, 15, True, "0.5"), ("a", 28, 16, True, "1"),
+                       ("a", 2048, 1025, True, "3"),
+                       ("b", 28, 15, True, "2"),
+                       ("b", 2048, 1025, False, "-1")])
+    assert report_differences(CSV_WANT, have) == [
+        "  a: 0 shared records differ, 1 only here, 0 only at the ref, "
+        "0 passed flags moved, largest |slack change| 0",
+        "  b: 0 shared records differ, 1 only here, 0 only at the ref, "
+        "0 passed flags moved, largest |slack change| 0",
+        "  first differing (check, n, k): ('a', 2048, 1025)",
+        "  records only here: 2, at n = 2048",
+        "  passed flags moved: 0"]
+
+
+def test_csv_flags_and_slack_changes_are_named():
+    have = csv_report([("a", 28, 15, True, "0.5"), ("a", 28, 16, False, "-1"),
+                       ("b", 29, 15, True, "2")])
+    assert report_differences(CSV_WANT, have) == [
+        "  a: 1 shared records differ, 0 only here, 0 only at the ref, "
+        "1 passed flags moved, largest |slack change| 2",
+        "  b: 0 shared records differ, 1 only here, 1 only at the ref, "
+        "0 passed flags moved, largest |slack change| 0",
+        "  first differing (check, n, k): ('a', 28, 16)",
+        "  records only here: 1, at n = 29",
+        "  records only at the ref: 1, at n = 28",
+        "  passed flags moved: 1"]
 
 
 TABLE = (b"n,k,epsilon,z,beta,log_tail\n"

@@ -79,26 +79,9 @@ class TestSelectKs:
             assert special in ks
         assert ks == sorted(set(ks))
 
-    def test_default_policy_is_exhaustive_up_to_512(self):
-        assert select_ks(512, "extremes_plus_grid") == list(range(256, 513))
-
-    def test_default_policy_caps_large_n(self):
-        # every k up to n = 2045 (1023 thresholds there); above, a stride
-        # of w // 512 over the w = n//2 + 1 thresholds keeps 512 to 768
-        for n in range(1, 4097):
-            ks = select_ks(n, "extremes_plus_grid")
-            if n <= 2045:
-                assert ks == select_ks(n, "all"), n
-            assert len(ks) <= 1023 + 6, n
-            assert ks[0] == (n + 1) // 2, n
-            extremes = {n // 2 + 1, n // 2 + 2, n - 3, n - 2, n - 1, n}
-            assert {k for k in extremes if ks[0] <= k <= n} <= set(ks), n
-        assert len(select_ks(2046, "extremes_plus_grid")) < 1023
-        assert len(select_ks(3001, "extremes_plus_grid")) == 754
-
     @pytest.mark.parametrize("policy", [
         "everything", "stride:abc", "stride:0", "stride:", "stride:-1",
-        "All", "stride", ""])
+        "All", "stride", "", "extremes_plus_grid"])
     def test_unknown_policy_is_a_domain_error(self, policy):
         with pytest.raises(DomainError, match="unknown k_policy"):
             select_ks(3001, policy)
@@ -185,6 +168,7 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("line", [
         "k_policy = stride:abc",
+        "k_policy = extremes_plus_grid",
         "n_values = 28, x",
         "n_values = 28,,29,",
         "n_values = 28, , 29",
@@ -622,8 +606,8 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["sweep_grid", "sweep_stride"])
     def test_strided_sweep_report_is_pinned(self, name, capsysbinary):
-        # sweep_grid: the default policy at n = 1023, 2046, 3001 and 4096,
-        # steps 1, 2, 2 and 4; sweep_stride: stride:7 at n = 100 and 1001
+        # sweep_grid: every k at n = 1023, 2046, 3001 and 4096;
+        # sweep_stride: stride:7 at n = 100 and 1001
         cfg = GOLDEN / f"{name}.cfg"
         assert main(["sweep", "--config", str(cfg)]) == EXIT_OK
         out = capsysbinary.readouterr().out

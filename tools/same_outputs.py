@@ -10,10 +10,11 @@ with PYTHONPATH at the tree's ``src/``, in a fresh temporary working
 directory and without writing bytecode, so nothing is written in the
 checkout.  The config files are this checkout's fixtures on both sides.
 Stdout, stderr, the exit code and any ``--out`` file are compared.  Where
-two JSON ``--out`` reports differ, both are parsed, and the tool prints per
-check how many records differ (or are on one side only), how many
-``passed`` flags moved and the largest |slack change|, the first differing
-(check, n, k), and each constant that differs with its relative change.
+two sweep reports differ, JSON or CSV, both are parsed, and the tool prints
+per check how many shared records differ and how many are only on one
+side, how many ``passed`` flags moved and the largest |slack change|, the
+first differing (check, n, k), the n of the records on one side only, and
+for JSON each constant that differs with its relative change.
 Where two cutpoint tables on stdout differ, the tool prints per column how
 many rows moved and the largest relative change, and the smallest |z|
 among the rows that moved.
@@ -35,6 +36,7 @@ from collections import Counter
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CFG = ROOT / "tests" / "fixtures" / "cli"
 OUT = "report.out"
+CSV_HEADER = "n,k,check,passed,slack"
 
 COMMANDS = [
     ["sweep"],
@@ -92,35 +94,62 @@ def first_difference(a: bytes, b: bytes) -> int:
                 min(len(a), len(b)))
 
 
-def report_differences(want: bytes, have: bytes) -> list[str]:
-    """Lines naming what differs between two JSON sweep reports: per check,
-    the records that differ or are on one side only, how many of the shared
-    ones flipped their ``passed`` flag and the largest |slack change|; the
-    first differing record in report order; the total of flipped flags; and
-    each constant that differs, with its relative change.  No lines when
-    either side is not JSON."""
+def parse_report(doc: bytes):
+    """A sweep report's records keyed by (check, n, k), each a dict with at
+    least ``passed`` and ``slack``, and its constants (None for CSV, which
+    has none); None when ``doc`` is neither a JSON nor a CSV report."""
     try:
-        docs = json.loads(want), json.loads(have)
+        parsed = json.loads(doc)
     except ValueError:
+        lines = doc.decode(errors="replace").splitlines()
+        if not lines or lines[0] != CSV_HEADER:
+            return None
+        return {(check, int(n), int(k)): {"passed": passed, "slack": slack}
+                for n, k, check, passed, slack in csv.reader(lines[1:])}, None
+    if not (isinstance(parsed, dict) and "records" in parsed):
+        return None
+    return ({(r["check"], r["n"], r["k"]): r for r in parsed["records"]},
+            parsed["constants"])
+
+
+def report_differences(want: bytes, have: bytes) -> list[str]:
+    """Lines naming what differs between two sweep reports, JSON or CSV: per
+    check, how many shared records differ, how many are only here and only
+    at the ref, how many of the shared ones flipped their ``passed`` flag
+    and the largest |slack change|; the first differing record in report
+    order; the n of the records on one side only; the total of flipped
+    flags; and, for JSON, each constant that differs, with its relative
+    change.  No lines when either side is not a report."""
+    parsed = parse_report(want), parse_report(have)
+    if None in parsed:
         return []
-    a, b = ({(r["check"], r["n"], r["k"]): r for r in doc["records"]}
-            for doc in docs)
+    (a, ca), (b, cb) = parsed
     moved = [key for key in {**a, **b} if a.get(key) != b.get(key)]
+    only = {"here": [key for key in moved if key not in a],
+            "at the ref": [key for key in moved if key not in b]}
+    here, ref = (Counter(key[0] for key in keys) for keys in only.values())
     count, flips, dslack = Counter(), Counter(), {}
     for key in moved:
-        check = key[0]
-        count[check] += 1
         if key in a and key in b:
+            check = key[0]
+            count[check] += 1
             flips[check] += a[key]["passed"] != b[key]["passed"]
             d = abs(float(b[key]["slack"]) - float(a[key]["slack"]))
             dslack[check] = max(dslack.get(check, 0.0), d)
-    lines = [f"  {check}: {count[check]} records differ, {flips[check]} "
-             f"passed flags moved, largest |slack change| "
-             f"{dslack.get(check, 0.0):.3g}" for check in count]
+    lines = [f"  {check}: {count[check]} shared records differ, "
+             f"{here[check]} only here, {ref[check]} only at the ref, "
+             f"{flips[check]} passed flags moved, largest |slack change| "
+             f"{dslack.get(check, 0.0):.3g}"
+             for check in dict.fromkeys(key[0] for key in moved)]
     if moved:
         lines.append(f"  first differing (check, n, k): {moved[0]}")
+    for side, keys in only.items():
+        if keys:
+            ns = ", ".join(map(str, sorted({key[1] for key in keys})))
+            lines.append(f"  records only {side}: {len(keys)}, at n = {ns}")
     lines.append(f"  passed flags moved: {sum(flips.values())}")
-    ca, cb = (doc["constants"] for doc in docs)
+    if ca is None or cb is None:
+        return lines
     names = [name for name in {**ca, **cb} if ca.get(name) != cb.get(name)]
     for name in names:
         if name not in ca or name not in cb:
@@ -189,10 +218,9 @@ def main(argv: list[str]) -> int:
                     print(f"DIFFERENT {part} of `{name}`: {len(want[part])} "
                           f"bytes at {ref}, {len(have[part])} here, first "
                           f"difference at byte {at}")
-                    explain = (report_differences if part == "--out file"
-                               else table_differences)
-                    for line in explain(want[part], have[part]):
-                        print(line)
+                    for explain in (report_differences, table_differences):
+                        for line in explain(want[part], have[part]):
+                            print(line)
     if differences:
         return 1
     print(f"same outputs as {ref}: {len(COMMANDS)} commands, stdout, stderr, "

@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_count
 from .normal_tail import LOG_2, LOG_SQRT_2PI
 
 __all__ = [
@@ -49,10 +49,8 @@ _BLOCK = 128
 def tail_numerator(n: int, k: int) -> int:
     """Sum_{j>=k} C(n,j), the exact numerator of P{Bin(n,1/2) >= k} over
     2^n."""
-    if not (1 <= n <= N_MAX_EXACT):
-        raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
-    if not (0 <= k <= n):
-        raise DomainError(f"k must be in [0, {n}], got {k}")
+    n = check_count("n", n, 1, N_MAX_EXACT)
+    k = check_count("k", k, 0, n)
     return deque(islice(_numerators(n), n - k + 1), maxlen=1)[0]
 
 
@@ -72,8 +70,7 @@ def log_tail_exact_all(n: int) -> np.ndarray:
     whose logs are taken column-wise by _log_ratios, and each block is
     released once the next is made, so at most two blocks, 2 * _BLOCK
     numerators, are held at once."""
-    if not (1 <= n <= N_MAX_EXACT):
-        raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
+    n = check_count("n", n, 1, N_MAX_EXACT)
     h = n // 2 + 1
     nums = _numerators(n)
     out = np.empty(n + 1)
@@ -135,8 +132,7 @@ def lambda_table(m: int) -> np.ndarray:
     like j^-13.  For j < 9 it is math.lgamma(j + 1) minus the Stirling lead,
     where log j! < 11 keeps the cancellation error small.
     """
-    if not (0 <= m <= N_MAX_EXACT):
-        raise DomainError(f"m must be in [0, {N_MAX_EXACT}], got {m}")
+    m = check_count("m", m, 0, N_MAX_EXACT)
     lam = np.concatenate(([math.nan],
                           _lambda_series(np.arange(1.0, m + 1.0))))
     for j in range(1, min(m + 1, _SERIES_MIN_N)):

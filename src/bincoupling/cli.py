@@ -34,6 +34,8 @@ EXIT_IO_ERROR = 3
 # the most points a lemma1 grid may have; at about 20 us a point (2-CPU
 # host, Python 3.11) the limit is a run of a few minutes
 LEMMA1_MAX_POINTS = 10 ** 7
+# the most a lemma1 slack may fall below 0 and still pass
+LEMMA1_TOL = 1e-10
 # the most bit-terms, (n - k + 1) n, a tails sum may add; the 4.3e9 of
 # tails 65536 0 take 1.7 s on the same host
 TAILS_MAX_BIT_TERMS = 10 ** 10
@@ -102,7 +104,6 @@ def cmd_lemma1(args) -> int:
     # loop computes them, bound every abscissa psi and rho are given
     _check_envelope(a)
     _check_envelope(a + (n_pts - 1) * step + max(deltas))
-    tol = 1e-10
     worst = math.inf
     failures = 0
     prev_rho, prev_r = -math.inf, math.inf
@@ -127,7 +128,7 @@ def cmd_lemma1(args) -> int:
                 rh * d + d * d / 2 - inc,        # (iii) upper
             )
             worst = min(worst, *slacks)
-            if min(slacks) < -tol:
+            if min(slacks) < -LEMMA1_TOL:
                 failures += 1
     print(f"grid [{a}, {b}] step {step}: {n_pts} points, "
           f"{failures} failures, worst slack {_fmt(worst)}")

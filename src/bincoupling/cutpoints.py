@@ -15,14 +15,13 @@ than a second round-off path.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .binom_exact import log_tail_exact_all
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, check_count
 from .normal_tail import inverse_psi_array
 
 __all__ = [
@@ -56,12 +55,7 @@ class CutpointTable:
 
 def build_table(n: int) -> CutpointTable:
     """Cutpoints for all k = 1..n from the exact big-integer tails."""
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    n = operator.index(n)
-    if not (1 <= n <= N_MAX_TABLE):
-        raise (DomainError if n < 1 else RangeError)(
-            f"n must be in [1, {N_MAX_TABLE}], got {n}")
+    n = check_count("n", n, 1, N_MAX_TABLE, above=RangeError)
     log_tail = log_tail_exact_all(n)[1:]
 
     # upper half k > n/2 solved directly (tail <= 1/2), lower half mirrored

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import sys
 from dataclasses import asdict, dataclass
 from itertools import chain
@@ -24,7 +23,7 @@ from . import __version__
 from .approx import expansion_arrays
 from .binom_exact import log_tail_exact_all
 from .cutpoints import N_MAX_TABLE, CutpointTable, build_table
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .normal_tail import psi_rho_array
 
 __all__ = [
@@ -65,18 +64,12 @@ class SweepConfig:
     k_policy: str = "all"
 
     def __post_init__(self):
-        for n in self.n_values:
-            if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-                raise DomainError(f"n_values must be integers, got {n!r}")
         # ascending ints (numpy integers too), which the JSON report writes
-        object.__setattr__(self, "n_values",
-                           tuple(sorted(map(operator.index, self.n_values))))
+        object.__setattr__(self, "n_values", tuple(sorted(
+            check_count("n_values", n, 1, N_MAX_TABLE)
+            for n in self.n_values)))
         if not self.n_values:
             raise DomainError("n_values must not be empty")
-        for n in self.n_values:
-            if not 1 <= n <= N_MAX_TABLE:
-                raise DomainError(
-                    f"n_values must lie in [1, {N_MAX_TABLE}], got {n}")
         if len(set(self.n_values)) < len(self.n_values):
             raise DomainError("n_values must not repeat an n")
         select_ks(1, self.k_policy)  # raises DomainError on a bad policy

@@ -104,8 +104,12 @@ def test_closest_call_is_the_known_sandwich_record(audited):
 # error is a multiple of N 2^-52 max(1, psi(x)).  Every k of every n in
 # 28..300, of every 4th n from 301 and of every 16th from 304 (1,460 n)
 # gave at most 5.50, at (1085, 1070); the bound allows 1.6 times that.
-# lambda_10 from lgamma, 3.4e-15 off, leaves 7.01 at (28, 18), and gamma's
-# closed form taken at e = 0.068 leaves 22.4 at (2810, 1501).
+# gamma's closed form taken at e = 0.068 leaves 22.4 at (2810, 1501).  This
+# unit cannot tell a lambda error of a few ulp from the rounding of psi:
+# lambda_10 from lgamma, 3.4e-15 off, leaves 7.01 at (28, 18), inside the
+# bound.  lambda_j is held instead by its own oracle,
+# tests/test_binom_exact.py::TestLambdaN::test_against_50_digit_reference,
+# which bounds each route by its remainder and fails that lambda_10.
 RK_ULPS = 9
 
 

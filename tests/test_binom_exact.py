@@ -8,6 +8,7 @@ import pytest
 
 from bincoupling import DomainError, log_tail_exact_all, tail_numerator
 from bincoupling.binom_exact import N_MAX_EXACT, _log_ratios, lambda_table
+from bincoupling.normal_tail import LOG_SQRT_2PI
 from conftest import lambda_mp, log_tail_beta_integral
 from reference import _log_tail, lambda_n, log_tail_exact
 
@@ -210,17 +211,30 @@ class TestLambdaN:
         assert 1.0 / (12 * n + 1) <= lam <= 1.0 / (12 * n)
 
     def test_against_50_digit_reference(self):
-        # the closed-form routes (lgamma below 9, series from 9) against
-        # log n! minus the Stirling lead in 50-digit arithmetic, with
-        # Robbins' bracket held strictly.  Measured: at most 2.39e-15, the
-        # series at n = 9, and 1.84e-15 from lgamma (n = 5); lgamma at
-        # n = 10 would be 3.40e-15 off
+        # each route within its own error bound, against log j! minus the
+        # Stirling lead in 50-digit arithmetic, with Robbins' bracket held
+        # strictly.  From j = 9 on, the series truncated after B_12 falls
+        # short of lambda_j by less than its first omitted term,
+        # |B_14|/(14 13 j^13) with B_14 = 7/6 (DLMF 5.11(iii): the
+        # remainder has that term's sign and is smaller), give or take the
+        # rounding of its sum: measured, at most 1.65 ulp(lambda_j) below
+        # the omitted term (j = 2765) and 0.68 ulp above lambda_j
+        # (j = 854).  Below 9, lgamma(j + 1) minus the lead cancels two
+        # numbers of size at most M = max(|lgamma(j + 1)|, |lead|):
+        # measured at most 5.21 ulp(M), at j = 1.  Either fails lgamma at
+        # j = 9 and 10 (3.28e-15 and 3.40e-15 off) and lambda_10 + 1e-15
         with mp.workdps(50):
-            for n in range(1, 4097):
-                lam = lambda_n(n)
-                ref = lambda_mp(n)
-                assert abs(float(mp.mpf(lam) - ref)) <= 3e-15, n
-                assert 1.0 / (12 * n + 1) < lam < 1.0 / (12 * n), n
+            for j, lam in enumerate(lambda_table(4096).tolist()[1:], 1):
+                err = float(mp.mpf(lam) - lambda_mp(j))
+                if j >= 9:
+                    omitted = 7 / (6 * 14 * 13 * j ** 13)
+                    assert -omitted - 2 * math.ulp(lam) <= err \
+                        <= 2 * math.ulp(lam), (j, err)
+                else:
+                    lead = (j + 0.5) * math.log(j) - j + LOG_SQRT_2PI
+                    assert abs(err) <= 6 * math.ulp(
+                        max(abs(math.lgamma(j + 1)), abs(lead))), (j, err)
+                assert 1.0 / (12 * j + 1) < lam < 1.0 / (12 * j), j
 
     def test_route_seam(self):
         # n = 8 is the last lgamma value and n = 9 the first series value;

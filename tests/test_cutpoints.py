@@ -130,16 +130,6 @@ class TestBuildTable:
             with pytest.raises(DomainError, match=r"must be in \[1, 4096\]"):
                 build_table(n)
 
-    def test_n_must_be_an_integer(self):
-        # bool is refused as SweepConfig refuses it; a numpy integer is an
-        # index and builds the table of its value
-        for bad in (True, 28.0):
-            with pytest.raises(DomainError, match="integer"):
-                build_table(bad)
-        table = build_table(np.int64(28))
-        assert type(table.n) is int and table.n == 28
-        assert table.z.tolist() == build_table(28).z.tolist()
-
 
 def scalar_table(n: int) -> list[tuple[float, float]]:
     """(z_k, beta_k) for k = 1..n by the scalar reference: the scalar Newton

@@ -522,8 +522,21 @@ class TestCouplingCheck:
             assert seq[-1] < g1
         assert (top[-1], cpl[-1]) == pytest.approx((0.709047, 0.709136),
                                                    abs=5e-7)
+        # why top < g(1) at every n: psi(z) = z^2/2 + log sqrt(2 pi) +
+        # log rho(z) and rho(z) > z for z > 0 (Gordon 1941) give z_n^2 <
+        # A - b, A = 2n log 2 and b = 2 log(sqrt(2 pi) z_n), and sqrt(A - b)
+        # <= sqrt(A) - b/(2 sqrt(A)) gives top < g(1) + last below, whose
+        # last term is negative once z_n > e^sqrt(2 log 2)/sqrt(2 pi), from
+        # n = 4 on.  Measured: the least gap to that bound over n <= 4096
+        # is 2.15e-6, at n = 4096 (top 0.7062682), and 5.98e-8 at n_top
+        last = (8.0 / n) * (0.5 - np.log(normal_tail.SQRT_2PI * z)
+                            / (2.0 * math.sqrt(2.0 * math.log(2.0))))
+        assert ((last < 0.0) == (n >= 4)).all()
+        assert (top < g1 + last).all()
+        assert (g1 + last - top)[:N_MAX_TABLE - 1].min() == pytest.approx(
+            2.154e-6, rel=1e-3)
         # the same z_n as the tables' k = n entries, bit for bit
-        for m in DENSE.n_values:
+        for m in [*range(2, 257), *DENSE.n_values]:
             assert build_table(m).z[m - 1] == z[m - 2], m
 
     def test_coupling_row_is_the_least_tusnady_lower_slack(self):
@@ -534,6 +547,38 @@ class TestCouplingCheck:
         assert cpl.n.tolist() == list(DENSE.n_values)
         for n, slack in zip(DENSE.n_values, cpl.slack.tolist()):
             assert slack == low.slack[(low.n == n) & (low.k > n / 2)].min()
+
+
+def test_sandwich_rows_are_lemma1_iii():
+    # with delta = z - x and b = psi(z) - psi(x) > 0, d1 and d2 are the
+    # positive roots of delta^2/2 + x delta = b and of delta^2/2 + rho(x)
+    # delta = b, so sandwich_upper is Lemma 1 (iii)'s lower bound, x delta +
+    # delta^2/2 <= b, and sandwich_lower its upper bound, b <= rho(x) delta
+    # + delta^2/2.  The two forms agree in sign at all 5,672 sweep-dense
+    # sandwich rows.  (iii)'s upper slack is delta^2 (1 - rho')/2 +
+    # O(delta^3) with rho' = rho (rho - x), which is delta^2 (1 - rho') /
+    # (2 rho) in z: measured within 5.8e-5 to 9.8e-5 relative of the ten
+    # closest sandwich_lower rows, (4096, 2145) to (4096, 2152) and
+    # (3001, 1584), (3001, 1585)
+    checks, _ = run_sweep(DENSE)
+    up, lo = checks["sandwich_upper"], checks["sandwich_lower"]
+    assert up.n.tolist() == lo.n.tolist() and up.k.tolist() == lo.k.tolist()
+    assert up.n.size == 5672
+    n, k = up.n, up.k
+    z = np.concatenate([build_table(m).z[k[n == m] - 1]
+                        for m in DENSE.n_values])
+    x = (2 * (k - 1) - (n - 1)) / (n - 1) * np.sqrt(n - 1)
+    delta = z - x
+    (psi_z, _), (psi_x, rho) = map(normal_tail.psi_rho_array, (z, x))
+    b = psi_z - psi_x
+    assert (np.sign(up.slack) == np.sign(b - x * delta - delta ** 2 / 2)).all()
+    assert (np.sign(lo.slack)
+            == np.sign(rho * delta + delta ** 2 / 2 - b)).all()
+    closest = np.argsort(lo.slack, kind="stable")[:10]
+    assert (n[closest[0]], k[closest[0]]) == (4096, 2145)
+    d, r, xs = delta[closest], rho[closest], x[closest]
+    lead = d ** 2 * (1.0 - r * (r - xs)) / (2.0 * r)
+    assert np.abs(lead / lo.slack[closest] - 1.0).max() < 1.2e-4
 
 
 class TestCli:

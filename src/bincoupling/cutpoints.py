@@ -15,7 +15,6 @@ than a second round-off path.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,19 +37,35 @@ N_MAX_TABLE = 4096
 @dataclass(frozen=True, eq=False)
 class CutpointTable:
     """Cutpoints of one n as arrays over k = 1 .. n (entry k - 1), with
-    beta strictly increasing."""
+    beta strictly increasing.  ``cells`` is (-inf, beta_1, ..., beta_n,
+    +inf) as Python floats, built once: entry k is the left end of the
+    coupling map's cell k, and ``betas`` is its finite part."""
 
     n: int
     z: np.ndarray     # standardized cutpoint, psi(z) = -log_tail
     beta: np.ndarray  # n/2 + sqrt(n) z / 2
     log_tail: np.ndarray
-    # beta as Python floats, built once for the coupling map's bisection
-    betas: tuple[float, ...] = field(init=False, repr=False)
+    cells: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for a in (self.z, self.beta, self.log_tail):
+        # couple clamps k to n and indexes the cells by it, so n is a
+        # Python int and each array holds n entries
+        object.__setattr__(self, "n", check_count(
+            "n", self.n, 1, N_MAX_TABLE, above=RangeError))
+        for name in ("z", "beta", "log_tail"):
+            a = getattr(self, name)
+            if a.shape != (self.n,):
+                raise DomainError(
+                    f"{name} must hold n = {self.n} entries, got shape "
+                    f"{a.shape}")
             a.flags.writeable = False
-        object.__setattr__(self, "betas", tuple(self.beta.tolist()))
+        object.__setattr__(self, "cells",
+                           (-math.inf, *self.beta.tolist(), math.inf))
+
+    @property
+    def betas(self) -> tuple[float, ...]:
+        """beta_1, ..., beta_n as Python floats."""
+        return self.cells[1:-1]
 
 
 def build_table(n: int) -> CutpointTable:
@@ -70,13 +85,34 @@ def build_table(n: int) -> CutpointTable:
 
 def couple(table: CutpointTable, y: float) -> int:
     """Map a normal draw y to the coupled Binomial value: the unique k with
-    beta_k < y <= beta_{k+1} (left-open cells, sentinels at +-inf)."""
+    beta_k < y <= beta_{k+1} (left-open cells, sentinels at +-inf).
+
+    The walk starts at round(y), clamped to [0, n], and steps down, then
+    up, to the cell that holds y.  Tusnady's inequality |k - y| <= 1 +
+    Z^2/8, Z = 2(y - n/2)/sqrt(n), puts k within 1.5 + Z^2/8 cells of the
+    start, so a draw a few standard deviations from n/2 costs two
+    comparisons, or three when it starts one cell off.  Only y in
+    (n, beta_n] or its mirror [beta_1, 0), more than sqrt(n) standard
+    deviations out, walk far: 197 cells from y = n + 1 at n = 4096.
+    """
     y = float(y)
     if not math.isfinite(y):
         raise DomainError(f"y must be finite, got {y!r}")
-    # bisect_left counts the cutpoints strictly below y, which is exactly k;
-    # a tie y == beta_j lands in the lower cell (left-open convention)
-    return bisect_left(table.betas, y)
+    cells = table.cells
+    if y > 0.0:
+        k = int(y + 0.5)
+        if k > table.n:
+            k = table.n
+    else:
+        k = 0
+    # the cells strictly increase between the infinite sentinels, so both
+    # loops stop, at the one k with cells[k] < y <= cells[k + 1]; a tie
+    # y == beta_j = cells[j] lands in the lower cell j - 1 (left-open)
+    while cells[k] >= y:
+        k -= 1
+    while cells[k + 1] < y:
+        k += 1
+    return k
 
 
 def table_csv(table: CutpointTable) -> str:

@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+from bisect import bisect_left
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,7 @@ from bincoupling import (
 )
 from bincoupling import normal_tail
 from bincoupling.cli import main
-from bincoupling.cutpoints import N_MAX_TABLE, table_csv
+from bincoupling.cutpoints import N_MAX_TABLE, CutpointTable, table_csv
 from bincoupling.normal_tail import psi
 from conftest import log_tail_mp, psi_mp, rho_mp, z_unit
 from reference import (
@@ -121,6 +122,19 @@ class TestBuildTable:
         table = build_table(4096)
         assert np.abs(table.z).max() < 200.0
 
+    def test_arrays_must_hold_n_entries(self):
+        # couple indexes the cells by n, so a short array would make it
+        # read past the top sentinel
+        table = build_table(5)
+        names = ("z", "beta", "log_tail")
+        for name in names:
+            arrays = {a: getattr(table, a).copy() for a in names}
+            arrays[name] = arrays[name][:3]
+            with pytest.raises(DomainError, match=name):
+                CutpointTable(n=5, **arrays)
+        arrays = {a: getattr(table, a).copy() for a in names}
+        assert CutpointTable(n=5, **arrays).betas == table.betas
+
     def test_range(self):
         # past N_MAX_TABLE is outside the validated envelope; below 1 there
         # is no Binomial to couple, a DomainError as in log_tail_exact_all
@@ -182,7 +196,8 @@ class TestVectorSolve:
                 (2 * (k - 1) - 28) / 28, table.z[k - 1], table.beta[k - 1],
                 table.log_tail[k - 1])
             assert table.betas[k - 1] == table.beta[k - 1]
-        assert table.betas is table.betas  # cached once per table
+        assert table.cells is table.cells  # built once per table
+        assert table.betas == table.cells[1:-1]
 
     def test_rejects_roots_left_of_zero(self):
         # build_table solves the upper half only, where L >= log 2
@@ -280,8 +295,43 @@ class TestCouple:
 
     def test_nonfinite(self):
         table = build_table(4)
-        with pytest.raises(DomainError):
-            couple(table, math.inf)
+        for y in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                couple(table, y)
+
+    # the walk from round(y) against the bisection it replaced, which
+    # counts the cutpoints strictly below y
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 28, 64, 256, 1024, 4096])
+    def test_walk_agrees_with_bisection_at_every_cutpoint(self, n):
+        table = build_table(n)
+        betas = table.betas
+        for b in betas:
+            for y in (math.nextafter(b, -math.inf), b,
+                      math.nextafter(b, math.inf)):
+                assert couple(table, y) == bisect_left(betas, y), (n, y)
+
+    def test_walk_agrees_with_bisection_on_the_long_walks(self):
+        # a y in [beta_1, 0) or (n, beta_n] starts at a clamped end of the
+        # table and walks about 200 cells at n = 4096
+        n = 4096
+        table = build_table(n)
+        betas = table.betas
+        rng = np.random.default_rng(37)
+        far = [*rng.uniform(betas[0], 0.0, 10_000).tolist(),
+               *rng.uniform(math.nextafter(n, math.inf), betas[-1],
+                            10_000).tolist(),
+               0.0, -0.0, 5e-324, 1e308, -1e308]
+        assert [couple(table, y) for y in far] == [bisect_left(betas, y)
+                                                   for y in far]
+        assert couple(table, n + 1.0) < n - 150
+
+    def test_numpy_draws_couple_as_their_python_floats(self):
+        table = build_table(64)
+        for v in (-3.7, 0.4, 31.5, 32.0, 32.5, 40.25, 63.9, 70.0):
+            for y in (np.float64(v), np.float32(v), np.int64(round(v))):
+                assert couple(table, y) == couple(table, float(y)), y
+        assert couple(table, np.float64(table.betas[40])) == 40
 
     def test_induced_distribution_is_exact(self):
         # P{couple(Y) >= k} = P{Y > beta_k} = tail(z_k) must equal the exact

@@ -18,10 +18,20 @@ from bincoupling import (
 from bincoupling.binom_exact import N_MAX_EXACT, lambda_table
 from bincoupling.cutpoints import N_MAX_TABLE
 
+
+def hand_built_table(n):
+    """A CutpointTable of n given entries; the check of n comes first."""
+    size = n if type(n) in (int, np.int64) else 1
+    return CutpointTable(n=n, z=np.zeros(size),
+                         beta=np.arange(size, dtype=float),
+                         log_tail=np.zeros(size))
+
+
 # each entry point that takes a count: a call of it on the count, the
 # count's range and the error a count past the range's top raises
 COUNTS = {
     "build_table": (build_table, 1, N_MAX_TABLE, RangeError),
+    "CutpointTable": (hand_built_table, 1, N_MAX_TABLE, RangeError),
     "SweepConfig": (lambda n: SweepConfig(n_values=(n,)).n_values,
                     1, N_MAX_TABLE, DomainError),
     "tail_numerator-n": (lambda n: tail_numerator(n, 0),

@@ -529,12 +529,27 @@ class TestCouplingCheck:
         # last term is negative once z_n > e^sqrt(2 log 2)/sqrt(2 pi), from
         # n = 4 on.  Measured: the least gap to that bound over n <= 4096
         # is 2.15e-6, at n = 4096 (top 0.7062682), and 5.98e-8 at n_top
-        last = (8.0 / n) * (0.5 - np.log(normal_tail.SQRT_2PI * z)
-                            / (2.0 * math.sqrt(2.0 * math.log(2.0))))
+        big_l = (np.log(normal_tail.SQRT_2PI * z)
+                 / (2.0 * math.sqrt(2.0 * math.log(2.0))))
+        last = (8.0 / n) * (0.5 - big_l)
         assert ((last < 0.0) == (n >= 4)).all()
         assert (top < g1 + last).all()
         assert (g1 + last - top)[:N_MAX_TABLE - 1].min() == pytest.approx(
             2.154e-6, rel=1e-3)
+        # c_coupling's top cell by the same chain: beta_n - (n - 1) < n
+        # g(1)/8 + 1 - L, L = big_l, over 1 + (n/2 - 1)^3/n^2 = n/8 + 1/4 +
+        # 3/(2n) - 1/n^2, a bound below g(1) exactly when 1 - L < g(1)(1/4
+        # + 3/(2n) - 1/n^2), from n = 5 on.  Measured: least gap 2.15e-6
+        # over n <= 4096, 5.98e-8 at n_top
+        bound = ((n * g1 / 8 + 1.0 - big_l)
+                 / (n / 8 + 0.25 + 1.5 / n - 1.0 / n ** 2))
+        assert (cpl < bound).all()
+        assert ((bound < g1) == (n >= 5)).all()
+        assert ((1.0 - big_l < g1 * (0.25 + 1.5 / n - 1.0 / n ** 2))
+                == (n >= 5)).all()
+        gap = bound - cpl
+        assert (gap[:N_MAX_TABLE - 1].min(), gap.min()) == pytest.approx(
+            (2.153e-6, 5.98e-8), rel=1e-3)
         # the same z_n as the tables' k = n entries, bit for bit
         for m in [*range(2, 257), *DENSE.n_values]:
             assert build_table(m).z[m - 1] == z[m - 2], m

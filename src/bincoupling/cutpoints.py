@@ -94,8 +94,12 @@ def couple(table: CutpointTable, y: float) -> int:
     comparisons, or three when it starts one cell off.  Only y in
     (n, beta_n] or its mirror [beta_1, 0), more than sqrt(n) standard
     deviations out, walk far: 197 cells from y = n + 1 at n = 4096.
+    A bool or a value without __float__, such as text, is a DomainError.
     """
-    y = float(y)
+    if y.__class__ is not float:
+        if isinstance(y, (bool, np.bool_)) or not hasattr(y, "__float__"):
+            raise DomainError(f"y must be a number, got {y!r}")
+        y = float(y)
     if not math.isfinite(y):
         raise DomainError(f"y must be finite, got {y!r}")
     cells = table.cells

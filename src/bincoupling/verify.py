@@ -232,19 +232,28 @@ def _fit_constants(fit: dict[str, np.ndarray], c_coupling: float,
     rows; add to ``checks`` the inequality's margins under it (feasible by
     construction, recorded so the report shows them)."""
     n, k, x, log_N, log_n = (fit[c] for c in ("n", "k", "x", "log_N", "log_n"))
-    nr, nt, tail = fit["n_r_k"], fit["n_theta_k"], fit["tail"]
-    has_r, has_t = ~np.isnan(nr), ~np.isnan(nt)
-    # Theorem 1: -C log N <= N r_k <= C
-    need_r = np.maximum(nr, -nr / log_N)
-    # Theorem 2: -C' (x + 1) <= N theta_k <= C' (x + log N)
-    need_t = np.maximum(-nt / (x + 1.0), nt / (x + log_N))
-
-    def fit_half(rows: np.ndarray) -> tuple[float, float, float]:
-        t_rows = rows & has_t
-        return (_max(need_r[rows & has_r]), _max(need_t[t_rows]),
-                _max(need_t[t_rows & tail]))
-
-    c_thm1, c_thm2, c_thm2_tail = fit_half(np.ones(n.shape, dtype=bool))
+    nr, nt = fit["n_r_k"], fit["n_theta_k"]
+    has_t = ~np.isnan(nt)
+    # Theorems 1 and 2, each -C a <= v <= C b over its rows, declared once
+    # as (constant, residual check or None, v, a, b, rows)
+    thm2 = (nt, x + 1.0, x + log_N)
+    bounds = (("c_thm1", "thm1_residual", nr, log_N, np.ones(n.shape),
+               ~np.isnan(nr)),
+              ("c_thm2", "thm2_residual", *thm2, has_t),
+              ("c_thm2_tail_regime", None, *thm2, has_t & fit["tail"]))
+    low = n <= 384  # splits the default sweep into {<=256} and {>=512}
+    consts, ratio = {}, 1.0
+    for name, check, v, a, b, rows in bounds:
+        v, a, b, lo = v[rows], a[rows], b[rows], low[rows]
+        need = np.maximum(-v / a, v / b)
+        c = consts[name] = _max(need)
+        # C re-fit on each half of n, where both halves bound it
+        h1, h2 = _max(need[lo]), _max(need[~lo])
+        if min(h1, h2) > _CONSTANT_FLOOR:
+            ratio = max(ratio, h1 / h2, h2 / h1)
+        if check:
+            _add(checks, check, n[rows], k[rows],
+                 np.minimum(c * b - v, v + c * a))
 
     # Eq. (5): the quadruple is anchored on the cubic-dominated rows, then
     # the sqrt(n) terms absorb whatever is left near the center
@@ -260,26 +269,12 @@ def _fit_constants(fit: dict[str, np.ndarray], c_coupling: float,
     # at n = 1 the C3 term log(n)/sqrt(n) is 0: that row does not bound C3
     pos = log_n > 0.0
     c3 = _max(sqrt_n[pos] * (d[pos] - c4 * t[pos]) / log_n[pos])
-
-    mid = 384  # splits the default sweep into {<=256} and {>=512}
-    low, high = n <= mid, n > mid
-    ratio = 1.0
-    if low.any() and high.any():
-        for a, b in zip(fit_half(low), fit_half(high)):
-            if a > _CONSTANT_FLOOR and b > _CONSTANT_FLOOR:
-                ratio = max(ratio, a / b, b / a)
-
-    _add(checks, "thm1_residual", n[has_r], k[has_r],
-         np.minimum(c_thm1 - nr, nr + c_thm1 * log_N)[has_r])
-    _add(checks, "thm2_residual", n[has_t], k[has_t],
-         np.minimum(c_thm2 * (x + log_N) - nt, nt + c_thm2 * (x + 1.0))[has_t])
     _add(checks, "eq5_window", n, k,
          np.minimum(d - (-c1 / sqrt_n + c2 * t),
                     (c3 * log_n / sqrt_n + c4 * t) - d))
     return ConstantsReport(
-        c_thm1=c_thm1, c_thm2=c_thm2, c1_eq5=c1, c2_eq5=c2, c3_eq5=c3,
-        c4_eq5=c4, c_coupling=c_coupling, stability_ratio=ratio,
-        c_thm2_tail_regime=c_thm2_tail)
+        **consts, c1_eq5=c1, c2_eq5=c2, c3_eq5=c3, c4_eq5=c4,
+        c_coupling=c_coupling, stability_ratio=ratio)
 
 
 def run_sweep(config: SweepConfig | None = None

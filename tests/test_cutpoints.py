@@ -1,6 +1,7 @@
 import csv
 import functools
 import math
+import re
 from bisect import bisect_left
 
 import mpmath as mp
@@ -298,6 +299,13 @@ class TestCouple:
         for y in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 couple(table, y)
+
+    @pytest.mark.parametrize("y", ["2049", b"2049", bytearray(b"10"), True,
+                                   np.True_, None])
+    def test_a_draw_that_is_not_a_number_is_a_domain_error(self, y):
+        # float() reads the first five as 2049, 2049, 10, 1 and 1
+        with pytest.raises(DomainError, match=re.escape(repr(y))):
+            couple(build_table(4096), y)
 
     # the walk from round(y) against the bisection it replaced, which
     # counts the cutpoints strictly below y

@@ -56,6 +56,11 @@ def small_sweep():
     return run_sweep(SMALL)
 
 
+@pytest.fixture(scope="module")
+def dense_sweep():
+    return run_sweep(DENSE)
+
+
 def raise_d2_at(monkeypatch, n0, k0):
     """Raise the expansion's d2 by 1 at (n0, k0), so that x + d2 lies above
     z_k there and sandwich_lower fails at that row alone."""
@@ -554,17 +559,18 @@ class TestCouplingCheck:
         for m in [*range(2, 257), *DENSE.n_values]:
             assert build_table(m).z[m - 1] == z[m - 2], m
 
-    def test_coupling_row_is_the_least_tusnady_lower_slack(self):
+    def test_coupling_row_is_the_least_tusnady_lower_slack(self,
+                                                          dense_sweep):
         # 1 - max_k (k - beta_k) over k > n/2 is min_k (beta_k - (k - 1)):
         # the coupling row repeats what the tusnady_lower rows hold
-        checks, _ = run_sweep(DENSE)
+        checks, _ = dense_sweep
         cpl, low = checks["coupling_k_minus_beta"], checks["tusnady_lower"]
         assert cpl.n.tolist() == list(DENSE.n_values)
         for n, slack in zip(DENSE.n_values, cpl.slack.tolist()):
             assert slack == low.slack[(low.n == n) & (low.k > n / 2)].min()
 
 
-def test_sandwich_rows_are_lemma1_iii():
+def test_sandwich_rows_are_lemma1_iii(dense_sweep):
     # with delta = z - x and b = psi(z) - psi(x) > 0, d1 and d2 are the
     # positive roots of delta^2/2 + x delta = b and of delta^2/2 + rho(x)
     # delta = b, so sandwich_upper is Lemma 1 (iii)'s lower bound, x delta +
@@ -575,7 +581,7 @@ def test_sandwich_rows_are_lemma1_iii():
     # (2 rho) in z: measured within 5.8e-5 to 9.8e-5 relative of the ten
     # closest sandwich_lower rows, (4096, 2145) to (4096, 2152) and
     # (3001, 1584), (3001, 1585)
-    checks, _ = run_sweep(DENSE)
+    checks, _ = dense_sweep
     up, lo = checks["sandwich_upper"], checks["sandwich_lower"]
     assert up.n.tolist() == lo.n.tolist() and up.k.tolist() == lo.k.tolist()
     assert up.n.size == 5672
@@ -594,6 +600,45 @@ def test_sandwich_rows_are_lemma1_iii():
     d, r, xs = delta[closest], rho[closest], x[closest]
     lead = d ** 2 * (1.0 - r * (r - xs)) / (2.0 * r)
     assert np.abs(lead / lo.slack[closest] - 1.0).max() < 1.2e-4
+
+
+def test_stability_ratio_compares_the_halves_of_n(dense_sweep):
+    # two separate sweeps over the n <= 384 and n > 384 halves: each
+    # constant of Theorems 1 and 2 is the larger of its two halves, and
+    # stability_ratio the largest ratio between halves, here c_thm2's
+    _, full = dense_sweep
+    halves = [run_sweep(SweepConfig(n_values=[n for n in DENSE.n_values
+                                              if (n <= 384) == low]))[1]
+              for low in (True, False)]
+    ratio = 1.0
+    for name in ("c_thm1", "c_thm2", "c_thm2_tail_regime"):
+        a, b = (getattr(c, name) for c in halves)
+        assert getattr(full, name) == max(a, b), name
+        ratio = max(ratio, a / b, b / a)
+    assert full.stability_ratio == ratio == 4.169878695834052
+    assert [c.c_thm2 for c in halves] == [2.51928381824151, 10.505107922444738]
+
+
+def test_fitted_checks_bind_at_their_measured_rows(dense_sweep):
+    # a constant fitted as the least that holds leaves a slack of exactly 0
+    # at the rows that fix it, and only there; a padded or mis-fitted
+    # constant moves them
+    checks, c = dense_sweep
+    for name, where in (("thm1_residual", [(4096, 4095)]),
+                        ("thm2_residual", [(4096, 2049)]),
+                        ("eq5_window", [(28, 14), (28, 21)])):
+        rows = checks[name]
+        assert rows.slack.min() == 0.0, name
+        at = rows.slack == 0.0
+        assert list(zip(rows.n[at].tolist(), rows.k[at].tolist())) == where
+    # eq. (5)'s upper side, through C3, binds at (28, 14), its lower side,
+    # through C1, at (28, 21): the other side keeps room at each
+    k = np.array([14, 21])
+    d = build_table(28).beta[k - 1] - k + 0.5
+    t, s = np.abs(k - 14) ** 3 / 28 ** 2, math.sqrt(28)
+    lower = d - (-c.c1_eq5 / s + c.c2_eq5 * t)
+    upper = c.c3_eq5 * math.log(28) / s + c.c4_eq5 * t - d
+    assert lower[0] > 0.02 and upper[1] > 0.2
 
 
 class TestCli:
@@ -687,6 +732,12 @@ class TestCli:
 
     def test_sweep_json_report_is_pinned(self, capsysbinary):
         self.assert_json_report_pinned("sweep_28_29", capsysbinary)
+
+    def test_dense_sweep_json_report_is_pinned(self, capsysbinary):
+        # the nine constants of the sweep-dense config, whose n lie on both
+        # sides of the stability split (stability_ratio 4.169878695834052),
+        # beside its 72324 rows
+        self.assert_json_report_pinned("sweep_dense", capsysbinary)
 
     def test_boundary_sweep_json_report_is_pinned(self, capsysbinary):
         # n = 2210, k_policy = all: the one n <= 4096 at which the float x

@@ -95,20 +95,27 @@ def couple(table: CutpointTable, y: float) -> int:
     (n, beta_n] or its mirror [beta_1, 0), more than sqrt(n) standard
     deviations out, walk far: 197 cells from y = n + 1 at n = 4096.
     A bool or a value without __float__, such as text, is a DomainError.
+    So is nan or +-inf, which math.floor refuses as it rounds, and a
+    number float() cannot hold, such as 10**400; it is named by its type.
     """
-    if y.__class__ is not float:
-        if isinstance(y, (bool, np.bool_)) or not hasattr(y, "__float__"):
-            raise DomainError(f"y must be a number, got {y!r}")
-        y = float(y)
-    if not math.isfinite(y):
-        raise DomainError(f"y must be finite, got {y!r}")
-    cells = table.cells
-    if y > 0.0:
-        k = int(y + 0.5)
-        if k > table.n:
-            k = table.n
-    else:
+    if y.__class__ is not float and (
+            isinstance(y, (bool, np.bool_)) or not hasattr(y, "__float__")):
+        raise DomainError(f"y must be a number, got {y!r}")
+    try:
+        if y.__class__ is not float:
+            y = float(y)
+        k = math.floor(y + 0.5)
+    except (ValueError, OverflowError):
+        # the repr of an int past 4300 digits raises: name a non-float's type
+        raise DomainError(
+            f"y must be finite, got {y!r}" if y.__class__ is float else
+            f"y must be finite, float() refuses this {type(y).__name__}"
+        ) from None
+    if k < 0:
         k = 0
+    elif k > table.n:
+        k = table.n
+    cells = table.cells
     # the cells strictly increase between the infinite sentinels, so both
     # loops stop, at the one k with cells[k] < y <= cells[k + 1]; a tie
     # y == beta_j = cells[j] lands in the lower cell j - 1 (left-open)

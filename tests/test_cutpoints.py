@@ -2,7 +2,10 @@ import csv
 import functools
 import math
 import re
+import sys
 from bisect import bisect_left
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -306,6 +309,35 @@ class TestCouple:
         # float() reads the first five as 2049, 2049, 10, 1 and 1
         with pytest.raises(DomainError, match=re.escape(repr(y))):
             couple(build_table(4096), y)
+
+    @pytest.mark.parametrize("y", [
+        10**400, -10**400, 10**5000, Fraction(10**400), Decimal("sNaN"),
+        Decimal("Infinity"), np.float64("nan"), np.float32("inf")],
+        ids=["1e400", "-1e400", "1e5000", "Fraction", "sNaN", "Decimal-inf",
+             "np-nan", "np-inf"])
+    def test_a_draw_no_float_can_hold_is_a_domain_error(self, y):
+        # float() overflows on the first four and refuses a signalling nan;
+        # 10**5000 has no repr past Python's 4300-digit limit, so the
+        # message names the type of a y that is not yet a float
+        with pytest.raises(DomainError, match="must be finite") as refused:
+            couple(build_table(64), y)
+        assert len(str(refused.value)) < 60
+
+    @pytest.mark.parametrize("y", [31.7, np.float64(31.7), np.int64(32)])
+    def test_the_coupled_value_is_a_python_int(self, y):
+        assert type(couple(build_table(64), y)) is int
+
+    @pytest.mark.parametrize("n", [1, 2, 28, 4096])
+    def test_the_clamped_start_agrees_with_bisection(self, n):
+        # round(y) is floor(y + 0.5), clamped to [0, n]: the draws at the
+        # seams of that rounding and of both clamps
+        table = build_table(n)
+        betas = table.betas
+        big = sys.float_info.max
+        ys = [-0.5, math.nextafter(-0.5, 0.0), -0.0, 0.49999999999999994,
+              *(k + 0.5 for k in range(n + 1)), n + 0.5, big, -big]
+        assert [couple(table, y) for y in ys] == [bisect_left(betas, y)
+                                                  for y in ys]
 
     # the walk from round(y) against the bisection it replaced, which
     # counts the cutpoints strictly below y

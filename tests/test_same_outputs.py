@@ -1,9 +1,17 @@
 import json
+import math
 import pathlib
 import sys
+from bisect import bisect_left
+
+from bincoupling import build_table
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 from same_outputs import (  # noqa: E402
+    COUPLE_PROBE,
+    ROOT,
+    RUNS,
+    outputs,
     report_differences,
     table_differences,
 )
@@ -132,3 +140,23 @@ def test_a_side_that_is_not_a_table_gives_no_lines():
     assert table_differences(b"log_prob = -1\n", TABLE) == []
     assert table_differences(TABLE, b"") == []
     assert table_differences(TABLE, TABLE + b"4,5,1,1,1,1\n") == []
+
+
+def test_the_couple_probe_prints_each_cell_and_each_refusal():
+    assert ("couple probe", ["-c", COUPLE_PROBE]) in RUNS
+    out = outputs(ROOT, ["-c", COUPLE_PROBE])
+    assert (out["exit code"], out["stderr"]) == (b"0", b"")
+    lines = [line.split(" ", 3) for line in out["stdout"].decode().split("\n")
+             if line]
+    betas = {n: build_table(n).betas for n in (64, 1024, 4096)}
+    refused = []
+    for n, y, *rest in lines:
+        n, y = int(n), float(y)
+        if math.isfinite(y):
+            assert rest == [str(bisect_left(betas[n], y))], (n, y)
+        else:
+            refused.append((n, rest))
+    assert len(lines) == 2016
+    assert refused == [
+        (n, ["DomainError", f"y must be finite, got {y}"])
+        for n in (64, 1024, 4096) for y in ("nan", "inf", "-inf")]

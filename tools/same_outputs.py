@@ -8,7 +8,10 @@ REF, a commit, branch or tag of this repository, is extracted with
 on that tree and once on this checkout, as ``python -m bincoupling.cli``
 with PYTHONPATH at the tree's ``src/``, in a fresh temporary working
 directory and without writing bytecode, so nothing is written in the
-checkout.  The config files are this checkout's fixtures on both sides.
+checkout.  So does the couple probe, ``python -c COUPLE_PROBE``, which
+prints the coupled k, or the refusal, of each of a fixed set of draws:
+``couple`` has no command of its own.  The config files are this
+checkout's fixtures on both sides.
 Stdout, stderr, the exit code and any ``--out`` file are compared.  Where
 two sweep reports differ, JSON or CSV, both are parsed, and the tool prints
 per check how many shared records differ and how many are only on one
@@ -74,15 +77,40 @@ COMMANDS = [
     ["lemma1", "--grid=-40:190:0.0517"],
 ]
 
+# seeded N(n/2, n/4) draws at n = 64, 1024 and 4096, as couple-stream makes
+# them, the far tails [beta_1, 0) and (n, beta_n] that walk from a clamped
+# end, the cutpoints themselves (ties land in the cell below), +-0.0, the
+# float extremes and the non-finite draws couple refuses
+COUPLE_PROBE = """\
+import math, random
+from bincoupling import build_table, couple
+rng = random.Random(3)
+for n in (64, 1024, 4096):
+    table = build_table(n)
+    b = table.betas
+    ys = [rng.gauss(n / 2, math.sqrt(n) / 2) for _ in range(500)]
+    ys += [rng.uniform(b[0], 0.0) for _ in range(50)]
+    ys += [rng.uniform(n, b[-1]) for _ in range(50)]
+    ys += [*b[::max(1, n // 64)], 0.0, -0.0, n + 0.5, 1e308, -1e308,
+           math.nan, math.inf, -math.inf]
+    for y in ys:
+        try:
+            print(n, repr(y), couple(table, y))
+        except Exception as e:
+            print(n, repr(y), type(e).__name__, e)
+"""
+RUNS = [(" ".join(cmd), ["-m", "bincoupling.cli", *cmd]) for cmd in COMMANDS]
+RUNS.append(("couple probe", ["-c", COUPLE_PROBE]))
+
 
 def outputs(tree: pathlib.Path, argv: list[str]) -> dict[str, bytes]:
-    """Stdout, stderr, exit code and --out file of one command on one tree."""
+    """Stdout, stderr, exit code and --out file of ``python ARGV`` on one
+    tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run(
-            [sys.executable, "-m", "bincoupling.cli", *argv], cwd=cwd,
-            env=env, capture_output=True)
+            [sys.executable, *argv], cwd=cwd, env=env, capture_output=True)
         out = pathlib.Path(cwd, OUT)
         return {"stdout": proc.stdout, "stderr": proc.stderr,
                 "exit code": str(proc.returncode).encode(),
@@ -208,9 +236,9 @@ def main(argv: list[str]) -> int:
         ref_tree = pathlib.Path(tmp)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
                        check=True)
-        for cmd in COMMANDS:
-            name = " ".join(cmd).replace(f"{ROOT}{os.sep}", "")
-            want, have = outputs(ref_tree, cmd), outputs(ROOT, cmd)
+        for name, args in RUNS:
+            name = name.replace(f"{ROOT}{os.sep}", "")
+            want, have = outputs(ref_tree, args), outputs(ROOT, args)
             for part in want:
                 if want[part] != have[part]:
                     differences += 1
@@ -223,8 +251,8 @@ def main(argv: list[str]) -> int:
                             print(line)
     if differences:
         return 1
-    print(f"same outputs as {ref}: {len(COMMANDS)} commands, stdout, stderr, "
-          f"exit code and --out file each")
+    print(f"same outputs as {ref}: {len(COMMANDS)} commands and the couple "
+          f"probe, stdout, stderr, exit code and --out file each")
     return 0
 
 

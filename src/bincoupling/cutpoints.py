@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binom_exact import log_tail_exact_all
-from .errors import DomainError, RangeError, check_count
+from .errors import DomainError, RangeError, check_count, check_real
 from .normal_tail import inverse_psi_array
 
 __all__ = [
@@ -93,24 +93,14 @@ def couple(table: CutpointTable, y: float) -> int:
     start, so a draw a few standard deviations from n/2 costs two
     comparisons, or three when it starts one cell off.  Only y in
     (n, beta_n] or its mirror [beta_1, 0), more than sqrt(n) standard
-    deviations out, walk far: 197 cells from y = n + 1 at n = 4096.
-    A bool or a value without __float__, such as text, is a DomainError.
-    So is nan or +-inf, which math.floor refuses as it rounds, and a
-    number float() cannot hold, such as 10**400; it is named by its type.
-    """
-    if y.__class__ is not float and (
-            isinstance(y, (bool, np.bool_)) or not hasattr(y, "__float__")):
-        raise DomainError(f"y must be a number, got {y!r}")
+    deviations out, walk far: 197 cells from y = n + 1 at n = 4096.  y is
+    read by errors.check_real, and math.floor refuses nan and +-inf."""
+    if y.__class__ is not float:
+        y = check_real("y", y)
     try:
-        if y.__class__ is not float:
-            y = float(y)
         k = math.floor(y + 0.5)
     except (ValueError, OverflowError):
-        # the repr of an int past 4300 digits raises: name a non-float's type
-        raise DomainError(
-            f"y must be finite, got {y!r}" if y.__class__ is float else
-            f"y must be finite, float() refuses this {type(y).__name__}"
-        ) from None
+        raise DomainError(f"y must be finite, got {y!r}") from None
     if k < 0:
         k = 0
     elif k > table.n:

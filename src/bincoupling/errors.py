@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the rule for a count."""
+"""The package's exception types and its rules for a count and a real."""
 
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -23,3 +25,16 @@ def check_count(name: str, value, lo: int, hi: int,
         raise (DomainError if value < lo else above)(
             f"{name} must be in [{lo}, {hi}], got {value}")
     return value
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a Python float, finite or not.  A bool, a value without
+    __float__, or one float() refuses (10**400), is a DomainError."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__float__"):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (ValueError, OverflowError):
+        # the repr of an int past 4300 digits raises: name the type
+        raise DomainError(f"{name} must be finite, float() refuses this "
+                          f"{type(value).__name__}") from None

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, check_real
 
 __all__ = [
     "psi",
@@ -69,7 +69,8 @@ X_MAX = 200.0
 
 
 def _check_envelope(x: float) -> float:
-    x = float(x)
+    if x.__class__ is not float:
+        x = check_real("x", x)
     if not math.isfinite(x):
         raise DomainError(f"argument must be finite, got {x!r}")
     if not X_MIN <= x <= X_MAX:

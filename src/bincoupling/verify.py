@@ -64,6 +64,9 @@ class SweepConfig:
     k_policy: str = "all"
 
     def __post_init__(self):
+        if isinstance(self.n_values, (str, bytes, bytearray)) or not hasattr(
+                self.n_values, "__iter__"):
+            raise DomainError(f"n_values {self.n_values!r} is not a sequence")
         # ascending ints (numpy integers too), which the JSON report writes
         object.__setattr__(self, "n_values", tuple(sorted(
             check_count("n_values", n, 1, N_MAX_TABLE)
@@ -104,7 +107,7 @@ def select_ks(n: int, policy: str) -> list[int]:
     """Thresholds in the upper half [ceil(n/2), n]; the table's reflection
     covers the lower half.  Every m-th k from ceil(n/2) plus the six extreme
     thresholds: m = 1 for "all", m for "stride:<m>"."""
-    head, _, m = policy.partition(":")
+    head, _, m = policy.partition(":") if isinstance(policy, str) else [""] * 3
     lo, hi = math.ceil(n / 2), n
     if policy == "all":
         step = 1

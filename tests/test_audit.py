@@ -122,6 +122,7 @@ def expansion_point(draw):
 @given(expansion_point())
 @example((28, 18))
 @example((2810, 1501))
+@example((4096, 4095))
 @settings(max_examples=40, deadline=None)
 def test_theorem1_remainder_agrees_with_50_digits(nk):
     n, k = nk
@@ -212,6 +213,7 @@ def theta_point(draw):
 @example((28, 18))
 @example((1217, 1032))
 @example((2810, 1501))
+@example((4096, 2049))
 @settings(max_examples=40, deadline=None)
 def test_theorem2_remainder_agrees_with_50_digits(nk):
     n, k = nk
@@ -252,6 +254,8 @@ def eq5_point(draw):
 
 @given(eq5_point())
 @example((1217, 1032))
+@example((28, 14))
+@example((28, 21))
 @settings(max_examples=40, deadline=None)
 def test_eq5_gap_agrees_with_50_digits(nk):
     n, k = nk

@@ -1,7 +1,10 @@
 """One rule for every count a caller passes: a Python or numpy integer,
-never a bool, inside the entry point's range."""
+never a bool, inside the entry point's range; and one for every real: a
+Python or numpy number, never a bool, that float() can hold."""
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,11 +15,13 @@ from bincoupling import (
     RangeError,
     SweepConfig,
     build_table,
+    couple,
     log_tail_exact_all,
     tail_numerator,
 )
 from bincoupling.binom_exact import N_MAX_EXACT, lambda_table
 from bincoupling.cutpoints import N_MAX_TABLE
+from bincoupling.normal_tail import psi, rho
 
 
 def hand_built_table(n):
@@ -71,3 +76,35 @@ def test_every_count_follows_one_rule(entry):
     # 2^64, where an int64 n would wrap its numerators
     for v in (lo, 64):
         assert plain(call(np.int64(v))) == plain(call(v)), v
+
+
+# each entry point that takes a real, as a call of it on the real
+TABLE_4096 = build_table(4096)
+REALS = {
+    "couple": lambda y: couple(TABLE_4096, y),
+    "psi": psi,
+    "rho": rho,
+}
+
+
+@pytest.mark.parametrize("entry", REALS)
+def test_every_real_follows_one_rule(entry):
+    call = REALS[entry]
+    # unchecked, float() would read the first five as 1.5, 2049, 1.5, 2049
+    # and 10, and the two bools as 1
+    for bad in ("1.5", "2049", b"1.5", b"2049", bytearray(b"10"), True,
+                np.True_, None):
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            call(bad)
+    # float() overflows on the first four and refuses a signalling nan;
+    # 10**5000 has no repr past Python's 4300-digit limit, so the message
+    # names the type of a value that is not yet a float
+    for bad in (10**400, -10**400, 10**5000, Fraction(10**400),
+                Decimal("sNaN"), Decimal("Infinity"), np.float64("nan"),
+                np.float32("inf")):
+        with pytest.raises(DomainError, match="must be finite") as refused:
+            call(bad)
+        assert len(str(refused.value)) < 60, type(bad)
+    # a numpy number or an int is the Python float of its value
+    for v in (np.float64(31.7), np.float32(31.7), np.int64(32), 32):
+        assert plain(call(v)) == plain(call(float(v))), repr(v)

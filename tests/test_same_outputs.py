@@ -1,5 +1,4 @@
 import json
-import math
 import pathlib
 import sys
 from bisect import bisect_left
@@ -149,14 +148,25 @@ def test_the_couple_probe_prints_each_cell_and_each_refusal():
     lines = [line.split(" ", 3) for line in out["stdout"].decode().split("\n")
              if line]
     betas = {n: build_table(n).betas for n in (64, 1024, 4096)}
-    refused = []
-    for n, y, *rest in lines:
-        n, y = int(n), float(y)
-        if math.isfinite(y):
-            assert rest == [str(bisect_left(betas[n], y))], (n, y)
-        else:
-            refused.append((n, rest))
-    assert len(lines) == 2016
+    refused, numpy_draws = [], 0
+    for n, kind, y, rest in lines:
+        n = int(n)
+        if rest.startswith("DomainError"):
+            refused.append((n, kind, rest))
+            continue
+        # a numpy scalar's repr is np.float64(31.7) or 31.7, by numpy version
+        y = float(y.removeprefix(f"np.{kind}(").removesuffix(")"))
+        numpy_draws += kind != "float"
+        assert rest == str(bisect_left(betas[n], y)), (n, kind, y)
+    assert len(lines) == 2049
+    assert numpy_draws == 18
     assert refused == [
-        (n, ["DomainError", f"y must be finite, got {y}"])
-        for n in (64, 1024, 4096) for y in ("nan", "inf", "-inf")]
+        (n, kind, f"DomainError y must be {why}")
+        for n in (64, 1024, 4096)
+        for kind, why in [
+            ("float", "finite, got nan"), ("float", "finite, got inf"),
+            ("float", "finite, got -inf"),
+            ("str", "a number, got '2049'"), ("bool", "a number, got True"),
+            ("NoneType", "a number, got None"),
+            ("int", "finite, float() refuses this int"),
+            ("Decimal", "finite, float() refuses this Decimal")]]

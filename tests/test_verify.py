@@ -122,6 +122,19 @@ class TestSweepConfig:
         with pytest.raises(DomainError, match=re.escape(repr(n))):
             SweepConfig(n_values=(n,))
 
+    @pytest.mark.parametrize("policy", [5, None, b"all"], ids=repr)
+    def test_rejects_a_policy_that_is_not_text(self, policy):
+        # unchecked, 5 and None had no partition and b"all" no str partition
+        with pytest.raises(DomainError, match=re.escape(repr(policy))):
+            SweepConfig(k_policy=policy)
+
+    @pytest.mark.parametrize("n_values", [28, None, "28", b"28"], ids=repr)
+    def test_rejects_n_values_that_is_not_a_sequence(self, n_values):
+        # unchecked, 28 and None are not iterable, "28" iterates as "2" and
+        # "8", and b"28" would sweep n = 50 and 56, its character codes
+        with pytest.raises(DomainError, match=re.escape(repr(n_values))):
+            SweepConfig(n_values=n_values)
+
     def test_numpy_integer_n_sweeps_like_an_int(self):
         config = SweepConfig(n_values=(np.int64(28),), k_policy="all")
         assert config.n_values == (28,) and type(config.n_values[0]) is int

@@ -80,9 +80,12 @@ COMMANDS = [
 # seeded N(n/2, n/4) draws at n = 64, 1024 and 4096, as couple-stream makes
 # them, the far tails [beta_1, 0) and (n, beta_n] that walk from a clamped
 # end, the cutpoints themselves (ties land in the cell below), +-0.0, the
-# float extremes and the non-finite draws couple refuses
+# float extremes, numpy floats and integers, which errors.check_real reads,
+# and the draws couple refuses: non-finite, not a number, or past float()
 COUPLE_PROBE = """\
 import math, random
+from decimal import Decimal
+import numpy as np
 from bincoupling import build_table, couple
 rng = random.Random(3)
 for n in (64, 1024, 4096):
@@ -93,11 +96,14 @@ for n in (64, 1024, 4096):
     ys += [rng.uniform(n, b[-1]) for _ in range(50)]
     ys += [*b[::max(1, n // 64)], 0.0, -0.0, n + 0.5, 1e308, -1e308,
            math.nan, math.inf, -math.inf]
+    ys += [*map(np.float64, (ys[0], b[n // 2], -0.0)),
+           *map(np.int64, (n // 2, -3, n + 5)),
+           "2049", True, None, 10**400, Decimal("sNaN")]
     for y in ys:
         try:
-            print(n, repr(y), couple(table, y))
+            print(n, type(y).__name__, repr(y), couple(table, y))
         except Exception as e:
-            print(n, repr(y), type(e).__name__, e)
+            print(n, type(y).__name__, repr(y), type(e).__name__, e)
 """
 RUNS = [(" ".join(cmd), ["-m", "bincoupling.cli", *cmd]) for cmd in COMMANDS]
 RUNS.append(("couple probe", ["-c", COUPLE_PROBE]))

@@ -17,7 +17,6 @@ strictly inside Robbins' bracket 1/(12n+1) < lambda_n < 1/(12n).
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from itertools import islice
 
@@ -42,8 +41,6 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 # below this n lgamma is the closer route (at n = 8 1.6e-15 off against the
 # series' 1.1e-14; at n = 9 3.3e-15 against 2.4e-15, 50 digits)
 _SERIES_MIN_N = 9
-# numerators log_tail_exact_all takes the logs of at a time
-_BLOCK = 128
 
 
 def tail_numerator(n: int, k: int) -> int:
@@ -66,18 +63,16 @@ def log_tail_exact_all(n: int) -> np.ndarray:
     2012), so no complement 2^n - num is formed and no numerator below h is
     drawn.  Against 50 digits a lower tail is within 1.3e-13 relative at
     every n <= 199 and n = 257, 1000, 1001, 2048, 4095 and 4096, over the
-    tails above the smallest normal double.  The numerators come in blocks
-    whose logs are taken column-wise by _log_ratios, and each block is
-    released once the next is made, so at most two blocks, 2 * _BLOCK
-    numerators, are held at once."""
+    tails above the smallest normal double.  The numerators are streamed:
+    each one's log is taken by _log_ratios as it is made, and only one
+    numerator is held at a time."""
     n = check_count("n", n, 1, N_MAX_EXACT)
     h = n // 2 + 1
-    nums = _numerators(n)
     out = np.empty(n + 1)
     out[0] = 0.0
-    for k in range(n, h - 1, -_BLOCK):
-        block = list(islice(nums, min(_BLOCK, k - h + 1)))  # num_k, ...
-        out[k:k - len(block):-1] = _log_ratios(block, n)
+    # k = n, n - 1, ..., h, as the numerators run down
+    upper = _log_ratios(islice(_numerators(n), n - h + 1), n)
+    out[n:h - 1:-1] = np.fromiter(upper, np.float64, n - h + 1)
     # k = 1, 2, ..., h - 1 from their mirrors out[n], out[n - 1], ...
     out[1:h] = [math.log1p(-math.exp(v)) for v in out[n:n - h + 1:-1].tolist()]
     return out
@@ -89,8 +84,8 @@ def _log_tail(n: int, k: int, num: int) -> float:
     1..n//2, is log1p(-u) of its mirror tail u, whose numerator is
     2^n - num."""
     if 1 <= k <= n // 2:
-        return math.log1p(-math.exp(_log_ratios([(1 << n) - num], n)[0]))
-    return _log_ratios([num], n)[0]
+        return math.log1p(-math.exp(next(_log_ratios([(1 << n) - num], n))))
+    return next(_log_ratios([num], n))
 
 
 def _numerators(n: int):
@@ -104,22 +99,18 @@ def _numerators(n: int):
         yield num
 
 
-def _log_ratios(nums: list[int], n: int) -> np.ndarray:
-    """log(num / 2^n) for every integer num > 0 in ``nums``, by columns:
-    the binary exponents e, the leading 53 bits scaled into [1, 2) by an
-    exact power of two, math.log of each (np.log's SIMD path may differ in
-    the last bit), plus (e - n) log 2.
+def _log_ratios(nums, n: int):
+    """log(num / 2^n) for each integer num > 0 of ``nums``, as it is asked
+    for: math.log of num's leading 53 bits scaled into [1, 2) by an exact
+    power of two, plus (e - n) log 2, e being num's binary exponent.
 
     Taking log(num) - n log 2 instead would subtract two numbers near
     0.69 n and lose about ulp(0.69 n); this way a power of two (the tails
     1, 1/2 and 2^-n among them) gets its log exactly."""
-    e = np.fromiter(map(int.bit_length, nums), np.int64, len(nums)) - 1
-    shift = np.maximum(e - 52, 0)
-    top = np.fromiter(map(operator.rshift, nums, shift.tolist()), np.float64,
-                      len(nums))
-    mant = np.ldexp(top, shift - e)
-    logs = np.fromiter(map(math.log, mant.tolist()), np.float64, len(nums))
-    return logs + (e - n) * LOG_2
+    for num in nums:
+        e = num.bit_length() - 1
+        top = num >> (e - 52) if e > 52 else num << (52 - e)
+        yield math.log(top / 2.0 ** 52) + (e - n) * LOG_2
 
 
 def lambda_table(m: int) -> np.ndarray:

@@ -34,8 +34,11 @@ EXIT_IO_ERROR = 3
 # the most points a lemma1 grid may have; at about 20 us a point (2-CPU
 # host, Python 3.11) the limit is a run of a few minutes
 LEMMA1_MAX_POINTS = 10 ** 7
-# the most a lemma1 slack may fall below 0 and still pass
-LEMMA1_TOL = 1e-10
+# a lemma1 slack passes when it is at least -LEMMA1_REL times the sum of
+# the magnitudes of its operands: psi's and rho's 4e-15 relative error
+# (normal_tail) plus half an ulp for each of the at most 8 roundings that
+# form the slack
+LEMMA1_REL = 4e-15 + 8 * 2.0 ** -53
 # the most bit-terms, (n - k + 1) n, a tails sum may add; the 4.3e9 of
 # tails 65536 0 take 1.7 s on the same host
 TAILS_MAX_BIT_TERMS = 10 ** 10
@@ -116,7 +119,8 @@ def cmd_lemma1(args) -> int:
         prev_rho, prev_r = rh, rr
         for d in deltas:
             xd = x + d
-            inc = psi(xd) - px
+            pd = psi(xd)
+            inc = pd - px
             rh_d = rho(xd)
             slacks = (
                 inc - d * rh,                    # (i) lower
@@ -127,9 +131,18 @@ def cmd_lemma1(args) -> int:
                 inc - x * d - d * d / 2,         # (iii) lower
                 rh * d + d * d / 2 - inc,        # (iii) upper
             )
-            worst = min(worst, *slacks)
-            if min(slacks) < -LEMMA1_TOL:
-                failures += 1
+            low = min(slacks)
+            worst = min(worst, low)
+            if low < 0:  # no budget is below 0
+                # left of 0 psi's and rho's error grows to about x^2/2 ulp
+                rel = LEMMA1_REL + (x * x * 2.0 ** -53 if x < 0 else 0.0)
+                # the operands' magnitudes, one sum per inequality
+                s1 = px + pd + d * (rh + rh_d)
+                s2 = s1 + xd * xd / 2 + x * x / 2 + d * (abs(x) + abs(xd))
+                s3 = px + pd + d * (rh + abs(x) + d / 2)
+                if any(v < -rel * s for v, s in
+                       zip(slacks, (s1, s1, s2, s2, s3, s3))):
+                    failures += 1
     print(f"grid [{a}, {b}] step {step}: {n_pts} points, "
           f"{failures} failures, worst slack {_fmt(worst)}")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED

@@ -256,6 +256,8 @@ def eq5_point(draw):
 @example((1217, 1032))
 @example((28, 14))
 @example((28, 21))
+@example((29, 24))
+@example((4096, 4096))
 @settings(max_examples=40, deadline=None)
 def test_eq5_gap_agrees_with_50_digits(nk):
     n, k = nk

@@ -814,6 +814,20 @@ class TestCli:
         assert main(["lemma1", "--grid=-3:3:0.01"]) == EXIT_OK
         assert "0 failures" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, factor, code", [
+        # a smooth doubling of rho left of -6.5, where every term of the
+        # slacks is below 1e-10
+        ("rho", lambda x: 1 + 1 / (1 + math.exp(5 * (x + 6.5))),
+         EXIT_CHECK_FAILED),
+        # psi off by 1e-15 relative, inside its error bound
+        ("psi", lambda x: 1 + 1e-15, EXIT_OK),
+    ], ids=("rho_doubled_left", "psi_off_by_1e-15"))
+    def test_lemma1_decides_each_slack_on_its_own_scale(
+            self, name, factor, code, monkeypatch, capsys):
+        real = getattr(normal_tail, name)
+        monkeypatch.setattr(cli, name, lambda x: real(x) * factor(x))
+        assert main(["lemma1", "--grid=-8:8:0.01"]) == code
+
     def test_lemma1_evaluates_rho_once_per_abscissa(self, monkeypatch,
                                                      capsys):
         # rho at x and at x + d for the four increments; r(x) is rho(x) - x

@@ -67,6 +67,14 @@ COMMANDS = [
     ["tails", "100", "1"],
     ["tails", "100", "2"],
     ["tails", "100", "49"],
+    # both routes to a numerator's leading bits: 1, 44 and 54 bits (the
+    # first that is shifted down); a tail of exactly 1/2; an even centre,
+    # in the lower half
+    ["tails", "4096", "4096"],
+    ["tails", "4096", "4092"],
+    ["tails", "4096", "4091"],
+    ["tails", "4095", "2048"],
+    ["tails", "4096", "2048"],
     ["coupling", "100"],
     ["coupling", "4096"],
     ["lemma1"],

@@ -1,17 +1,11 @@
-"""Exact symmetric-Binomial tails and Stirling corrections.
+"""Exact symmetric-Binomial tails, in plain Python.
 
 A tail probability P{Bin(n, 1/2) >= k} is an exact big integer numerator
 over 2^n.  An upper tail, k > n/2, takes its double-precision natural log
 from that integer, the numerators of one n coming from one integer
 recurrence run down from k = n to the centre; every lower tail 1 - u, k in
-1..n/2, is log1p(-u) of its mirror tail u < 1/2.
-
-The Stirling corrections lambda_n come as one table per n, by two
-closed-form routes: the six-term Stirling series for n >= 9 and
-math.lgamma minus the Stirling lead below.
-Measured against a 50-digit reference over n <= 4096, their largest
-absolute errors are 2.4e-15 (at n = 9) and 1.9e-15, and every value lies
-strictly inside Robbins' bracket 1/(12n+1) < lambda_n < 1/(12n).
+1..n/2, is log1p(-u) of its mirror tail u < 1/2.  The logs of one n come
+as a list of floats.
 """
 
 from __future__ import annotations
@@ -20,27 +14,15 @@ import math
 from collections import deque
 from itertools import islice
 
-import numpy as np
-
 from .errors import check_count
-from .normal_tail import LOG_2, LOG_SQRT_2PI
+from .normal_tail import LOG_2
 
 __all__ = [
     "tail_numerator",
     "log_tail_exact_all",
-    "lambda_table",
 ]
 
 N_MAX_EXACT = 1 << 20
-
-# B_2m / (2m (2m - 1)) for m = 1..6, from B_2..B_12 = 1/6, -1/30, 1/42,
-# -1/30, 5/66, -691/2730: the coefficients of n^-(2m-1) in the Stirling
-# series
-_STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
-                    1.0 / 1188.0, -691.0 / 360360.0)
-# below this n lgamma is the closer route (at n = 8 1.6e-15 off against the
-# series' 1.1e-14; at n = 9 3.3e-15 against 2.4e-15, 50 digits)
-_SERIES_MIN_N = 9
 
 
 def tail_numerator(n: int, k: int) -> int:
@@ -51,10 +33,9 @@ def tail_numerator(n: int, k: int) -> int:
     return deque(islice(_numerators(n), n - k + 1), maxlen=1)[0]
 
 
-def log_tail_exact_all(n: int) -> np.ndarray:
-    """All log tails for a fixed n as a float64 array of length n + 1;
-    entry [k] is log P{Bin(n,1/2) >= k}, the log of tail_numerator(n, k)
-    over 2^n, each entry written once.
+def log_tail_exact_all(n: int) -> list[float]:
+    """All log tails for a fixed n as a list of n + 1 floats; entry [k] is
+    log P{Bin(n,1/2) >= k}, the log of tail_numerator(n, k) over 2^n.
 
     One big-integer recurrence runs the numerators down from k = n to the
     centre, k = h = n//2 + 1, and the upper half takes the log of its
@@ -68,14 +49,12 @@ def log_tail_exact_all(n: int) -> np.ndarray:
     numerator is held at a time."""
     n = check_count("n", n, 1, N_MAX_EXACT)
     h = n // 2 + 1
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    # k = n, n - 1, ..., h, as the numerators run down
-    upper = _log_ratios(islice(_numerators(n), n - h + 1), n)
-    out[n:h - 1:-1] = np.fromiter(upper, np.float64, n - h + 1)
-    # k = 1, 2, ..., h - 1 from their mirrors out[n], out[n - 1], ...
-    out[1:h] = [math.log1p(-math.exp(v)) for v in out[n:n - h + 1:-1].tolist()]
-    return out
+    # k = h, h + 1, ..., n, the reverse of the order the numerators run in
+    upper = list(_log_ratios(islice(_numerators(n), n - h + 1), n))
+    upper.reverse()
+    # k = 1, 2, ..., h - 1 from their mirrors, the tails of k = n, n - 1, ...
+    return [0.0, *[math.log1p(-math.exp(v))
+                   for v in islice(reversed(upper), h - 1)], *upper]
 
 
 def _log_tail(n: int, k: int, num: int) -> float:
@@ -111,34 +90,3 @@ def _log_ratios(nums, n: int):
         e = num.bit_length() - 1
         top = num >> (e - 52) if e > 52 else num << (52 - e)
         yield math.log(top / 2.0 ** 52) + (e - n) * LOG_2
-
-
-def lambda_table(m: int) -> np.ndarray:
-    """Stirling corrections lambda_j = log j! - [(j + 1/2) log j - j +
-    log sqrt(2 pi)] for j = 0 .. m as one array (entry 0 is nan), in closed
-    form, each bracketed by 1/(12j+1) and 1/(12j); absolute error < 2.5e-15.
-
-    For j >= 9 it is the Stirling series (DLMF 5.11.1) truncated after the
-    B_12 term; the first omitted term is 2.5e-15 at j = 9 and shrinks
-    like j^-13.  For j < 9 it is math.lgamma(j + 1) minus the Stirling lead,
-    where log j! < 11 keeps the cancellation error small.
-    """
-    m = check_count("m", m, 0, N_MAX_EXACT)
-    lam = np.concatenate(([math.nan],
-                          _lambda_series(np.arange(1.0, m + 1.0))))
-    for j in range(1, min(m + 1, _SERIES_MIN_N)):
-        lam[j] = _lambda_lgamma(j)
-    return lam
-
-
-def _lambda_lgamma(n: int) -> float:
-    return math.lgamma(n + 1) - ((n + 0.5) * math.log(n) - n + LOG_SQRT_2PI)
-
-
-def _lambda_series(n):
-    # n is a float or a float array
-    inv2 = 1.0 / (n * n)
-    s = 0.0
-    for c in reversed(_STIRLING_COEFFS):
-        s = c + inv2 * s
-    return s / n

@@ -6,10 +6,11 @@ The cutpoints beta_1 < ... < beta_n are defined by matching tails,
 
 with sentinels beta_0 = -inf and beta_{n+1} = +inf.  In standardized units
 z_k = 2(beta_k - n/2)/sqrt(n) this is psi(z_k) = -log tail, solved by
-Newton's method on the convex psi, run on every k of one n at once.  Only
-k > n/2 is solved directly; the lower half follows from the reflection
+Newton's method on the convex psi, one k at a time.  Only k > n/2 is
+solved directly; the lower half follows from the reflection
 beta_{n-k+1} = n - beta_k, which makes the symmetry identity exact rather
-than a second round-off path.
+than a second round-off path.  The module is plain Python: a table holds
+tuples of floats.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .binom_exact import log_tail_exact_all
 from .errors import DomainError, RangeError, check_count, check_real
-from .normal_tail import inverse_psi_array
+from .normal_tail import inverse_psi
 
 __all__ = [
     "CutpointTable",
@@ -36,36 +35,34 @@ N_MAX_TABLE = 4096
 
 @dataclass(frozen=True, eq=False)
 class CutpointTable:
-    """Cutpoints of one n as arrays over k = 1 .. n (entry k - 1), with
-    beta strictly increasing.  ``cells`` is (-inf, beta_1, ..., beta_n,
-    +inf) as Python floats, built once: entry k is the left end of the
+    """Cutpoints of one n as tuples of floats over k = 1 .. n (entry
+    k - 1), with beta strictly increasing.  ``cells`` is (-inf, beta_1,
+    ..., beta_n, +inf), built once: entry k is the left end of the
     coupling map's cell k, and ``betas`` is its finite part."""
 
     n: int
-    z: np.ndarray     # standardized cutpoint, psi(z) = -log_tail
-    beta: np.ndarray  # n/2 + sqrt(n) z / 2
-    log_tail: np.ndarray
+    z: tuple[float, ...]     # standardized cutpoint, psi(z) = -log_tail
+    beta: tuple[float, ...]  # n/2 + sqrt(n) z / 2
+    log_tail: tuple[float, ...]
     cells: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         # couple clamps k to n and indexes the cells by it, so n is a
-        # Python int and each array holds n entries
+        # Python int and each tuple holds n entries
         object.__setattr__(self, "n", check_count(
             "n", self.n, 1, N_MAX_TABLE, above=RangeError))
         for name in ("z", "beta", "log_tail"):
-            a = getattr(self, name)
-            if a.shape != (self.n,):
-                raise DomainError(
-                    f"{name} must hold n = {self.n} entries, got shape "
-                    f"{a.shape}")
-            a.flags.writeable = False
-        object.__setattr__(self, "cells",
-                           (-math.inf, *self.beta.tolist(), math.inf))
+            a = tuple(getattr(self, name))
+            if len(a) != self.n:
+                raise DomainError(f"{name} must hold n = {self.n} entries, "
+                                  f"got {len(a)}")
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "cells", (-math.inf, *self.beta, math.inf))
 
     @property
     def betas(self) -> tuple[float, ...]:
-        """beta_1, ..., beta_n as Python floats."""
-        return self.cells[1:-1]
+        """beta_1, ..., beta_n: the tuple ``beta``."""
+        return self.beta
 
 
 def build_table(n: int) -> CutpointTable:
@@ -74,12 +71,12 @@ def build_table(n: int) -> CutpointTable:
     log_tail = log_tail_exact_all(n)[1:]
 
     # upper half k > n/2 solved directly (tail <= 1/2), lower half mirrored
-    m = n // 2
-    z_up = inverse_psi_array(-log_tail[m:])
-    beta_up = n / 2 + math.sqrt(n) * z_up / 2
+    m, root_n = n // 2, math.sqrt(n)
+    z_up = [inverse_psi(-t) for t in log_tail[m:]]
+    beta_up = [n / 2 + root_n * z / 2 for z in z_up]
     # k = m, m - 1, ..., 1 mirror the entries of n - m + 1, ..., n
-    z = np.concatenate([-z_up[n - 2 * m:][::-1], z_up])
-    beta = np.concatenate([n - beta_up[n - 2 * m:][::-1], beta_up])
+    z = [-v for v in reversed(z_up[n - 2 * m:])] + z_up
+    beta = [n - b for b in reversed(beta_up[n - 2 * m:])] + beta_up
     return CutpointTable(n=n, z=z, beta=beta, log_tail=log_tail)
 
 
@@ -121,10 +118,9 @@ def table_csv(table: CutpointTable) -> str:
     the epsilon column is (2(k-1) - (n-1)) / (n-1), 0 by convention at
     n = 1."""
     n = table.n
-    ks = np.arange(1, n + 1)
-    epsilon = (2 * (ks - 1) - (n - 1)) / (n - 1) if n > 1 else np.zeros(1)
-    cols = (epsilon.tolist(), table.z.tolist(), table.betas,
-            table.log_tail.tolist())
+    epsilon = ([(2 * (k - 1) - (n - 1)) / (n - 1) for k in range(1, n + 1)]
+               if n > 1 else [0.0])
+    cols = (epsilon, table.z, table.beta, table.log_tail)
     lines = ["n,k,epsilon,z,beta,log_tail"]
     lines.extend(f"{n},{k},{e:.17g},{z:.17g},{b:.17g},{t:.17g}"
                  for k, e, z, b, t in zip(range(1, n + 1), *cols))

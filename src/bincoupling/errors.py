@@ -1,8 +1,7 @@
 """The package's exception types and its rules for a count and a real."""
 
 import operator
-
-import numpy as np
+import sys
 
 
 class DomainError(ValueError):
@@ -29,8 +28,11 @@ def check_count(name: str, value, lo: int, hi: int,
 
 def check_real(name: str, value) -> float:
     """``value`` as a Python float, finite or not.  A bool, a value without
-    __float__, or one float() refuses (10**400), is a DomainError."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__float__"):
+    __float__, or one float() refuses (10**400), is a DomainError.  A numpy
+    bool is refused only if numpy is loaded: no numpy bool exists before."""
+    np = sys.modules.get("numpy")
+    if (isinstance(value, bool) or not hasattr(value, "__float__")
+            or np is not None and isinstance(value, np.bool_)):
         raise DomainError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)

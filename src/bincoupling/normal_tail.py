@@ -17,6 +17,10 @@ further left the rounding of x^2 in exp(-x^2/2) allows up to about x^2/2
 ulp, the left tail's own condition number.  The envelope ends at
 X_MIN = -37.5, where psi and rho are still normal floats.
 
+For x >= 0 psi, rho and the scalar Newton solve inverse_psi read one
+private kernel that returns psi and rho together.  The module is plain
+Python; the sweep's array form of psi and rho is approx.psi_rho_array.
+
 Symbols, for a standard normal Z:
 
     phi(x)   density
@@ -30,15 +34,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, RangeError, check_real
 
 __all__ = [
     "psi",
     "rho",
-    "psi_rho_array",
-    "inverse_psi_array",
+    "inverse_psi",
     "X_MIN",
     "X_MAX",
 ]
@@ -56,10 +57,10 @@ LOG_2 = math.log(2.0)
 # 50 digits over (10, 30], where -log of the erfc route's tail reaches 5.2e-16.
 _SEAM = 10.0
 
-# Terms of the continued fraction at every x past the seam: the fewest that
-# give the 80-term double at 6,000,000 points of (10, 10.1] (16 miss at 88)
-# and at 2,000,000 of (10, 200].
-_CF_DEPTH = 20
+# Numerators of the continued fraction at every x past the seam, bottom up,
+# as floats: 20 terms, the fewest that give the 80-term double at 6,000,000
+# points of (10, 10.1] (16 miss at 88) and at 2,000,000 of (10, 200].
+_CF_TERMS = tuple(map(float, range(20, 0, -1)))
 
 # Validated accuracy envelope [X_MIN, X_MAX] for psi, rho and their inverse.
 # Outside it the operations fail loudly rather than silently degrade: left
@@ -89,11 +90,9 @@ def psi(x: float) -> float:
     x = _check_envelope(x)
     if x < 0.0:
         # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
-        q = math.exp(-0.5 * x * x) / (SQRT_2PI * _rho_nonneg(-x))
+        q = math.exp(-0.5 * x * x) / (SQRT_2PI * _psi_rho(-x)[1])
         return -math.log1p(-q)
-    if x <= _SEAM:
-        return -math.log(0.5 * math.erfc(x * INV_SQRT_2))
-    return 0.5 * x * x + LOG_SQRT_2PI + math.log(_rho_nonneg(x))
+    return _psi_rho(x)[0]
 
 
 def rho(x: float) -> float:
@@ -102,101 +101,71 @@ def rho(x: float) -> float:
     if x < 0.0:
         return (SQRT_2_OVER_PI * math.exp(-0.5 * x * x)
                 / math.erfc(x * INV_SQRT_2))
-    return _rho_nonneg(x)
-
-
-def _rho_nonneg(x: float) -> float:
-    """rho for x >= 0, unchecked."""
-    if x > _SEAM:
-        return _mills_cf(x)
-    # phi/tail at the rounded u = x/sqrt 2, so the error of that rounding
-    # cancels between exp(-u^2) and erfc(u)
-    u = x * INV_SQRT_2
-    return SQRT_2_OVER_PI * math.exp(-u * u) / math.erfc(u)
+    return _psi_rho(x)[1]
 
 
 def _mills_cf(x):
-    """1/R(x) = x + 1/(x + 2/(x + 3/(x + ...))) cut after _CF_DEPTH terms
-    and evaluated from the bottom up; x is a float or a float array."""
+    """1/R(x) = x + 1/(x + 2/(x + 3/(x + ...))) cut after the terms of
+    _CF_TERMS and evaluated from the bottom up; x is a float or a float
+    array."""
     t = x
-    for k in range(_CF_DEPTH, 0, -1):
+    for k in _CF_TERMS:
         t = x + k / t
     return t
 
 
-def psi_rho_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, rho) elementwise, by the routes and the seam of the scalar psi
-    and rho, with each piece the two share evaluated once: exp(-x^2/2) left
-    of 0, erfc(x/sqrt 2) on [0, 10] and the continued fraction past 10.
-    An entry depends on its own x alone.  math.erfc runs in a
-    comprehension, the fraction in numpy.  The caller keeps x finite and
-    inside the envelope."""
-    x = np.asarray(x, dtype=float)
-    p, r = np.empty_like(x), np.empty_like(x)
-    neg = x < 0.0
-    far = x > _SEAM
-    mid = ~(neg | far)
-    if neg.any():
-        xn = x[neg]
-        ex = np.exp(-0.5 * xn * xn)
-        # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
-        p[neg] = -np.log1p(-ex / (SQRT_2PI * psi_rho_array(-xn)[1]))
-        r[neg] = SQRT_2_OVER_PI * ex / _erfc_array(xn * INV_SQRT_2)
-    if far.any():
-        xf = x[far]
-        r[far] = rf = _mills_cf(xf)
-        p[far] = 0.5 * xf * xf + LOG_SQRT_2PI + np.log(rf)
-    u = x[mid] * INV_SQRT_2
-    erfc_u = _erfc_array(u)
-    p[mid] = -np.log(0.5 * erfc_u)
-    # phi/tail at the rounded u, as in _rho_nonneg
-    r[mid] = SQRT_2_OVER_PI * np.exp(-u * u) / erfc_u
-    return p, r
-
-
-def _erfc_array(u: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.erfc, u.tolist()), float, u.size)
+def _psi_rho(x: float) -> tuple[float, float]:
+    """(psi, rho) for x >= 0, unchecked, with the piece the two share
+    evaluated once: erfc(x/sqrt 2) on [0, 10], the continued fraction past
+    10."""
+    if x > _SEAM:
+        r = _mills_cf(x)
+        return 0.5 * x * x + LOG_SQRT_2PI + math.log(r), r
+    # phi/tail at the rounded u = x/sqrt 2, so the error of that rounding
+    # cancels between exp(-u^2) and erfc(u)
+    u = x * INV_SQRT_2
+    erfc_u = math.erfc(u)
+    return -math.log(0.5 * erfc_u), SQRT_2_OVER_PI * math.exp(-u * u) / erfc_u
 
 
 # psi is increasing, so L <= psi(X_MAX) keeps the root inside the envelope
 _PSI_X_MAX = psi(X_MAX)
 
 
-def inverse_psi_array(L: np.ndarray) -> np.ndarray:
-    """Solve psi(x) = L elementwise for log 2 <= L <= psi(X_MAX) (roots
-    0 <= x <= X_MAX): the package's one psi^-1 solve.
+def inverse_psi(L: float) -> float:
+    """Solve psi(x) = L for log 2 <= L <= psi(X_MAX) (roots 0 <= x <=
+    X_MAX): the package's one psi^-1 solve.
 
-    Plain Newton x <- x - (psi(x) - L)/rho(x), one numpy pass per
-    iteration over the entries still active.  psi is convex (rho is
+    Plain Newton x <- x - (psi(x) - L)/rho(x).  psi is convex (rho is
     increasing), so every tangent lies below it: from any x >= 0 one step
     lands at or right of the root and the iterates then fall monotonically
-    to it; no bracket is needed.  An entry stops after the pass with
-    |psi(x) - L| <= 1e-12 max(1, L), keeping that pass's step, and is then
-    within 1.5 (ulp(x) + ulp(L)/rho(x)) of the root for the exact tail
-    (measured in 50 digits; the second term is L's rounding).  The result
-    is checked to |psi(x) - L| <= 1e-10 max(1, L); an L above psi(X_MAX)
-    is a RangeError naming the first such L."""
-    L = np.asarray(L, dtype=float)
-    if L.size and not (np.isfinite(L).all() and L.min() >= LOG_2):
-        raise DomainError("L must be finite and at least log 2")
-    if L.size and L.max() > _PSI_X_MAX:
-        raise RangeError(f"inverse_psi_array: L > psi(X_MAX) = {_PSI_X_MAX!r} "
-                         f"for L = {float(L[(L > _PSI_X_MAX).argmax()])!r}")
+    to it; no bracket is needed.  The solve stops after the step with
+    |psi(x) - L| <= 1e-12 max(1, L), keeping that step, and is then within
+    1.5 (ulp(x) + ulp(L)/rho(x)) of the root for the exact tail (measured
+    in 50 digits; the second term is L's rounding).  The result is checked
+    to |psi(x) - L| <= 1e-10 max(1, L); an L above psi(X_MAX) is a
+    RangeError."""
+    if not (math.isfinite(L) and L >= LOG_2):
+        raise DomainError(f"L must be finite and at least log 2, got {L!r}")
+    if L > _PSI_X_MAX:
+        raise RangeError(f"inverse_psi: L > psi(X_MAX) = {_PSI_X_MAX!r} "
+                         f"for L = {L!r}")
     # seed: past L = 2.5 the first-order asymptotic inverse of the tail at
     # e^{-L}, stated in L; below, Newton's first step from the root at log 2
-    y = np.sqrt(2.0 * L)
-    x = np.where(L > 2.5, y - np.log(y) / y, (L - LOG_2) / SQRT_2_OVER_PI)
-    tol = 1e-12 * np.maximum(1.0, L)
-    act = np.arange(L.size)
+    if L > 2.5:
+        y = math.sqrt(2.0 * L)
+        x = y - math.log(y) / y
+    else:
+        x = (L - LOG_2) / SQRT_2_OVER_PI
+    scale = max(1.0, L)
+    tol = 1e-12 * scale
     for _ in range(200):
-        if not act.size:
+        p, r = _psi_rho(x)
+        f = p - L
+        x -= f / r
+        if abs(f) <= tol:
             break
-        p, r = psi_rho_array(x[act])
-        f = p - L[act]
-        x[act] -= f / r
-        act = act[np.abs(f) > tol[act]]
-    missed = np.abs(psi_rho_array(x)[0] - L) > 1e-10 * np.maximum(1.0, L)
-    if missed.any():
-        raise RangeError(f"inverse_psi_array: |psi(x) - L| > 1e-10 max(1, L) "
-                         f"for L = {float(L[missed.argmax()])!r}")
+    if abs(_psi_rho(x)[0] - L) > 1e-10 * scale:
+        raise RangeError(f"inverse_psi: |psi(x) - L| > 1e-10 max(1, L) "
+                         f"for L = {L!r}")
     return x

@@ -20,11 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .approx import expansion_arrays
+from .approx import expansion_arrays, psi_rho_array
 from .binom_exact import log_tail_exact_all
 from .cutpoints import N_MAX_TABLE, CutpointTable, build_table
 from .errors import DomainError, check_count
-from .normal_tail import psi_rho_array
 
 __all__ = [
     "SweepConfig",
@@ -166,12 +165,13 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
     table = build_table(n)
     # the expansion reads its exact tails from a second pass (the table's
     # log_tail holds the same values)
-    tails = log_tail_exact_all(n)
+    tails = np.asarray(log_tail_exact_all(n))
+    all_beta = np.asarray(table.beta)
     N = n - 1
     ks = np.array(select_ks(n, k_policy))
-    z = table.z[ks - 1]
-    beta = table.beta[ks - 1]
-    log_tail = table.log_tail[ks - 1]
+    z = np.asarray(table.z)[ks - 1]
+    beta = all_beta[ks - 1]
+    log_tail = np.asarray(table.log_tail)[ks - 1]
     psi_z = psi_rho_array(z)[0]
 
     # defining equation psi(z_k) = -log tail, re-checked post hoc
@@ -180,7 +180,7 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
     _add(checks, "defining_eq", n, ks, s)
 
     # symmetry beta_{n-k+1} + beta_k = n
-    s = TOLERANCES["symmetry"] - np.abs(table.beta[n - ks] + beta - n)
+    s = TOLERANCES["symmetry"] - np.abs(all_beta[n - ks] + beta - n)
     _add(checks, "symmetry", n, ks, s)
 
     # Tusnady's bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))
@@ -316,10 +316,10 @@ def coupling_check(table: CutpointTable) -> tuple[float, float]:
     endpoint.  The infinite sentinel beyond beta_n is excluded: no constant
     bounds |X - Y| on the top cell's unbounded side.
     """
-    n = table.n
+    n, beta = table.n, np.asarray(table.beta)
     k = np.arange(n // 2 + 1, n + 1)
-    below = k - table.beta[k - 1]            # k - beta_k
-    above = table.beta[k[:-1]] - k[:-1]      # beta_{k+1} - k, for k < n
+    below = k - beta[k - 1]            # k - beta_k
+    above = beta[k[:-1]] - k[:-1]      # beta_{k+1} - k, for k < n
     scale = 1.0 + np.abs(k - n / 2) ** 3 / n ** 2
     c = max(_max(below / scale), _max(above / scale[:-1]))
     return float(below.max()), c

@@ -11,11 +11,8 @@ sandwich and Tusnady's bracket.
 import math
 from functools import partial
 
-from bincoupling.binom_exact import (
-    N_MAX_EXACT,
-    lambda_table,
-    tail_numerator,
-)
+from bincoupling.approx import lambda_table
+from bincoupling.binom_exact import N_MAX_EXACT, tail_numerator
 from bincoupling.errors import DomainError, RangeError
 from bincoupling.normal_tail import (
     INV_SQRT_2,
@@ -72,9 +69,10 @@ def inverse_psi_newton(L: float) -> float:
     root is solved on log psi, x <- x - (log psi(x) - log L) psi(x)/rho(x),
     so that the stop is relative however small L is.  Below psi(X_MIN) the
     root is past the envelope, and the iteration stops at the capped
-    bracket's edge X_MIN.  One point at a time on the scalar psi and rho:
-    the reference the package's vector solve,
-    normal_tail.inverse_psi_array, is tested against.
+    bracket's edge X_MIN.  It runs on the public psi and rho, with a
+    bracket and a bisection fallback: the reference the package's solve,
+    normal_tail.inverse_psi (plain Newton on a private kernel that returns
+    psi and rho together, for roots x >= 0 only), is tested against.
     """
     L = float(L)
     if not (L > 0.0) or not math.isfinite(L):

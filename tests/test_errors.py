@@ -19,7 +19,8 @@ from bincoupling import (
     log_tail_exact_all,
     tail_numerator,
 )
-from bincoupling.binom_exact import N_MAX_EXACT, lambda_table
+from bincoupling.approx import lambda_table
+from bincoupling.binom_exact import N_MAX_EXACT
 from bincoupling.cutpoints import N_MAX_TABLE
 from bincoupling.normal_tail import psi, rho
 
@@ -27,9 +28,9 @@ from bincoupling.normal_tail import psi, rho
 def hand_built_table(n):
     """A CutpointTable of n given entries; the check of n comes first."""
     size = n if type(n) in (int, np.int64) else 1
-    return CutpointTable(n=n, z=np.zeros(size),
-                         beta=np.arange(size, dtype=float),
-                         log_tail=np.zeros(size))
+    return CutpointTable(n=n, z=(0.0,) * size,
+                         beta=tuple(map(float, range(size))),
+                         log_tail=(0.0,) * size)
 
 
 # each entry point that takes a count: a call of it on the count, the
@@ -51,12 +52,13 @@ def plain(result):
     """A result as Python values that compare equal only when the results
     are the same to the bit, the types of their ints included."""
     if isinstance(result, CutpointTable):
-        return (type(result.n), result.n, result.z.tobytes(),
-                result.beta.tobytes(), result.log_tail.tobytes())
+        return (type(result.n), result.n,
+                *map(plain, (result.z, result.beta, result.log_tail)))
     if isinstance(result, np.ndarray):
         return result.tobytes()
-    if isinstance(result, tuple):
-        return [(type(v), v) for v in result]
+    if isinstance(result, (tuple, list)):
+        return [(type(v), v.hex() if type(v) is float else v)
+                for v in result]
     return type(result), result
 
 

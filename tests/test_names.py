@@ -49,7 +49,7 @@ UNTRACED = (
     "approx.theorem1_breakdown", "approx.lower_bound_11",
     "approx.theorem2_theta", "approx.delta_sandwich",
     "approx.tusnady_bounds", "binom_exact.lambda_n",
-    "normal_tail.r_remainder", "normal_tail.inverse_psi",
+    "normal_tail.r_remainder",
 )
 
 
@@ -154,20 +154,36 @@ def test_all_names_exist(module):
         assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
-def test_coupling_alone_skips_the_sweep_harness():
-    # a fresh process: this one has imported everything already
-    code = ("import sys, bincoupling\n"
-            "t = bincoupling.build_table(64)\n"
-            "bincoupling.couple(t, 32.0)\n"
-            "print(' '.join(sorted(sys.modules)))\n")
+def modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh Python process has loaded after running code:
+    this one has imported everything already."""
+    code += "\nimport sys\nprint(' '.join(sys.modules))\n"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}).stdout.split()
+    return set(subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}
+                              ).stdout.split())
+
+
+def test_coupling_alone_skips_the_sweep_harness():
+    out = modules_loaded_by("import bincoupling\n"
+                            "t = bincoupling.build_table(64)\n"
+                            "bincoupling.couple(t, 32.0)")
     assert "bincoupling.cutpoints" in out
-    loaded = {"bincoupling.approx", "bincoupling.verify", "json"} & set(out)
+    loaded = {"bincoupling.approx", "bincoupling.verify", "json"} & out
     assert not loaded
+
+
+def test_coupling_alone_never_loads_numpy():
+    # the coupling core (normal_tail, binom_exact, cutpoints, errors) is
+    # plain Python: numpy comes in with the sweep harness only
+    out = modules_loaded_by("import bincoupling\n"
+                            "for n in (64, 1024, 4096):\n"
+                            "    t = bincoupling.build_table(n)\n"
+                            "assert bincoupling.couple(t, 2048.3) == 2048")
+    assert "bincoupling.cutpoints" in out
+    assert "numpy" not in out
 
 
 def test_exports_are_the_defining_modules_objects():

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincoupling import DomainError, RangeError
+from bincoupling.approx import psi_rho_array
 from bincoupling.normal_tail import (
     X_MAX,
     X_MIN,
-    inverse_psi_array,
+    inverse_psi,
     psi,
-    psi_rho_array,
     rho,
 )
 from reference import (
@@ -250,11 +250,11 @@ def test_array_values_do_not_depend_on_the_batch():
 
 
 def solve(L: float) -> float:
-    """psi^-1 at one L: the package's vector solve for L >= log 2, where its
-    roots x >= 0 lie, and the scalar Newton oracle for the negative roots
-    below, which the package never solves (build_table mirrors them)."""
+    """psi^-1 at one L: the package's solve for L >= log 2, where its roots
+    x >= 0 lie, and the scalar Newton oracle for the negative roots below,
+    which the package never solves (build_table mirrors them)."""
     if L >= math.log(2.0):
-        return float(inverse_psi_array(np.array([L]))[0])
+        return inverse_psi(L)
     return inverse_psi_newton(L)
 
 
@@ -284,18 +284,18 @@ class TestInversePsi:
     def test_domain_errors(self):
         for L in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
-                inverse_psi_array(np.array([L]))
+                inverse_psi(L)
         with pytest.raises(RangeError):
-            inverse_psi_array(np.array([psi(200.0) * 1.01]))
+            inverse_psi(psi(200.0) * 1.01)
         # the envelope's edge: psi(X_MAX) solves to X_MAX within the
         # contract, and the next float above it is past the edge
         edge = psi(X_MAX)
-        x = inverse_psi_array(np.array([edge]))
-        assert x[0] == pytest.approx(X_MAX, rel=1e-15, abs=0.0)
-        assert abs(psi_rho_array(x)[0][0] - edge) <= 1e-10 * edge
+        x = inverse_psi(edge)
+        assert x == pytest.approx(X_MAX, rel=1e-15, abs=0.0)
+        assert abs(psi_rho_array(np.array([x]))[0][0] - edge) <= 1e-10 * edge
         for L in (math.nextafter(edge, math.inf), edge * (1.0 + 1e-11)):
             with pytest.raises(RangeError, match=repr(L)):
-                inverse_psi_array(np.array([L]))
+                inverse_psi(L)
 
     def test_tiny_L_stays_in_the_envelope(self):
         # the oracle's bracket for a negative root is capped at X_MIN, as
@@ -308,7 +308,7 @@ class TestInversePsi:
         # roots -7.349, -9.262 and -21.273, far left of where psi first
         # comes within an absolute 1e-12 of L (x ~ -7.06)
         mirrored = -math.log(-math.expm1(-L))
-        want = -float(inverse_psi_array(np.array([mirrored]))[0])
+        want = -inverse_psi(mirrored)
         x = inverse_psi_newton(L)
         assert x == pytest.approx(want, abs=1e-9)
         # abs=0: pytest.approx keeps its default abs of 1e-12 otherwise
@@ -316,11 +316,11 @@ class TestInversePsi:
 
     def test_negative_root_is_the_mirrored_solve(self):
         # the reflection build_table's lower half rests on: psi(x) = L < log 2
-        # has -x solving psi(-x) = -log(-expm1(-L)), a root the vector solve
-        # finds
+        # has -x solving psi(-x) = -log(-expm1(-L)), a root the package's
+        # solve finds
         for L in (0.6, 0.1, 1e-6, 1e-100):
             mirrored = -math.log(-math.expm1(-L))
-            x = -float(inverse_psi_array(np.array([mirrored]))[0])
+            x = -inverse_psi(mirrored)
             assert x < 0.0
             assert psi(x) == pytest.approx(L, rel=1e-10, abs=0.0)
 
@@ -357,7 +357,7 @@ def test_psi_increment_bracket(x, delta):
 
 # L < log 2 has a negative root, solved by the oracle, and is drawn
 # log-uniform from psi(X_MIN) so that the deep left tail is drawn too;
-# L >= log 2 by the package's vector solve
+# L >= log 2 by the package's solve
 @given(st.one_of(st.floats(min_value=math.log(psi(X_MIN)),
                            max_value=math.log(math.log(2.0)),
                            exclude_max=True).map(

@@ -30,6 +30,7 @@ from bincoupling.cli import (
     EXIT_OK,
     main,
 )
+from bincoupling.approx import psi_rho_array
 from bincoupling.binom_exact import log_tail_exact_all
 from bincoupling.cutpoints import N_MAX_TABLE, build_table
 from bincoupling import cli, normal_tail, verify
@@ -513,7 +514,7 @@ class TestCouplingCheck:
         for n in (m for m in DENSE.n_values if m >= 64):
             table = build_table(n)
             k = np.arange(-(-n // 2), n + 1)
-            d = table.beta[k - 1] - k + 0.5
+            d = np.asarray(table.beta)[k - 1] - k + 0.5
             t = np.abs(k - n / 2) ** 3 / n ** 2
             mins.append(float((d[t >= 1.0] / t[t >= 1.0]).min()))
         assert len(mins) == 10
@@ -531,7 +532,8 @@ class TestCouplingCheck:
         n_top = int(psi(normal_tail.X_MAX) / math.log(2.0))
         assert n_top == 28862
         n = np.arange(2, n_top + 1)
-        z = normal_tail.inverse_psi_array(n * math.log(2.0))
+        z = np.array([normal_tail.inverse_psi(L)
+                      for L in (n * math.log(2.0)).tolist()])
         beta = n / 2 + np.sqrt(n) * z / 2
         top = (beta - n + 0.5) * 8 / n
         cpl = (beta - (n - 1)) / (1.0 + (n / 2 - 1) ** 3 / n ** 2)
@@ -599,11 +601,11 @@ def test_sandwich_rows_are_lemma1_iii(dense_sweep):
     assert up.n.tolist() == lo.n.tolist() and up.k.tolist() == lo.k.tolist()
     assert up.n.size == 5672
     n, k = up.n, up.k
-    z = np.concatenate([build_table(m).z[k[n == m] - 1]
+    z = np.concatenate([np.asarray(build_table(m).z)[k[n == m] - 1]
                         for m in DENSE.n_values])
     x = (2 * (k - 1) - (n - 1)) / (n - 1) * np.sqrt(n - 1)
     delta = z - x
-    (psi_z, _), (psi_x, rho) = map(normal_tail.psi_rho_array, (z, x))
+    (psi_z, _), (psi_x, rho) = map(psi_rho_array, (z, x))
     b = psi_z - psi_x
     assert (np.sign(up.slack) == np.sign(b - x * delta - delta ** 2 / 2)).all()
     assert (np.sign(lo.slack)
@@ -647,7 +649,7 @@ def test_fitted_checks_bind_at_their_measured_rows(dense_sweep):
     # eq. (5)'s upper side, through C3, binds at (28, 14), its lower side,
     # through C1, at (28, 21): the other side keeps room at each
     k = np.array([14, 21])
-    d = build_table(28).beta[k - 1] - k + 0.5
+    d = np.asarray(build_table(28).beta)[k - 1] - k + 0.5
     t, s = np.abs(k - 14) ** 3 / 28 ** 2, math.sqrt(28)
     lower = d - (-c.c1_eq5 / s + c.c2_eq5 * t)
     upper = c.c3_eq5 * math.log(28) / s + c.c4_eq5 * t - d
@@ -969,7 +971,7 @@ def scalar_checks(n: int, tol: dict[str, float]):
     tails = log_tail_exact_all(n)
     N = n - 1
     out, r_k, theta = {}, {}, {}
-    z_all, betas = table.z.tolist(), table.betas
+    z_all, betas = table.z, table.betas
     for k in select_ks(n, "all"):
         z, beta, log_tail = z_all[k - 1], betas[k - 1], tails[k]
         if log_tail < 0.0:

@@ -16,7 +16,6 @@ tuples of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .binom_exact import log_tail_exact_all
 from .errors import DomainError, RangeError, check_count, check_real
@@ -33,31 +32,39 @@ __all__ = [
 N_MAX_TABLE = 4096
 
 
-@dataclass(frozen=True, eq=False)
 class CutpointTable:
     """Cutpoints of one n as tuples of floats over k = 1 .. n (entry
     k - 1), with beta strictly increasing.  ``cells`` is (-inf, beta_1,
     ..., beta_n, +inf), built once: entry k is the left end of the
-    coupling map's cell k, and ``betas`` is its finite part."""
+    coupling map's cell k, and ``betas`` is its finite part.  A table is
+    read-only, equal only to itself, and pickles and copies by rebuilding
+    through the constructor."""
 
-    n: int
-    z: tuple[float, ...]     # standardized cutpoint, psi(z) = -log_tail
-    beta: tuple[float, ...]  # n/2 + sqrt(n) z / 2
-    log_tail: tuple[float, ...]
-    cells: tuple[float, ...] = field(init=False, repr=False)
+    # n; z, psi(z) = -log_tail; beta = n/2 + sqrt(n) z / 2; log_tail; cells
+    __slots__ = ("n", "z", "beta", "log_tail", "cells")
 
-    def __post_init__(self):
+    def __init__(self, n: int, z, beta, log_tail):
         # couple clamps k to n and indexes the cells by it, so n is a
         # Python int and each tuple holds n entries
-        object.__setattr__(self, "n", check_count(
-            "n", self.n, 1, N_MAX_TABLE, above=RangeError))
-        for name in ("z", "beta", "log_tail"):
-            a = tuple(getattr(self, name))
-            if len(a) != self.n:
-                raise DomainError(f"{name} must hold n = {self.n} entries, "
+        n = check_count("n", n, 1, N_MAX_TABLE, above=RangeError)
+        init = object.__setattr__
+        init(self, "n", n)
+        for name, a in (("z", z), ("beta", beta), ("log_tail", log_tail)):
+            a = tuple(a)
+            if len(a) != n:
+                raise DomainError(f"{name} must hold n = {n} entries, "
                                   f"got {len(a)}")
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "cells", (-math.inf, *self.beta, math.inf))
+            init(self, name, a)
+        init(self, "cells", (-math.inf, *self.beta, math.inf))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CutpointTable is read-only: {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CutpointTable is read-only: {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n, self.z, self.beta, self.log_tail)
 
     @property
     def betas(self) -> tuple[float, ...]:

@@ -139,10 +139,15 @@ def inverse_psi(L: float) -> float:
     Plain Newton x <- x - (psi(x) - L)/rho(x).  psi is convex (rho is
     increasing), so every tangent lies below it: from any x >= 0 one step
     lands at or right of the root and the iterates then fall monotonically
-    to it; no bracket is needed.  The solve stops after the step with
-    |psi(x) - L| <= 1e-12 max(1, L), keeping that step, and is then within
-    1.5 (ulp(x) + ulp(L)/rho(x)) of the root for the exact tail (measured
-    in 50 digits; the second term is L's rounding).  The result is checked
+    to it; no bracket is needed.  The seed is Newton's first step from
+    the root 0 at log 2 up to L = 2.5; past it, the first-order inverse
+    x0 = y - log(y)/y, y = sqrt(2L), refined by one fixed-point step
+    x = sqrt(2(L - log sqrt(2 pi) - log x0)), which takes a solve from
+    3.63 kernel calls to 2.44 over the sweep-dense L.  The solve stops
+    after the step with |psi(x) - L| <= 1e-12 max(1, L), keeping that
+    step, and is then within 1.65 (ulp(x) + ulp(L)/rho(x)) of the root
+    for the exact tail (measured in 50 digits; the second term is L's
+    rounding).  The result is checked
     to |psi(x) - L| <= 1e-10 max(1, L); an L above psi(X_MAX) is a
     RangeError."""
     if not (math.isfinite(L) and L >= LOG_2):
@@ -150,11 +155,11 @@ def inverse_psi(L: float) -> float:
     if L > _PSI_X_MAX:
         raise RangeError(f"inverse_psi: L > psi(X_MAX) = {_PSI_X_MAX!r} "
                          f"for L = {L!r}")
-    # seed: past L = 2.5 the first-order asymptotic inverse of the tail at
-    # e^{-L}, stated in L; below, Newton's first step from the root at log 2
+    # the refined seed's root argument is 0.95 at L = 2.5 and grows with L
     if L > 2.5:
         y = math.sqrt(2.0 * L)
         x = y - math.log(y) / y
+        x = math.sqrt(2.0 * (L - LOG_SQRT_2PI - math.log(x)))
     else:
         x = (L - LOG_2) / SQRT_2_OVER_PI
     scale = max(1.0, L)

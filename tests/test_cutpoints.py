@@ -1,6 +1,8 @@
+import copy
 import csv
 import functools
 import math
+import pickle
 import re
 import sys
 from bisect import bisect_left
@@ -139,6 +141,21 @@ class TestBuildTable:
         arrays = {a: getattr(table, a) for a in names}
         assert CutpointTable(n=5, **arrays).betas == table.betas
 
+    def test_read_only_equal_to_itself_and_picklable(self):
+        table = build_table(29)
+        for name in ("n", "z", "beta", "log_tail", "cells", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(table, name)
+        names = ("n", "z", "beta", "log_tail", "cells")
+        for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table),
+                     copy.deepcopy(table)):
+            assert twin is not table and twin.__class__ is CutpointTable
+            for name in names:
+                assert getattr(twin, name) == getattr(table, name), name
+        assert table == table and build_table(29) != build_table(29)
+
     def test_range(self):
         # past N_MAX_TABLE is outside the validated envelope; below 1 there
         # is no Binomial to couple, a DomainError as in log_tail_exact_all
@@ -171,9 +188,10 @@ class TestVectorSolve:
             assert abs(table.z[k - 1] - ref) <= 1e-10
 
     def test_a_solve_takes_few_kernel_evaluations(self, monkeypatch):
-        # over the 6,144 upper-half L of the sweep-dense n, a solve
-        # evaluates psi and rho 3.63 times on average before its closing
-        # check, which is one more evaluation
+        # over the 6,144 upper-half L of the sweep-dense n, a solve from
+        # the refined seed evaluates psi and rho 2.44 times on average
+        # before its closing check, which is one more evaluation (3.63
+        # from the first-order seed alone)
         calls = []
         real = normal_tail._psi_rho
 
@@ -189,7 +207,7 @@ class TestVectorSolve:
                 normal_tail.inverse_psi(-t)
                 solves += 1
         assert solves == 6144
-        assert (len(calls) - solves) / solves <= 3.7
+        assert (len(calls) - solves) / solves <= 2.5
 
     def test_arrays_and_records_agree(self):
         table = build_table(29)
@@ -205,6 +223,20 @@ class TestVectorSolve:
             assert table.betas[k - 1] == table.beta[k - 1]
         assert table.cells is table.cells  # built once per table
         assert table.betas == table.cells[1:-1]
+
+    @pytest.mark.parametrize("L", [
+        math.log(2.0), math.nextafter(2.5, -math.inf), 2.5,
+        math.nextafter(2.5, math.inf), psi(normal_tail.X_MAX)])
+    def test_either_side_of_the_seed_switch(self, L):
+        # the seed is Newton's first step from 0 up to L = 2.5 and the
+        # refined asymptotic inverse past it; both ends of the domain too
+        x = normal_tail.inverse_psi(L)
+        assert abs(x - inverse_psi_newton(L)) <= 1e-10
+        with mp.workdps(50):
+            root = mp.findroot(lambda t: psi_mp(t) - L, mp.mpf(x))
+            err = float(abs(x - root))
+            unit = z_unit(float(root), L, float(rho_mp(root)))
+        assert err <= Z_UNITS * unit, (L, err / unit)
 
     def test_rejects_roots_left_of_zero(self):
         # build_table solves the upper half only, where L >= log 2
@@ -260,9 +292,12 @@ def test_cutpoint_solves_the_exact_tail_to_50_digits(nk):
 # Each stored z_k against z*, the 50-digit root of psi(t) = -log tail with
 # the tail from its exact big-integer numerator, in the units of z_unit.
 # Every upper k of n = 354, 1217, 2114, 2810 and 4096, the 40 k above the
-# centre of 12 more n and 2,100 drawn (n, k) gave at most 1.45 units, at
-# (2114, 1407); the bound allows about twice that.  At (1217, 1032) a
-# solve that drops its last Newton step is 2,200 units (3,619 ulp) off.
+# centre of each sweep-dense n and 2,100 drawn (n, k), 7,772 in all, gave
+# at most 1.65 units, at (128, 66), where L < 2.5 and the seed is Newton's
+# first step; past L = 2.5, from the refined seed, at most 1.33 (over n =
+# 354 and 1217, 1.14 against 1.37 from the unrefined seed).  The bound
+# allows about twice that.  At (1217, 1032) a solve that drops its last
+# Newton step is 71 units (116 ulp) off.
 Z_UNITS = 3.0
 
 

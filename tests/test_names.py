@@ -177,13 +177,14 @@ def test_coupling_alone_skips_the_sweep_harness():
 
 def test_coupling_alone_never_loads_numpy():
     # the coupling core (normal_tail, binom_exact, cutpoints, errors) is
-    # plain Python: numpy comes in with the sweep harness only
+    # plain Python: numpy comes in with the sweep harness only, and
+    # dataclasses, which loads inspect, with approx and verify
     out = modules_loaded_by("import bincoupling\n"
                             "for n in (64, 1024, 4096):\n"
                             "    t = bincoupling.build_table(n)\n"
                             "assert bincoupling.couple(t, 2048.3) == 2048")
     assert "bincoupling.cutpoints" in out
-    assert "numpy" not in out
+    assert not {"numpy", "dataclasses", "inspect"} & out
 
 
 def test_exports_are_the_defining_modules_objects():

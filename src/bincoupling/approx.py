@@ -1,5 +1,5 @@
 """Large-deviation expansion of the symmetric Binomial tail and the cutpoint
-approximations built on it, evaluated over every k of one n as arrays.
+approximations built on it, evaluated over the k of one n as lists.
 
 All quantities are indexed by N = n - 1, K = k - 1 and the standardized
 index eps = (2K - N)/N, with x = eps sqrt(N) the leading normal deviate.
@@ -14,35 +14,25 @@ The main objects:
 
 The per-point forms of these formulas (gamma_eps, laplace_pieces,
 theorem1_breakdown, theorem2_w, lower_bound_11, delta_sandwich and the
-rest) are in tests/reference.py, where the tests hold expansion_arrays
+rest) are in tests/reference.py, where the tests hold expansion_terms
 against them.
 
-The sweep's other array kernels live here too, and numpy with them:
-psi_rho_array, normal_tail's psi and rho elementwise, and lambda_table,
-the Stirling corrections of one n.  The coupling core (normal_tail,
-binom_exact, cutpoints) is plain Python.
+The module also holds lambda_table, the Stirling corrections of one n.
+Like the rest of the package it is plain Python: psi and rho come from
+normal_tail, and every transcendental from math.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from bisect import bisect_left
+from typing import NamedTuple
 
 from .binom_exact import N_MAX_EXACT
 from .errors import check_count
-from .normal_tail import (
-    INV_SQRT_2,
-    LOG_SQRT_2PI,
-    SQRT_2_OVER_PI,
-    SQRT_2PI,
-    _SEAM,
-    _mills_cf,
-)
+from .normal_tail import LOG_SQRT_2PI, _psi_rho
 
-__all__ = ["ExpansionArrays", "expansion_arrays", "psi_rho_array",
-           "lambda_table"]
+__all__ = ["ExpansionTerms", "expansion_terms", "lambda_table"]
 
 # gamma(e) = sum_{r>=0} e^{2r} / ((2r+3)(2r+4)), summed below the seam by
 # Horner's rule over these coefficients; at e = 3/4 the terms left out come
@@ -51,6 +41,15 @@ __all__ = ["ExpansionArrays", "expansion_arrays", "psi_rho_array",
 # further down the closed form cancels more, to 1.3e-14 at e = 0.536.
 _GAMMA_SEAM = 0.75
 _GAMMA_COEFFS = tuple(1.0 / ((2 * r + 3) * (2 * r + 4)) for r in range(60))
+# Each e sums only the first m coefficients, by Horner's rule over
+# _GAMMA_HORNER[m] (highest first): m is the fewest whose first term left
+# out, c_m e^2m, is at most 2^-80 c_0, and _GAMMA_E2_MAX[m - 1] is the
+# largest e^2 that m terms serve.  The sum is then the 60-term sum to the
+# bit at every e = (2K - N)/N with N < 4096 (1,911,738 values below the
+# seam); with 2^-74 in place of 2^-80 it still is, with 2^-70 7 differ.
+_GAMMA_HORNER = tuple(_GAMMA_COEFFS[:m][::-1] for m in range(61))
+_GAMMA_E2_MAX = tuple((2.0 ** -80 * _GAMMA_COEFFS[0] / _GAMMA_COEFFS[m])
+                      ** (1.0 / m) for m in range(1, 60))
 
 # B_2m / (2m (2m - 1)) for m = 1..6, from B_2..B_12 = 1/6, -1/30, 1/42,
 # -1/30, 5/66, -691/2730: the coefficients of n^-(2m-1) in the Stirling
@@ -62,67 +61,45 @@ _STIRLING_COEFFS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
 _SERIES_MIN_N = 9
 
 
-def lambda_table(m: int) -> np.ndarray:
+def lambda_table(m: int) -> list[float]:
     """Stirling corrections lambda_j = log j! - [(j + 1/2) log j - j +
-    log sqrt(2 pi)] for j = 0 .. m as one array (entry 0 is nan), in closed
+    log sqrt(2 pi)] for j = 0 .. m as one list (entry 0 is nan), in closed
     form, each bracketed by 1/(12j+1) and 1/(12j); absolute error < 2.5e-15.
 
     For j >= 9 it is the Stirling series (DLMF 5.11.1) truncated after the
-    B_12 term; the first omitted term is 2.5e-15 at j = 9 and shrinks
-    like j^-13.  For j < 9 it is math.lgamma(j + 1) minus the Stirling lead,
-    where log j! < 11 keeps the cancellation error small.  Against 50
-    digits over j <= 4096 the two routes are at most 2.4e-15 (at j = 9)
-    and 1.9e-15 off, and every value lies strictly inside Robbins' bracket.
+    B_12 term, by Horner's rule in 1/j^2; the first omitted term is 2.5e-15
+    at j = 9 and shrinks like j^-13.  For j < 9 it is math.lgamma(j + 1)
+    minus the Stirling lead, where log j! < 11 keeps the cancellation error
+    small.  Against 50 digits over j <= 4096 the two routes are at most
+    2.4e-15 (at j = 9) and 1.9e-15 off, and every value lies strictly inside
+    Robbins' bracket.
     """
     m = check_count("m", m, 0, N_MAX_EXACT)
-    js = np.arange(1.0, m + 1.0)
-    inv2, s = 1.0 / (js * js), 0.0
-    for c in reversed(_STIRLING_COEFFS):
-        s = c + inv2 * s
-    lam = np.concatenate(([math.nan], s / js))
+    lam = [math.nan]
     for j in range(1, min(m + 1, _SERIES_MIN_N)):
-        lam[j] = (math.lgamma(j + 1)
-                  - ((j + 0.5) * math.log(j) - j + LOG_SQRT_2PI))
+        lam.append(math.lgamma(j + 1)
+                   - ((j + 0.5) * math.log(j) - j + LOG_SQRT_2PI))
+    c1, c2, c3, c4, c5, c6 = _STIRLING_COEFFS
+    lam += [(c1 + i2 * (c2 + i2 * (c3 + i2 * (c4 + i2 * (c5 + i2 * c6))))) / j
+            for j in range(_SERIES_MIN_N, m + 1) for i2 in [1.0 / (j * j)]]
     return lam
 
 
-def psi_rho_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, rho) elementwise, by the routes and the seam of normal_tail's
-    psi and rho, with each piece the two share evaluated once: exp(-x^2/2)
-    left of 0, erfc(x/sqrt 2) on [0, 10] and the continued fraction past
-    10.  An entry depends on its own x alone.  math.erfc runs in a
-    comprehension, the fraction in numpy.  The caller keeps x finite and
-    inside the envelope."""
-    x = np.asarray(x, dtype=float)
-    p, r = np.empty_like(x), np.empty_like(x)
-    neg = x < 0.0
-    far = x > _SEAM
-    mid = ~(neg | far)
-    if neg.any():
-        xn = x[neg]
-        ex = np.exp(-0.5 * xn * xn)
-        # the tail is 1 - P{Z > -x} = 1 - phi(x) / rho(-x)
-        p[neg] = -np.log1p(-ex / (SQRT_2PI * psi_rho_array(-xn)[1]))
-        r[neg] = SQRT_2_OVER_PI * ex / _erfc_array(xn * INV_SQRT_2)
-    if far.any():
-        xf = x[far]
-        r[far] = rf = _mills_cf(xf)
-        p[far] = 0.5 * xf * xf + LOG_SQRT_2PI + np.log(rf)
-    u = x[mid] * INV_SQRT_2
-    erfc_u = _erfc_array(u)
-    p[mid] = -np.log(0.5 * erfc_u)
-    # phi/tail at the rounded u, as in normal_tail._psi_rho
-    r[mid] = SQRT_2_OVER_PI * np.exp(-u * u) / erfc_u
-    return p, r
+def _gamma(e: float) -> float:
+    """gamma_eps for 0 <= e < 1: the series in e^2 below the seam, the
+    closed form above."""
+    if e < _GAMMA_SEAM:
+        e2 = e * e
+        g = 0.0
+        for c in _GAMMA_HORNER[bisect_left(_GAMMA_E2_MAX, e2) + 1]:
+            g = g * e2 + c
+        return g
+    return ((1.0 + e) * math.log1p(e) + (1.0 - e) * math.log1p(-e)
+            - e * e) / (2.0 * e ** 4)
 
 
-def _erfc_array(u: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.erfc, u.tolist()), float, u.size)
-
-
-@dataclass(frozen=True)
-class ExpansionArrays:
-    """The expansion's terms for one n over an array of k, as arrays.
+class ExpansionTerms(NamedTuple):
+    """The expansion's terms for one n over a list of k, as lists.
 
     Each entry is what the scalar reference functions of tests/reference.py
     give at that k.  The identities those functions assert (the entropy
@@ -131,77 +108,78 @@ class ExpansionArrays:
     held as facts by the tests, not re-tested here.
     """
 
-    x: np.ndarray           # e sqrt(N)
-    r_k: np.ndarray         # theorem1_breakdown's r_k
-    eq11_lower: np.ndarray  # lower_bound_11's (lower, upper)
-    eq11_upper: np.ndarray
-    theta: np.ndarray       # z - theorem2_w; nan where e = 0
-    # delta_sandwich's (d1, d2, beta); the bracket applies where beta > 0
-    d1: np.ndarray
-    d2: np.ndarray
-    beta_shift: np.ndarray
+    x: list[float]           # e sqrt(N)
+    r_k: list[float]         # theorem1_breakdown's r_k
+    eq11_lower: list[float]  # lower_bound_11's (lower, upper)
+    eq11_upper: list[float]
+    theta: list[float]       # z - theorem2_w; nan where e = 0
+    # delta_sandwich's (d1, d2, beta); d1 and d2 are nan where beta <= 0,
+    # where the bracket does not apply
+    d1: list[float]
+    d2: list[float]
+    beta_shift: list[float]
 
 
-def _gamma_array(e: np.ndarray) -> np.ndarray:
-    """gamma_eps elementwise for 0 <= e < 1: the series in e^2 below the
-    seam, the closed form above."""
-    g = np.empty_like(e)
-    small = e < _GAMMA_SEAM
-    g[small] = np.polyval(_GAMMA_COEFFS[::-1], e[small] ** 2)
-    eb = e[~small]
-    g[~small] = ((1.0 + eb) * np.log1p(eb) + (1.0 - eb) * np.log1p(-eb)
-                 - eb * eb) / (2.0 * eb ** 4)
-    return g
-
-
-def expansion_arrays(n: int, ks: np.ndarray, log_tail: np.ndarray,
-                     z: np.ndarray, psi_z: np.ndarray) -> ExpansionArrays:
-    """Array form of theorem1_breakdown, lower_bound_11, z - theorem2_w and
-    delta_sandwich at every k of ``ks``, with the exact log tails, the
+def expansion_terms(n: int, ks, log_tail, z, psi_z) -> ExpansionTerms:
+    """theorem1_breakdown, lower_bound_11, z - theorem2_w and delta_sandwich
+    at every k of ``ks``, in one pass, with the exact log tails, the
     cutpoints z and psi(z) at those k.  lambda is taken from one table per
     n.  The caller keeps n/2 < k <= n - 1 and n >= 28, where eq. (11)'s
     eta <= sqrt(2 log N / N) is at most 1/2 (0.4941 at n = 28, 0.5006 at
     n = 27, falling with n)."""
-    ks = np.asarray(ks)
+    exp, log, log1p, sqrt = math.exp, math.log, math.log1p, math.sqrt
     N = n - 1
-    K = ks - 1
-    e = (2 * K - N) / N
-    g = _gamma_array(e)
-    lam = lambda_table(N)
-    lam_tail = lam[N - K]  # lambda_{n-k}
-    e4 = e ** 4
-    log1m_e2 = np.log1p(-e * e)
-
-    # laplace_pieces' Delta
-    delta = (math.log1p(1.0 / N) + (lam[N] - lam[K] - lam_tail)
-             - 0.5 * log1m_e2 - N * e4 * g)
-
-    # theorem1_breakdown
-    x = e * math.sqrt(N)
-    psi_x, rx = psi_rho_array(x)
-    r_k = (log_tail + psi_x) - (-N * e4 * g - 0.5 * log1m_e2 - lam_tail)
-
-    # lower_bound_11, with the eta and kappa of eta_kappa
+    root_N = math.sqrt(N)
     ell = math.log(N) / N
-    eta = 2.0 * ell / (e + np.sqrt(e * e + 2.0 * ell))
-    h3 = (1.0 - e) / (1.0 + eta) ** 3 - (1.0 + e) / (1.0 - eta) ** 3
-    kappa_sq = 1.0 - eta * h3 / 3.0
-    eq11_upper = delta - psi_x
-    bracket = np.log1p(-np.exp(-N * e * eta - 0.5 * N * kappa_sq * eta * eta))
-    eq11_lower = delta - 0.5 * np.log(kappa_sq) - psi_x + bracket
+    lam = lambda_table(N)
+    # the pieces of Delta, eta and eq. (11)'s bracket that only n sets
+    log1p_inv_N, lam_N = math.log1p(1.0 / N), lam[N]
+    two_ell, half_N = 2.0 * ell, 0.5 * N
+    terms = ExpansionTerms([], [], [], [], [], [], [], [])
+    (put_x, put_r, put_lower, put_upper, put_theta, put_d1, put_d2,
+     put_shift) = (column.append for column in terms)
+    for k, lt, zk, pz in zip(ks, log_tail, z, psi_z):
+        K = k - 1
+        e = (2 * K - N) / N
+        g = _gamma(e)
+        lam_tail = lam[N - K]  # lambda_{n-k}
+        # N e^4 gamma and log(1 - e^2)/2, which Delta and r_k share
+        n_e4_g = N * e ** 4 * g
+        log1m_e2 = log1p(-e * e)
+        half_log1m_e2 = 0.5 * log1m_e2
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # laplace_pieces' Delta
+        delta = (log1p_inv_N + (lam_N - lam[K] - lam_tail)
+                 - half_log1m_e2 - n_e4_g)
+
+        # theorem1_breakdown
+        x = e * root_N
+        psi_x, rx = _psi_rho(x)
+        put_x(x)
+        put_r((lt + psi_x) - (-n_e4_g - half_log1m_e2 - lam_tail))
+
+        # lower_bound_11, with the eta and kappa of eta_kappa
+        eta = two_ell / (e + sqrt(e * e + two_ell))
+        h3 = (1.0 - e) / (1.0 + eta) ** 3 - (1.0 + e) / (1.0 - eta) ** 3
+        kappa_sq = 1.0 - eta * h3 / 3.0
+        put_upper(delta - psi_x)
+        bracket = log1p(-exp(-N * e * eta - half_N * kappa_sq * eta * eta))
+        put_lower(delta - 0.5 * log(kappa_sq) - psi_x + bracket)
+
         # theta = z - w, undefined at e = 0
-        xs = x * np.sqrt(1.0 + 2.0 * e * e * g)
-        w = xs + (log1m_e2 + 2.0 * lam_tail) / (2.0 * xs)
-        theta = np.where(e > 0.0, z - w, math.nan)
+        if e > 0.0:
+            xs = x * sqrt(1.0 + 2.0 * e * e * g)
+            put_theta(zk - (xs + (log1m_e2 + 2.0 * lam_tail) / (2.0 * xs)))
+        else:
+            put_theta(math.nan)
 
         # delta_sandwich, where beta_shift > 0
-        beta_shift = psi_z - psi_x
-        d1 = 2.0 * beta_shift / (np.sqrt(x * x + 2.0 * beta_shift) + x)
-        d2 = 2.0 * beta_shift / (np.sqrt(rx * rx + 2.0 * beta_shift) + rx)
-
-    return ExpansionArrays(
-        x=x, r_k=r_k, eq11_lower=eq11_lower, eq11_upper=eq11_upper,
-        theta=theta, d1=d1, d2=d2, beta_shift=beta_shift)
-
+        beta_shift = pz - psi_x
+        put_shift(beta_shift)
+        if beta_shift > 0.0:
+            put_d1(2.0 * beta_shift / (sqrt(x * x + 2.0 * beta_shift) + x))
+            put_d2(2.0 * beta_shift / (sqrt(rx * rx + 2.0 * beta_shift) + rx))
+        else:
+            put_d1(math.nan)
+            put_d2(math.nan)
+    return terms

@@ -10,8 +10,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .binom_exact import _log_tail, tail_numerator
 from .cutpoints import build_table, table_csv
 from .errors import DomainError, RangeError
@@ -76,10 +74,13 @@ def cmd_sweep(args) -> int:
         sys.stdout.buffer.write(payload)
     status = EXIT_OK
     for name, rows in checks.items():
-        for i in np.flatnonzero(~rows.passed):
-            print(f"FAILED {name} at (n={rows.n[i]}, k={rows.k[i]}), "
-                  f"slack {_fmt(rows.slack[i])}", file=sys.stderr)
-            status = EXIT_CHECK_FAILED
+        if all(rows.passed):
+            continue
+        for n, k, passed, slack in zip(*rows):
+            if not passed:
+                print(f"FAILED {name} at (n={n}, k={k}), "
+                      f"slack {_fmt(slack)}", file=sys.stderr)
+                status = EXIT_CHECK_FAILED
     return status
 
 

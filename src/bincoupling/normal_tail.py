@@ -18,8 +18,8 @@ ulp, the left tail's own condition number.  The envelope ends at
 X_MIN = -37.5, where psi and rho are still normal floats.
 
 For x >= 0 psi, rho and the scalar Newton solve inverse_psi read one
-private kernel that returns psi and rho together.  The module is plain
-Python; the sweep's array form of psi and rho is approx.psi_rho_array.
+private kernel that returns psi and rho together, and so does the sweep.
+The module is plain Python.
 
 Symbols, for a standard normal Z:
 
@@ -106,8 +106,7 @@ def rho(x: float) -> float:
 
 def _mills_cf(x):
     """1/R(x) = x + 1/(x + 2/(x + 3/(x + ...))) cut after the terms of
-    _CF_TERMS and evaluated from the bottom up; x is a float or a float
-    array."""
+    _CF_TERMS and evaluated from the bottom up."""
     t = x
     for k in _CF_TERMS:
         t = x + k / t

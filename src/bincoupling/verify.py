@@ -13,17 +13,16 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from itertools import chain
+from bisect import bisect_right
+from itertools import chain, groupby
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .approx import expansion_arrays, psi_rho_array
+from .approx import expansion_terms
 from .binom_exact import log_tail_exact_all
 from .cutpoints import N_MAX_TABLE, CutpointTable, build_table
 from .errors import DomainError, check_count
+from .normal_tail import _psi_rho, psi
 
 __all__ = [
     "SweepConfig",
@@ -56,38 +55,50 @@ TOLERANCES = {
 _CONSTANT_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
 class SweepConfig:
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    # "all" or "stride:<m>", m >= 1
-    k_policy: str = "all"
+    """The grid of a sweep: ``n_values``, ascending distinct n in [1,
+    N_MAX_TABLE], and ``k_policy``, "all" or "stride:<m>" with m >= 1.  A
+    config is read-only, equal only to itself, and pickles and copies by
+    rebuilding through the constructor."""
 
-    def __post_init__(self):
-        if isinstance(self.n_values, (str, bytes, bytearray)) or not hasattr(
-                self.n_values, "__iter__"):
-            raise DomainError(f"n_values {self.n_values!r} is not a sequence")
+    __slots__ = ("n_values", "k_policy")
+
+    def __init__(self, n_values: tuple[int, ...] = DEFAULT_N_VALUES,
+                 k_policy: str = "all"):
+        if isinstance(n_values, (str, bytes, bytearray)) or not hasattr(
+                n_values, "__iter__"):
+            raise DomainError(f"n_values {n_values!r} is not a sequence")
         # ascending ints (numpy integers too), which the JSON report writes
-        object.__setattr__(self, "n_values", tuple(sorted(
-            check_count("n_values", n, 1, N_MAX_TABLE)
-            for n in self.n_values)))
-        if not self.n_values:
+        n_values = tuple(sorted(check_count("n_values", n, 1, N_MAX_TABLE)
+                                for n in n_values))
+        if not n_values:
             raise DomainError("n_values must not be empty")
-        if len(set(self.n_values)) < len(self.n_values):
+        if len(set(n_values)) < len(n_values):
             raise DomainError("n_values must not repeat an n")
-        select_ks(1, self.k_policy)  # raises DomainError on a bad policy
+        select_ks(1, k_policy)  # raises DomainError on a bad policy
+        object.__setattr__(self, "n_values", n_values)
+        object.__setattr__(self, "k_policy", k_policy)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SweepConfig is read-only: {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SweepConfig is read-only: {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.n_values, self.k_policy)
 
 
 class CheckRows(NamedTuple):
-    """One check's rows of the report, as columns of equal length."""
+    """One check's rows of the report, as four lists of equal length."""
 
-    n: np.ndarray
-    k: np.ndarray
-    passed: np.ndarray
-    slack: np.ndarray
+    n: list[int]
+    k: list[int]
+    passed: list[bool]
+    slack: list[float]
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(NamedTuple):
     c_thm1: float
     c_thm2: float
     c1_eq5: float
@@ -140,141 +151,168 @@ CHECKS: dict[str, str | None] = {
 }
 
 
-def passes(name: str, slack):
-    """The pass rule CHECKS declares for check ``name``, on a slack or an
-    array of slacks."""
+def _least_passing(name: str) -> float:
+    """The least slack check ``name`` passes with, by its entry in
+    CHECKS."""
     key = CHECKS[name]
-    return slack >= (-TOLERANCES[key] if key else 0.0)
+    return -TOLERANCES[key] if key else 0.0
 
 
-def _add(checks: dict[str, list[CheckRows]], name: str, n, ks: np.ndarray,
-         slack: np.ndarray) -> None:
-    """Append one chunk of a declared check, its pass rule from CHECKS."""
-    checks.setdefault(name, []).append(CheckRows(
-        np.broadcast_to(n, ks.shape), ks, passes(name, slack), slack))
+def passes(name: str, slack: float) -> bool:
+    """The pass rule CHECKS declares for check ``name``, on one slack."""
+    return slack >= _least_passing(name)
 
 
-def _sweep_one_n(n: int, k_policy: str, checks: dict[str, list[CheckRows]]
-                 ) -> tuple[dict[str, np.ndarray], float]:
+def _add(checks: dict[str, CheckRows], name: str, ns: list[int],
+         ks: list[int], slacks: list[float]) -> None:
+    """Append rows of a declared check to its columns, each passed by the
+    rule CHECKS declares."""
+    least = _least_passing(name)
+    if name not in checks:
+        checks[name] = CheckRows([], [], [], [])
+    rows = checks[name]
+    rows.n.extend(ns)
+    rows.k.extend(ks)
+    rows.passed.extend([s >= least for s in slacks])
+    rows.slack.extend(slacks)
+
+
+def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows]
+                 ) -> tuple[dict[str, list], float]:
     """Add every check of one n to ``checks``; return the coupling constant
-    of this n and the raw quantities the constant fits need, one array over
+    of this n and the raw quantities the constant fits need, one list over
     k each: x = epsilon sqrt(N), n_r_k = N r_k, n_theta_k = N theta_k (nan
     where the expansion does not apply), d = beta_k - k + 1/2,
-    log_N = log(n - 1), log_n = log(n) and the mask tail of k > n/2 with
-    x >= X_SPLIT, beside the columns n and k."""
+    t = |k - n/2|^3 / n^2, tail, whether k > n/2 with x >= X_SPLIT, and
+    log_N = log(n - 1), log_n = log(n) and sqrt_n = sqrt(n), beside the
+    columns n and k."""
     table = build_table(n)
     # the expansion reads its exact tails from a second pass (the table's
     # log_tail holds the same values)
-    tails = np.asarray(log_tail_exact_all(n))
-    all_beta = np.asarray(table.beta)
+    tails = log_tail_exact_all(n)
+    all_z, all_beta, all_lt = table.z, table.beta, table.log_tail
     N = n - 1
-    ks = np.array(select_ks(n, k_policy))
-    z = np.asarray(table.z)[ks - 1]
-    beta = all_beta[ks - 1]
-    log_tail = np.asarray(table.log_tail)[ks - 1]
-    psi_z = psi_rho_array(z)[0]
+    ks = select_ks(n, k_policy)
+    tol_lt, tol_sym = TOLERANCES["log_tail"], TOLERANCES["symmetry"]
+    half_n, n_sq, two_n, top = n / 2, n ** 2, 2.0 * n, 1.5 * n
+    split_sq = X_SPLIT ** 2 * N
+    z_k, psi_z, s_def, s_sym, s_lo, s_up, d, t, tail = (
+        [] for _ in range(9))
+    for k in ks:
+        z, beta, lt = all_z[k - 1], all_beta[k - 1], all_lt[k - 1]
+        # the one negative z, at k = n/2 for even n, takes psi's left route
+        p = _psi_rho(z)[0] if z >= 0.0 else psi(z)
+        z_k.append(z)
+        psi_z.append(p)
+        # defining equation psi(z_k) = -log tail, re-checked post hoc
+        s_def.append(tol_lt * max(1.0, -lt) - abs(p + lt))
+        # symmetry beta_{n-k+1} + beta_k = n
+        s_sym.append(tol_sym - abs(all_beta[n - k] + beta - n))
+        # Tusnady's bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))
+        s_lo.append(beta - (k - 1))
+        s_up.append(top - math.sqrt(two_n * (n - k)) - beta)
+        d.append(beta - k + 0.5)
+        t.append(abs(k - half_n) ** 3 / n_sq)
+        tail.append(k > half_n and (2 * k - n - 1) ** 2 >= split_sq)
+    size = len(ks)
+    ns = [n] * size
+    for name, s in (("defining_eq", s_def), ("symmetry", s_sym),
+                    ("tusnady_lower", s_lo), ("tusnady_upper", s_up)):
+        _add(checks, name, ns, ks, s)
 
-    # defining equation psi(z_k) = -log tail, re-checked post hoc
-    s = (TOLERANCES["log_tail"] * np.maximum(1.0, -log_tail)
-         - np.abs(psi_z + log_tail))
-    _add(checks, "defining_eq", n, ks, s)
+    x, n_r_k, n_theta_k = ([math.nan] * size for _ in range(3))
+    # the expansion's k, n/2 < k <= n - 1 from n = 28: a run of ks
+    dom = slice(bisect_right(ks, n // 2), bisect_right(ks, N) if n >= 28
+                else 0)
+    dom_ks = ks[dom]
+    if dom_ks:
+        dom_tails, dom_z = [tails[k] for k in dom_ks], z_k[dom]
+        ex = expansion_terms(n, dom_ks, dom_tails, dom_z, psi_z[dom])
+        x[dom] = ex.x
+        n_r_k[dom] = [N * r for r in ex.r_k]
+        n_theta_k[dom] = [N * v for v in ex.theta]
+        dom_ns = ns[dom]
+        _add(checks, "eq11_lower", dom_ns, dom_ks,
+             [lt - v for lt, v in zip(dom_tails, ex.eq11_lower)])
+        _add(checks, "eq11_upper", dom_ns, dom_ks,
+             [v - lt for lt, v in zip(dom_tails, ex.eq11_upper)])
 
-    # symmetry beta_{n-k+1} + beta_k = n
-    s = TOLERANCES["symmetry"] - np.abs(all_beta[n - ks] + beta - n)
-    _add(checks, "symmetry", n, ks, s)
-
-    # Tusnady's bracket k - 1 <= beta_k <= 3n/2 - sqrt(2n(n-k))
-    for name, s in (("tusnady_lower", beta - (ks - 1)),
-                    ("tusnady_upper",
-                     1.5 * n - np.sqrt(2.0 * n * (n - ks)) - beta)):
-        _add(checks, name, n, ks, s)
-
-    fit = {"n": np.full(ks.shape, n), "k": ks,
-           "x": np.full(ks.shape, math.nan),
-           "n_r_k": np.full(ks.shape, math.nan),
-           "n_theta_k": np.full(ks.shape, math.nan),
-           "d": beta - ks + 0.5,
-           "log_N": np.full(ks.shape, math.log(N) if N > 0 else math.nan),
-           "log_n": np.full(ks.shape, math.log(n)),
-           "tail": (ks > n / 2) & ((2 * ks - n - 1) ** 2 >= X_SPLIT ** 2 * N)}
-
-    dom = (ks > n / 2) & (ks <= n - 1) if n >= 28 else np.zeros_like(ks, bool)
-    if dom.any():
-        ek = ks[dom]
-        lt = tails[ek]
-        ex = expansion_arrays(n, ek, lt, z[dom], psi_z[dom])
-        _add(checks, "eq11_lower", n, ek, lt - ex.eq11_lower)
-        _add(checks, "eq11_upper", n, ek, ex.eq11_upper - lt)
-
-        sw = fit["tail"][dom]
-        x, zs = ex.x[sw], z[dom][sw]
-        s_lo = zs - (x + ex.d2[sw])
-        s_up = (x + ex.d1[sw]) - zs
-        gap = 4.0 * ex.beta_shift[sw] / x ** 3 - s_up
+        # the two-root sandwich, where x >= X_SPLIT: (2k - n - 1)^2 grows
+        # with k > n/2, so those rows end ks, and the sandwich takes the
+        # expansion's rows from o on
+        o = max(0, size - sum(tail) - dom.start)
+        zs, xs = dom_z[o:], ex.x[o:]
+        s_lo = [z - (v + d2) for z, v, d2 in zip(zs, xs, ex.d2[o:])]
+        s_up = [(v + d1) - z for z, v, d1 in zip(zs, xs, ex.d1[o:])]
+        gap = [4.0 * b / v ** 3 - s
+               for b, v, s in zip(ex.beta_shift[o:], xs, s_up)]
         for name, s in (("sandwich_lower", s_lo), ("sandwich_upper", s_up),
                         ("sandwich_gap", gap)):
-            _add(checks, name, n, ek[sw], s)
-
-        fit["x"][dom] = ex.x
-        fit["n_r_k"][dom] = N * ex.r_k
-        fit["n_theta_k"][dom] = N * ex.theta
+            _add(checks, name, dom_ns[o:], dom_ks[o:], s)
 
     max_excess, c_coupling = coupling_check(table)
-    _add(checks, "coupling_k_minus_beta", n, np.zeros(1, dtype=int),
-         np.array([1.0 - max_excess]))
+    _add(checks, "coupling_k_minus_beta", [n], [0], [1.0 - max_excess])
+    fit = {"n": ns, "k": ks, "x": x, "n_r_k": n_r_k, "n_theta_k": n_theta_k,
+           "d": d, "t": t, "tail": tail,
+           "log_N": [math.log(N) if N > 0 else math.nan] * size,
+           "log_n": [math.log(n)] * size, "sqrt_n": [math.sqrt(n)] * size}
     return fit, c_coupling
 
 
-def _max(a: np.ndarray) -> float:
-    return float(a.max(initial=_CONSTANT_FLOOR))
+def _max(values) -> float:
+    """The largest of ``values`` and the constant floor."""
+    return max(_CONSTANT_FLOOR, max(values, default=_CONSTANT_FLOOR))
 
 
-def _fit_constants(fit: dict[str, np.ndarray], c_coupling: float,
-                   checks: dict[str, list[CheckRows]]) -> ConstantsReport:
+def _fit_constants(fit: dict[str, list], c_coupling: float,
+                   checks: dict[str, CheckRows]) -> ConstantsReport:
     """Fit each constant as the largest need of its inequality over the
-    rows; add to ``checks`` the inequality's margins under it (feasible by
-    construction, recorded so the report shows them)."""
-    n, k, x, log_N, log_n = (fit[c] for c in ("n", "k", "x", "log_N", "log_n"))
+    rows, which ascend in n; add to ``checks`` the inequality's margins
+    under it (feasible by construction, recorded so the report shows them).
+    One pass over the rows takes the needs, a second the margins."""
+    n, k, x, log_N = fit["n"], fit["k"], fit["x"], fit["log_N"]
     nr, nt = fit["n_r_k"], fit["n_theta_k"]
-    has_t = ~np.isnan(nt)
+    rows_r = [i for i, v in enumerate(nr) if not math.isnan(v)]
+    rows_t = [i for i, v in enumerate(nt) if not math.isnan(v)]
+    x1 = [v + 1.0 for v in x]
+    x_log_N = [v + w for v, w in zip(x, log_N)]
     # Theorems 1 and 2, each -C a <= v <= C b over its rows, declared once
-    # as (constant, residual check or None, v, a, b, rows)
-    thm2 = (nt, x + 1.0, x + log_N)
-    bounds = (("c_thm1", "thm1_residual", nr, log_N, np.ones(n.shape),
-               ~np.isnan(nr)),
-              ("c_thm2", "thm2_residual", *thm2, has_t),
-              ("c_thm2_tail_regime", None, *thm2, has_t & fit["tail"]))
-    low = n <= 384  # splits the default sweep into {<=256} and {>=512}
+    # as (constant, residual check or None, rows, v, a, b)
+    bounds = (("c_thm1", "thm1_residual", rows_r, nr, log_N, [1.0] * len(n)),
+              ("c_thm2", "thm2_residual", rows_t, nt, x1, x_log_N),
+              ("c_thm2_tail_regime", None,
+               [i for i in rows_t if fit["tail"][i]], nt, x1, x_log_N))
     consts, ratio = {}, 1.0
-    for name, check, v, a, b, rows in bounds:
-        v, a, b, lo = v[rows], a[rows], b[rows], low[rows]
-        need = np.maximum(-v / a, v / b)
+    for name, check, rows, v, a, b in bounds:
+        vab = [(v[i], a[i], b[i]) for i in rows]
+        need = [max(-vi / ai, vi / bi) for vi, ai, bi in vab]
         c = consts[name] = _max(need)
-        # C re-fit on each half of n, where both halves bound it
-        h1, h2 = _max(need[lo]), _max(need[~lo])
+        # C re-fit on each half of n, where both halves bound it; the n <=
+        # 384 half, {<=256} of the default sweep, is a run of the first rows
+        low = bisect_right(rows, 384, key=n.__getitem__)
+        h1, h2 = _max(need[:low]), _max(need[low:])
         if min(h1, h2) > _CONSTANT_FLOOR:
             ratio = max(ratio, h1 / h2, h2 / h1)
         if check:
-            _add(checks, check, n[rows], k[rows],
-                 np.minimum(c * b - v, v + c * a))
+            _add(checks, check, [n[i] for i in rows], [k[i] for i in rows],
+                 [min(c * bi - vi, vi + c * ai) for vi, ai, bi in vab])
 
     # Eq. (5): the quadruple is anchored on the cubic-dominated rows, then
     # the sqrt(n) terms absorb whatever is left near the center
-    d, t, sqrt_n = fit["d"], np.abs(k - n / 2) ** 3 / n ** 2, np.sqrt(n)
-    big = t >= 1.0
-    if big.any():
-        ratio_dt = d[big] / t[big]
-        c4 = max(float(ratio_dt.max()), _CONSTANT_FLOOR)
-        c2 = max(float(ratio_dt.min()), _CONSTANT_FLOOR)
+    d, t, log_n, sqrt_n = fit["d"], fit["t"], fit["log_n"], fit["sqrt_n"]
+    ratio_dt = [dd / tt for dd, tt in zip(d, t) if tt >= 1.0]
+    if ratio_dt:
+        c4 = max(max(ratio_dt), _CONSTANT_FLOOR)
+        c2 = max(min(ratio_dt), _CONSTANT_FLOOR)
     else:
         c2, c4 = _CONSTANT_FLOOR, 1.0
-    c1 = _max(sqrt_n * (c2 * t - d))
+    c1 = _max([s * (c2 * tt - dd) for s, tt, dd in zip(sqrt_n, t, d)])
     # at n = 1 the C3 term log(n)/sqrt(n) is 0: that row does not bound C3
-    pos = log_n > 0.0
-    c3 = _max(sqrt_n[pos] * (d[pos] - c4 * t[pos]) / log_n[pos])
+    c3 = _max([s * (dd - c4 * tt) / ln
+               for s, tt, dd, ln in zip(sqrt_n, t, d, log_n) if ln > 0.0])
     _add(checks, "eq5_window", n, k,
-         np.minimum(d - (-c1 / sqrt_n + c2 * t),
-                    (c3 * log_n / sqrt_n + c4 * t) - d))
+         [min(dd - (-c1 / s + c2 * tt), (c3 * ln / s + c4 * tt) - dd)
+          for s, tt, dd, ln in zip(sqrt_n, t, d, log_n)])
     return ConstantsReport(
         **consts, c1_eq5=c1, c2_eq5=c2, c3_eq5=c3, c4_eq5=c4,
         c_coupling=c_coupling, stability_ratio=ratio)
@@ -289,21 +327,20 @@ def run_sweep(config: SweepConfig | None = None
     Output is deterministic: per-n work is pure.
     """
     config = config or SweepConfig()
-    checks: dict[str, list[CheckRows]] = {}
-    fits = []
+    checks: dict[str, CheckRows] = {}
+    fit: dict[str, list] = {}
     c_coupling = _CONSTANT_FLOOR
     for n in config.n_values:
-        fit, c_cpl = _sweep_one_n(n, config.k_policy, checks)
-        fits.append(fit)
+        fit_n, c_cpl = _sweep_one_n(n, config.k_policy, checks)
+        for key, column in fit_n.items():
+            fit.setdefault(key, []).extend(column)
         c_coupling = max(c_coupling, c_cpl)
-    fit = {key: np.concatenate([f[key] for f in fits]) for key in fits[0]}
     c = _fit_constants(fit, c_coupling, checks)
 
-    # every n adds its chunk in k order, and the n ascend: joining each
-    # check's chunks leaves its rows in (n, k) order
-    joined = {name: CheckRows(*map(np.concatenate, zip(*checks[name])))
-              for name in sorted(checks)}
-    return {name: rows for name, rows in joined.items() if rows.n.size}, c
+    # every n adds its rows in k order, and the n ascend: each check's
+    # rows are in (n, k) order
+    return {name: checks[name] for name in sorted(checks)
+            if checks[name].n}, c
 
 
 def coupling_check(table: CutpointTable) -> tuple[float, float]:
@@ -316,13 +353,15 @@ def coupling_check(table: CutpointTable) -> tuple[float, float]:
     endpoint.  The infinite sentinel beyond beta_n is excluded: no constant
     bounds |X - Y| on the top cell's unbounded side.
     """
-    n, beta = table.n, np.asarray(table.beta)
-    k = np.arange(n // 2 + 1, n + 1)
-    below = k - beta[k - 1]            # k - beta_k
-    above = beta[k[:-1]] - k[:-1]      # beta_{k+1} - k, for k < n
-    scale = 1.0 + np.abs(k - n / 2) ** 3 / n ** 2
-    c = max(_max(below / scale), _max(above / scale[:-1]))
-    return float(below.max()), c
+    n, beta = table.n, table.beta
+    ks = range(n // 2 + 1, n + 1)
+    below = [k - beta[k - 1] for k in ks]     # k - beta_k
+    scale = [1.0 + abs(k - n / 2) ** 3 / n ** 2 for k in ks]
+    # beta_{k+1} - k, for k < n
+    above = [beta[k] - k for k in ks[:-1]]
+    c = max(_max([b / s for b, s in zip(below, scale)]),
+            _max([a / s for a, s in zip(above, scale)]))
+    return max(below), c
 
 
 def _fmt(x: float) -> str:
@@ -361,7 +400,7 @@ def emit_report(checks: dict[str, CheckRows],
                              "python": sys.version.split()[0]},
             },
             "constants": {name: _fmt(value)
-                          for name, value in asdict(constants).items()},
+                          for name, value in constants._asdict().items()},
         }
         # "records" sorts after "constants" and "meta": close the head's
         # last member and append the list, indented as json.dumps would
@@ -373,17 +412,16 @@ def emit_report(checks: dict[str, CheckRows],
                '      "slack": "%.17g"\n    }}')
         quote = json.dumps
     for name, rows in checks.items():
-        ks, slacks = rows.k.tolist(), rows.slack.tolist()
-        if not ks:
-            continue  # a check without rows adds no bytes
         check = quote(name).replace("%", "%%")
-        cuts = np.flatnonzero((np.diff(rows.n) != 0)
-                              | (np.diff(rows.passed) != 0)) + 1
-        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), len(ks)]):
-            t = row.format(n=int(rows.n[a]), check=check,
-                           passed="true" if rows.passed[a] else "false")
+        # a check without rows has no run and adds no bytes
+        a = 0
+        for (n, passed), run in groupby(zip(rows.n, rows.passed)):
+            b = a + len(list(run))
+            t = row.format(n=n, check=check,
+                           passed="true" if passed else "false")
             parts += (sep, sep.join([t.encode()] * (b - a)) % tuple(
-                chain.from_iterable(zip(ks[a:b], slacks[a:b]))))
+                chain.from_iterable(zip(rows.k[a:b], rows.slack[a:b]))))
+            a = b
     # the head takes the place of the first separator
     parts[:1] = [head]
     parts.append(tail)

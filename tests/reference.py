@@ -3,7 +3,7 @@
 No command, sweep or coupling call of the package runs these; each is the
 plain per-point form of a quantity whose fast path lives in the package,
 or a formula of the paper that the tests check directly.  The expansion
-section is the per-point form of approx.expansion_arrays: Theorem 1's r_k,
+section is the per-point form of approx.expansion_terms: Theorem 1's r_k,
 Theorem 2's w_k, the eq. (11) log-tail sandwich, the two-root cutpoint
 sandwich and Tusnady's bracket.
 """
@@ -154,12 +154,16 @@ def log_tail_exact(n: int, k: int) -> float:
     return _log_tail(partial(tail_numerator, n), n, k)
 
 
+# the package's lambda_j up to the largest n of a table, as one list
+_LAMBDA_4096 = lambda_table(4096)
+
+
 def lambda_n(n: int) -> float:
     """Stirling correction lambda_n, read from the package's one route:
-    entry n of lambda_table(n)."""
+    entry n of lambda_table, whose entries do not depend on its length."""
     if not (1 <= n <= N_MAX_EXACT):
         raise DomainError(f"n must be in [1, {N_MAX_EXACT}], got {n}")
-    return float(lambda_table(n)[n])
+    return _LAMBDA_4096[n] if n <= 4096 else lambda_table(n)[n]
 
 
 # expansion
@@ -182,8 +186,8 @@ def gamma_eps(epsilon: float) -> float:
     increasing on [0, 1] from 1/12 to log 2 - 1/2.  The closed form
     cancels more as e falls (8e-12 relative at e = 0.05), so below e = 3/4
     the power series in e^2 is summed forward, term by term, until a term
-    falls below 1e-17: a second algorithm to approx._gamma_array's Horner
-    sum over a fixed set of coefficients.
+    falls below 1e-17: a second algorithm to approx._gamma's Horner
+    sum over the coefficients each e needs.
     """
     e = float(epsilon)
     if not (0.0 <= e <= 1.0):

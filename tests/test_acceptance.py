@@ -212,7 +212,7 @@ def test_criterion_10_window_quadruple(timed_sweep, default_tables):
             constants.c3_eq5, constants.c4_eq5)
     ok = all(math.isfinite(c) and c > 0.0 for c in quad)
     # the fitted quadruple must actually be feasible on every swept row
-    ok &= bool(checks["eq5_window"].passed.all())
+    ok &= all(checks["eq5_window"].passed)
     # and independently on every (n, k) of the table, via the raw predicate
     # with the tiniest of slack inflation for the anchor rows themselves
     slack_quad = (quad[0] * (1 + 1e-9), quad[1] * (1 - 1e-9),

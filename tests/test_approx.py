@@ -10,7 +10,7 @@ from bincoupling import (
     log_tail_exact_all,
     tail_numerator,
 )
-from bincoupling.approx import _gamma_array, expansion_arrays
+from bincoupling.approx import _GAMMA_COEFFS, _gamma, expansion_terms
 from bincoupling.cutpoints import N_MAX_TABLE
 from bincoupling.normal_tail import psi
 from bincoupling.verify import X_SPLIT
@@ -34,6 +34,10 @@ from reference import (
     theorem2_w,
     tusnady_bounds,
 )
+
+
+# the twelve n of the sweep-dense workload
+DENSE_N = (28, 29, 64, 100, 128, 256, 512, 1000, 1024, 2048, 3001, 4096)
 
 
 def gamma_oracle(e: float) -> float:
@@ -63,23 +67,33 @@ class TestGamma:
         es = np.concatenate([np.linspace(0.001, 0.9995, 2500),
                              [0.005, 0.049999, 0.050001, 0.5, 0.74999, 0.75,
                               0.75001, 0.99]])
-        for e, g in zip(es.tolist(), _gamma_array(es).tolist()):
+        for e in es.tolist():
             want = gamma_oracle(e)
-            for have in (gamma_eps(e), g):
+            for have in (gamma_eps(e), _gamma(e)):
                 assert abs(have - want) <= 4e-15 * want, e
 
     def test_array_form_matches_scalar(self):
-        # two algorithms below the seam: the package's Horner sum over fixed
-        # coefficients and the reference's forward sum until a term falls
-        # below 1e-17 (9.4e-16 relative apart at most over this grid).
-        # Above it both take the closed form, by np.log1p and math.log1p,
-        # which the cancellation there parts by up to 4.1e-15.
+        # two algorithms below the seam: the package's Horner sum over the
+        # coefficients each e needs and the reference's forward sum until a
+        # term falls below 1e-17 (9.4e-16 relative apart at most over this
+        # grid).  Above it both take the closed form by math.log1p.
         es = np.concatenate([np.linspace(0.0, 0.75, 30001)[:-1],
                              [0.75, 0.75001, 0.8, 0.99]])
-        got = _gamma_array(es)
+        got = np.array([_gamma(e) for e in es.tolist()])
         want = np.array([gamma_eps(e) for e in es.tolist()])
         bound = np.where(es < 0.75, 1e-15, 1e-14) * want
         assert (np.abs(got - want) <= bound).all()
+
+    def test_truncated_sum_equals_the_60_term_sum(self):
+        # below the seam the package sums only the terms each e needs; the
+        # sum is the 60-term Horner sum to the bit at every e = (2K - N)/N
+        # of the n < 1024 and of the sweep-dense n
+        ns = [*range(2, 1024), *DENSE_N]
+        es = np.unique([(2 * K - (n - 1)) / (n - 1) for n in ns
+                        for K in range(n // 2, n)])
+        es = es[es < 0.75]
+        full = np.polyval(_GAMMA_COEFFS[::-1], es * es)
+        assert [_gamma(e) for e in es.tolist()] == full.tolist()
 
     def test_increasing(self):
         es = [i / 200 for i in range(201)]
@@ -233,7 +247,7 @@ class TestTheorem2:
 
     def test_tail_and_cutpoint_views_at_one_k(self):
         # the tail residual and the cutpoint residual at one table cutpoint,
-        # per point and as the sweep's arrays give them
+        # per point and as the sweep's expansion gives them
         n, k = 64, 50
         z = build_table(n).z[k - 1]
         lt = log_tail_exact(n, k)
@@ -241,8 +255,7 @@ class TestTheorem2:
         r_k = theorem1_breakdown(n, k, lt)
         assert r_k == an_exact - an_main
         theta = z - theorem2_w(n, k)
-        ex = expansion_arrays(n, np.array([k]), np.array([lt]), np.array([z]),
-                              np.array([psi(z)]))
+        ex = expansion_terms(n, [k], [lt], [z], [psi(z)])
         assert ex.r_k[0] == pytest.approx(r_k, rel=1e-12, abs=1e-15)
         assert ex.theta[0] == pytest.approx(theta, rel=1e-12, abs=1e-15)
 

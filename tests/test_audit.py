@@ -17,8 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bincoupling import SweepConfig, build_table, run_sweep
-from bincoupling.approx import expansion_arrays, psi_rho_array
+from bincoupling.approx import expansion_terms
 from bincoupling.binom_exact import log_tail_exact_all
+from bincoupling.normal_tail import psi, rho
 from bincoupling.verify import X_SPLIT, _sweep_one_n
 from conftest import (
     gamma_mp,
@@ -79,7 +80,8 @@ def audited():
         c = checks[check]
         tight = np.argsort(c.slack, kind="stable")[:PER_CHECK]
         assert len(tight) == PER_CHECK
-        for n, k, passed, slack in zip(*(col[tight].tolist() for col in c)):
+        for n, k, passed, slack in (
+                [col[i] for col in c] for i in tight.tolist()):
             rows.append(((check, n, k, passed, slack),
                          slack_mp(check, n, k, table.z[k - 1])))
     return rows
@@ -168,10 +170,10 @@ def sandwich_point(draw):
 @settings(max_examples=40, deadline=None)
 def test_sandwich_pieces_agree_with_50_digits(nk):
     n, k = nk
-    ks = np.arange(n // 2 + 1, n)
-    z = np.asarray(build_table(n).z)[ks - 1]
-    ex = expansion_arrays(n, ks, np.asarray(log_tail_exact_all(n))[ks], z,
-                          psi_rho_array(z)[0])
+    ks = range(n // 2 + 1, n)
+    z = build_table(n).z[ks[0] - 1:n - 1]
+    ex = expansion_terms(n, ks, log_tail_exact_all(n)[ks[0]:n], z,
+                         [psi(v) for v in z])
     i = k - ks[0]
     assume(ex.beta_shift[i] > 0.0)
     N, K = n - 1, k - 1
@@ -216,11 +218,10 @@ def theta_point(draw):
 @settings(max_examples=40, deadline=None)
 def test_theorem2_remainder_agrees_with_50_digits(nk):
     n, k = nk
-    ks = np.arange(n // 2 + 1, n)
-    z = np.asarray(build_table(n).z)[ks - 1]
-    tails = np.asarray(log_tail_exact_all(n))[ks]
-    psi_z, rho_z = psi_rho_array(z)
-    ex = expansion_arrays(n, ks, tails, z, psi_z)
+    ks = range(n // 2 + 1, n)
+    z = build_table(n).z[ks[0] - 1:n - 1]
+    tails = log_tail_exact_all(n)[ks[0]:n]
+    ex = expansion_terms(n, ks, tails, z, [psi(v) for v in z])
     i = k - ks[0]
     N, K = n - 1, k - 1
     with mp.workdps(DPS):
@@ -230,7 +231,7 @@ def test_theorem2_remainder_agrees_with_50_digits(nk):
         xs = e * mp.sqrt(N) * mp.sqrt(1 + 2 * e * e * gamma_mp(e))
         w_k = xs + (mp.log(1 - e * e) + 2 * lambda_mp(N - K)) / (2 * xs)
         want = N * (z_k - w_k)
-    bound = N * THETA_RESIDUAL * max(1.0, -tails[i]) / rho_z[i]
+    bound = N * THETA_RESIDUAL * max(1.0, -tails[i]) / rho(z[i])
     assert abs(N * ex.theta[i] - float(want)) <= bound, (n, k)
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 from itertools import accumulate, product
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 from bincoupling import DomainError, log_tail_exact_all, tail_numerator
@@ -227,7 +226,7 @@ class TestLambdaN:
         # measured at most 5.21 ulp(M), at j = 1.  Either fails lgamma at
         # j = 9 and 10 (3.28e-15 and 3.40e-15 off) and lambda_10 + 1e-15
         with mp.workdps(50):
-            for j, lam in enumerate(lambda_table(4096).tolist()[1:], 1):
+            for j, lam in enumerate(lambda_table(4096)[1:], 1):
                 err = float(mp.mpf(lam) - lambda_mp(j))
                 if j >= 9:
                     omitted = 7 / (6 * 14 * 13 * j ** 13)
@@ -252,8 +251,10 @@ class TestLambdaN:
         # an entry of the table does not depend on the table's length: the
         # sweep's lambda_table(N) gives each lambda_j that lambda_n reads
         table = lambda_table(4096)
-        assert table.shape == (4097,)
+        assert len(table) == 4097
         assert math.isnan(table[0])
+        for m in [*range(1, 65), *range(65, 4096, 61), 4095]:
+            assert lambda_table(m)[1:] == table[1:m + 1], m
         for j in range(1, 4097):
             assert table[j] == lambda_n(j), j
 

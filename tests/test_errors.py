@@ -54,8 +54,6 @@ def plain(result):
     if isinstance(result, CutpointTable):
         return (type(result.n), result.n,
                 *map(plain, (result.z, result.beta, result.log_tail)))
-    if isinstance(result, np.ndarray):
-        return result.tobytes()
     if isinstance(result, (tuple, list)):
         return [(type(v), v.hex() if type(v) is float else v)
                 for v in result]

@@ -154,9 +154,16 @@ def test_all_names_exist(module):
         assert hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
-def modules_loaded_by(code: str) -> set[str]:
-    """The modules a fresh Python process has loaded after running code:
-    this one has imported everything already."""
+def modules_loaded_by(code: str = "", argv: list[str] | None = None
+                      ) -> set[str]:
+    """The modules a fresh Python process has loaded after running code
+    and then, given argv, the command ``bincoupling.cli.main(argv)`` with
+    its output dropped: this process has imported everything already."""
+    if argv is not None:
+        code += ("\nimport os, sys\nfrom bincoupling.cli import main\n"
+                 "sys.stdout = open(os.devnull, 'w')\n"
+                 f"assert main({argv!r}) == 0\n"
+                 "sys.stdout = sys.__stdout__\n")
     code += "\nimport sys\nprint(' '.join(sys.modules))\n"
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                          os.environ.get("PYTHONPATH")]))
@@ -177,13 +184,29 @@ def test_coupling_alone_skips_the_sweep_harness():
 
 def test_coupling_alone_never_loads_numpy():
     # the coupling core (normal_tail, binom_exact, cutpoints, errors) is
-    # plain Python: numpy comes in with the sweep harness only, and
-    # dataclasses, which loads inspect, with approx and verify
+    # plain Python, like the rest of the package; it loads neither numpy
+    # nor dataclasses, which loads inspect
     out = modules_loaded_by("import bincoupling\n"
                             "for n in (64, 1024, 4096):\n"
                             "    t = bincoupling.build_table(n)\n"
                             "assert bincoupling.couple(t, 2048.3) == 2048")
     assert "bincoupling.cutpoints" in out
+    assert not {"numpy", "dataclasses", "inspect"} & out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", str(ROOT / "tests" / "fixtures" / "cli"
+                              / "sweep_28_29.cfg")],
+    ["lemma1", "--grid=-1:1:0.1"],
+    ["tails", "100", "60"],
+    ["cutpoints", "64"],
+    ["coupling", "64"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_numpy(argv):
+    # the package is plain Python and math: numpy serves the tests only,
+    # and no module of the package loads dataclasses, which loads inspect
+    out = modules_loaded_by(argv=argv)
+    assert "bincoupling.cli" in out
     assert not {"numpy", "dataclasses", "inspect"} & out
 
 
@@ -230,10 +253,11 @@ def imported_roots(tree: ast.AST) -> set[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
                          ids=lambda p: p.name)
 def test_no_test_only_dependency_is_imported(path):
-    # scipy and mpmath serve the tests only; a lazy import inside a
+    # numpy, scipy and mpmath serve the tests only; a lazy import inside a
     # function would escape a check that only runs some code paths
     roots = imported_roots(ast.parse(path.read_text()))
-    assert roots.isdisjoint({"scipy", "mpmath"}), (path.name, sorted(roots))
+    assert roots.isdisjoint({"numpy", "scipy", "mpmath"}), (
+        path.name, sorted(roots))
 
 
 def readme_commands() -> set[str]:

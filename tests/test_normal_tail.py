@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincoupling import DomainError, RangeError
-from bincoupling.approx import psi_rho_array
 from bincoupling.normal_tail import (
     X_MAX,
     X_MIN,
@@ -189,24 +188,11 @@ class TestAgainstMpmath:
     PSI_FAR_REL = 3.5e-16
 
     def test_relative_error(self):
-        psi_a, rho_a = psi_rho_array(self.XS)
-        for i, x in enumerate(self.XS.tolist()):
+        for x in self.XS.tolist():
             p, r = _mp_psi_rho(x)
             bound = self.PSI_FAR_REL if x > 10.0 else 3e-14
-            for have in (psi(x), psi_a[i]):
-                assert abs(have - p) <= bound * p, x
-            for have in (rho(x), rho_a[i]):
-                assert abs(have - r) <= 3e-14 * r, x
-
-    def test_scalar_and_array_agree(self):
-        # past the seam both cut the same fraction at the same depth, so rho
-        # agrees to the bit there
-        psi_a, rho_a = psi_rho_array(self.XS)
-        for i, x in enumerate(self.XS.tolist()):
-            assert abs(psi_a[i] - psi(x)) <= 1e-15 * psi(x), x
-            assert abs(rho_a[i] - rho(x)) <= 1e-15 * rho(x), x
-            if x > 10.0:
-                assert rho_a[i] == rho(x), x
+            assert abs(psi(x) - p) <= bound * p, x
+            assert abs(rho(x) - r) <= 3e-14 * r, x
 
 
 def _mills_cf_80(x: np.ndarray) -> np.ndarray:
@@ -218,35 +204,16 @@ def _mills_cf_80(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def test_array_values_do_not_depend_on_the_batch():
-    # every value past the seam is the converged double of the continued
-    # fraction at its own x: the same alone, beside 10.5, in the whole grid
-    # and in tail batches, bit for bit, and equal to an 80-term cut.  A depth
-    # set by the batch's smallest x missed at 11.848557500000002 and
-    # 21.695212500000004 alone and at about one point in 10^4 of (10, 10.1]
-    xs = np.linspace(10.0, 200.0, 40001)
-    psi_all, rho_all = psi_rho_array(xs)
-    for i in np.linspace(0, xs.size - 1, 100).astype(int).tolist():
-        p, r = psi_rho_array(xs[i:])
-        assert (p == psi_all[i:]).all() and (r == rho_all[i:]).all(), xs[i]
-    for i in range(0, xs.size, 97):
-        p, r = psi_rho_array(xs[i:i + 1])
-        assert (p[0], r[0]) == (psi_all[i], rho_all[i]), xs[i]
-    assert (rho_all[1:] == _mills_cf_80(xs[1:])).all()
-
-    for x in (11.848557500000002, 21.695212500000004):
-        p, r = psi_rho_array(np.array([x]))
-        pb, rb = psi_rho_array(np.array([10.5, x]))
-        assert (p[0], r[0]) == (pb[1], rb[1]), x
-        assert r[0] == _mills_cf_80(np.array([x]))[0] == rho(x), x
-
+def test_values_past_the_seam_are_the_converged_fraction():
+    # every rho past the seam is the converged double of the continued
+    # fraction at its x, equal to an 80-term cut: over [10, 200], densely
+    # over (10, 10.1], and at two points a depth once chosen by a batch's
+    # smallest x missed alone
+    xs = np.linspace(10.0, 200.0, 40001)[1:]
     dense = np.linspace(10.0, 10.1, 200001)[1:]
-    p, r = psi_rho_array(dense)
-    pb, rb = psi_rho_array(np.append(dense, 10.5))
-    assert (p == pb[:-1]).all() and (r == rb[:-1]).all()
-    assert (r == _mills_cf_80(dense)).all()
-    for i in range(0, dense.size, 997):
-        assert psi_rho_array(dense[i:i + 1])[1][0] == r[i], dense[i]
+    named = np.array([11.848557500000002, 21.695212500000004])
+    for grid in (xs, dense, named):
+        assert [rho(x) for x in grid.tolist()] == _mills_cf_80(grid).tolist()
 
 
 def solve(L: float) -> float:
@@ -292,7 +259,7 @@ class TestInversePsi:
         edge = psi(X_MAX)
         x = inverse_psi(edge)
         assert x == pytest.approx(X_MAX, rel=1e-15, abs=0.0)
-        assert abs(psi_rho_array(np.array([x]))[0][0] - edge) <= 1e-10 * edge
+        assert abs(psi(x) - edge) <= 1e-10 * edge
         for L in (math.nextafter(edge, math.inf), edge * (1.0 + 1e-11)):
             with pytest.raises(RangeError, match=repr(L)):
                 inverse_psi(L)

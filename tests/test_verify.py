@@ -1,9 +1,10 @@
-import dataclasses
+import copy
 import hashlib
 import json
 import math
 import os
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -30,11 +31,10 @@ from bincoupling.cli import (
     EXIT_OK,
     main,
 )
-from bincoupling.approx import psi_rho_array
 from bincoupling.binom_exact import log_tail_exact_all
 from bincoupling.cutpoints import N_MAX_TABLE, build_table
 from bincoupling import cli, normal_tail, verify
-from bincoupling.normal_tail import psi
+from bincoupling.normal_tail import psi, rho
 from bincoupling.verify import select_ks
 from reference import (
     delta_sandwich,
@@ -65,13 +65,14 @@ def dense_sweep():
 def raise_d2_at(monkeypatch, n0, k0):
     """Raise the expansion's d2 by 1 at (n0, k0), so that x + d2 lies above
     z_k there and sandwich_lower fails at that row alone."""
-    real = verify.expansion_arrays
+    real = verify.expansion_terms
 
-    def faulty(n, ks, *arrays):
-        ex = real(n, ks, *arrays)
-        return dataclasses.replace(ex, d2=ex.d2 + ((n == n0) & (ks == k0)))
+    def faulty(n, ks, *columns):
+        ex = real(n, ks, *columns)
+        return ex._replace(d2=[d2 + (n == n0 and k == k0)
+                               for d2, k in zip(ex.d2, ks)])
 
-    monkeypatch.setattr(verify, "expansion_arrays", faulty)
+    monkeypatch.setattr(verify, "expansion_terms", faulty)
 
 
 class TestSelectKs:
@@ -151,6 +152,18 @@ class TestSweepConfig:
         config = SweepConfig(n_values=(28,), k_policy="all")
         doc = json.loads(emit_report(*run_sweep(config), "json", config))
         assert doc["meta"]["config"]["tolerances"] == verify.TOLERANCES
+
+    def test_is_read_only_and_pickles(self):
+        config = SweepConfig(n_values=(64, 28), k_policy="stride:3")
+        for name in ("n_values", "k_policy", "other"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(config, name, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(config, name)
+        for twin in (pickle.loads(pickle.dumps(config)), copy.copy(config),
+                     copy.deepcopy(config)):
+            assert type(twin) is SweepConfig and twin is not config
+            assert (twin.n_values, twin.k_policy) == ((28, 64), "stride:3")
 
     def test_rejects_unparsable_stride(self):
         with pytest.raises(DomainError):
@@ -259,14 +272,14 @@ class TestRunSweep:
                      "thm1_residual", "thm2_residual", "eq5_window",
                      "coupling_k_minus_beta"):
             assert name in checks, name
-            assert checks[name].passed.all(), name
+            assert all(checks[name].passed), name
         assert constants.c_thm1 > 0.0
         assert constants.c_coupling <= 1.0
 
     def test_no_expansion_checks_at_k_equals_n(self, small_sweep):
         checks, _ = small_sweep
         names = {name for name, rows in checks.items()
-                 if ((rows.n == 64) & (rows.k == 64)).any()}
+                 if (64, 64) in zip(rows.n, rows.k)}
         assert "tusnady_upper" in names
         assert not any(name.startswith(("thm1_", "thm2_", "eq11_"))
                        for name in names)
@@ -275,7 +288,7 @@ class TestRunSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             checks, constants = run_sweep(SweepConfig(n_values=(1, 2)))
-        assert all(rows.passed.all() for rows in checks.values())
+        assert all(all(rows.passed) for rows in checks.values())
         assert math.isfinite(constants.c3_eq5)
 
     def test_x_equal_to_3_is_in_the_tail_regime(self):
@@ -292,9 +305,9 @@ class TestRunSweep:
     def test_sorted_output(self, small_sweep):
         checks, _ = small_sweep
         keys = [(name, n, k) for name, rows in checks.items()
-                for n, k in zip(rows.n.tolist(), rows.k.tolist())]
+                for n, k in zip(rows.n, rows.k)]
         assert keys == sorted(keys)
-        assert all(rows.n.size for rows in checks.values())
+        assert all(rows.n for rows in checks.values())
 
     def test_checks_table_declares_exactly_the_checks_run(self):
         assert list(verify.CHECKS) == sorted(verify.CHECKS)
@@ -304,8 +317,7 @@ class TestRunSweep:
 
     def test_an_undeclared_check_is_refused(self):
         with pytest.raises(KeyError):
-            verify._add({}, "thm2_corner", 28, np.array([15]),
-                        np.array([0.0]))
+            verify._add({}, "thm2_corner", [28], [15], [0.0])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_report_bytes_do_not_depend_on_n_order(self, fmt, small_sweep):
@@ -343,11 +355,10 @@ class TestEmitReport:
         # the direct emitter must give json.dumps' bytes, failed rows with
         # a nan slack included
         checks, constants = small_sweep
-        failed = CheckRows(np.array([28]), np.array([25]), np.array([False]),
-                           np.array([math.nan]))
+        failed = CheckRows([28], [25], [False], [math.nan])
         checks = dict(sorted({**checks, "synthetic_nan": failed}.items()))
         records = [(name, n, k, p, s) for name, rows in checks.items()
-                   for n, k, p, s in zip(*(col.tolist() for col in rows))]
+                   for n, k, p, s in zip(*rows)]
         fmt = lambda x: format(x, ".17g")  # noqa: E731
         doc = {
             "meta": {
@@ -390,7 +401,7 @@ def per_row_emit(checks, constants, fmt, config) -> bytes:
         lines = ["n,k,check,passed,slack"]
         for name, rows in checks.items():
             lines.extend(f"{n},{k},{name},{'true' if p else 'false'},{s:.17g}"
-                         for n, k, p, s in zip(*(c.tolist() for c in rows)))
+                         for n, k, p, s in zip(*rows))
         lines.append("")
         return "\n".join(lines).encode()
     head = {
@@ -404,7 +415,7 @@ def per_row_emit(checks, constants, fmt, config) -> bytes:
                          "python": sys.version.split()[0]},
         },
         "constants": {name: format(value, ".17g")
-                      for name, value in dataclasses.asdict(constants).items()},
+                      for name, value in constants._asdict().items()},
     }
     body = []
     for name, rows in checks.items():
@@ -412,15 +423,14 @@ def per_row_emit(checks, constants, fmt, config) -> bytes:
         body.extend(f'{check}      "k": {k},\n      "n": {n},\n'
                     f'      "passed": {"true" if p else "false"},\n'
                     f'      "slack": "{s:.17g}"\n    }}'
-                    for n, k, p, s in zip(*(c.tolist() for c in rows)))
+                    for n, k, p, s in zip(*rows))
     text = json.dumps(head, indent=2, sort_keys=True)
     return (text[:-2] + ',\n  "records": [\n' + ",\n".join(body)
             + "\n  ]\n}\n").encode()
 
 
 def _rows(n, k, passed, slack) -> CheckRows:
-    return CheckRows(np.array(n), np.array(k), np.array(passed, dtype=bool),
-                     np.array(slack, dtype=float))
+    return CheckRows(list(n), list(k), list(passed), list(map(float, slack)))
 
 
 class TestEmitRuns:
@@ -472,7 +482,7 @@ class TestEmitRuns:
 
 
 def _n_rows(checks) -> int:
-    return sum(rows.n.size for rows in checks.values())
+    return sum(len(rows.n) for rows in checks.values())
 
 
 class TestCouplingCheck:
@@ -580,9 +590,10 @@ class TestCouplingCheck:
         # the coupling row repeats what the tusnady_lower rows hold
         checks, _ = dense_sweep
         cpl, low = checks["coupling_k_minus_beta"], checks["tusnady_lower"]
-        assert cpl.n.tolist() == list(DENSE.n_values)
-        for n, slack in zip(DENSE.n_values, cpl.slack.tolist()):
-            assert slack == low.slack[(low.n == n) & (low.k > n / 2)].min()
+        assert cpl.n == list(DENSE.n_values)
+        for n, slack in zip(DENSE.n_values, cpl.slack):
+            assert slack == min(s for m, k, _, s in zip(*low)
+                                if m == n and k > n / 2)
 
 
 def test_sandwich_rows_are_lemma1_iii(dense_sweep):
@@ -598,23 +609,25 @@ def test_sandwich_rows_are_lemma1_iii(dense_sweep):
     # (3001, 1584), (3001, 1585)
     checks, _ = dense_sweep
     up, lo = checks["sandwich_upper"], checks["sandwich_lower"]
-    assert up.n.tolist() == lo.n.tolist() and up.k.tolist() == lo.k.tolist()
-    assert up.n.size == 5672
-    n, k = up.n, up.k
+    assert up.n == lo.n and up.k == lo.k
+    assert len(up.n) == 5672
+    n, k = np.array(up.n), np.array(up.k)
+    up_slack, lo_slack = np.array(up.slack), np.array(lo.slack)
     z = np.concatenate([np.asarray(build_table(m).z)[k[n == m] - 1]
                         for m in DENSE.n_values])
     x = (2 * (k - 1) - (n - 1)) / (n - 1) * np.sqrt(n - 1)
     delta = z - x
-    (psi_z, _), (psi_x, rho) = map(psi_rho_array, (z, x))
+    psi_z, psi_x = (np.array([psi(v) for v in a.tolist()]) for a in (z, x))
+    rho_x = np.array([rho(v) for v in x.tolist()])
     b = psi_z - psi_x
-    assert (np.sign(up.slack) == np.sign(b - x * delta - delta ** 2 / 2)).all()
-    assert (np.sign(lo.slack)
-            == np.sign(rho * delta + delta ** 2 / 2 - b)).all()
-    closest = np.argsort(lo.slack, kind="stable")[:10]
+    assert (np.sign(up_slack) == np.sign(b - x * delta - delta ** 2 / 2)).all()
+    assert (np.sign(lo_slack)
+            == np.sign(rho_x * delta + delta ** 2 / 2 - b)).all()
+    closest = np.argsort(lo_slack, kind="stable")[:10]
     assert (n[closest[0]], k[closest[0]]) == (4096, 2145)
-    d, r, xs = delta[closest], rho[closest], x[closest]
+    d, r, xs = delta[closest], rho_x[closest], x[closest]
     lead = d ** 2 * (1.0 - r * (r - xs)) / (2.0 * r)
-    assert np.abs(lead / lo.slack[closest] - 1.0).max() < 1.2e-4
+    assert np.abs(lead / lo_slack[closest] - 1.0).max() < 1.2e-4
 
 
 def test_stability_ratio_compares_the_halves_of_n(dense_sweep):
@@ -643,9 +656,8 @@ def test_fitted_checks_bind_at_their_measured_rows(dense_sweep):
                         ("thm2_residual", [(4096, 2049)]),
                         ("eq5_window", [(28, 14), (28, 21)])):
         rows = checks[name]
-        assert rows.slack.min() == 0.0, name
-        at = rows.slack == 0.0
-        assert list(zip(rows.n[at].tolist(), rows.k[at].tolist())) == where
+        assert min(rows.slack) == 0.0, name
+        assert [(n, k) for n, k, _, s in zip(*rows) if s == 0.0] == where
     # eq. (5)'s upper side, through C3, binds at (28, 14), its lower side,
     # through C1, at (28, 21): the other side keeps room at each
     k = np.array([14, 21])
@@ -923,7 +935,7 @@ class TestCli:
     def test_coupling_exit_matches_the_sweep_row(self, capsys):
         checks, _ = run_sweep(SweepConfig(n_values=(28, 29, 1000)))
         rows = checks["coupling_k_minus_beta"]
-        for n, passed in zip(rows.n.tolist(), rows.passed.tolist()):
+        for n, passed in zip(rows.n, rows.passed):
             want = EXIT_OK if passed else EXIT_CHECK_FAILED
             assert main(["coupling", str(n)]) == want, n
 
@@ -1023,11 +1035,10 @@ def test_kernels_match_scalar_reference(n):
     checks = {}
     fit, c = verify._sweep_one_n(n, "all", checks)
     got = {}
-    for name, chunks in checks.items():
-        for ns, ks, passed, slack in chunks:
-            assert (ns == n).all()
-            for k, p, s in zip(ks.tolist(), passed.tolist(), slack.tolist()):
-                got[name, k] = (p, s)
+    for name, (ns, ks, passed, slack) in checks.items():
+        assert set(ns) == {n}
+        for k, p, s in zip(ks, passed, slack):
+            got[name, k] = (p, s)
     coupling = got.pop(("coupling_k_minus_beta", 0))
     assert coupling == (max_excess <= 1.0 + tol["cutpoint"], 1.0 - max_excess)
     assert c == pytest.approx(c_ref, rel=1e-12)
@@ -1040,9 +1051,9 @@ def test_kernels_match_scalar_reference(n):
 
     # the raw terms behind the fitted constants
     N = n - 1
-    ks = fit["k"].tolist()
+    ks = fit["k"]
     for name, want in (("n_r_k", r_k), ("n_theta_k", theta)):
-        have = {k: v / N for k, v in zip(ks, fit[name].tolist())
+        have = {k: v / N for k, v in zip(ks, fit[name])
                 if not math.isnan(v)}
         assert have.keys() == want.keys()
         for k, v in want.items():

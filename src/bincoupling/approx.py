@@ -25,7 +25,6 @@ normal_tail, and every transcendental from math.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .binom_exact import N_MAX_EXACT
@@ -41,15 +40,6 @@ __all__ = ["ExpansionTerms", "expansion_terms", "lambda_table"]
 # further down the closed form cancels more, to 1.3e-14 at e = 0.536.
 _GAMMA_SEAM = 0.75
 _GAMMA_COEFFS = tuple(1.0 / ((2 * r + 3) * (2 * r + 4)) for r in range(60))
-# Each e sums only the first m coefficients, by Horner's rule over
-# _GAMMA_HORNER[m] (highest first): m is the fewest whose first term left
-# out, c_m e^2m, is at most 2^-80 c_0, and _GAMMA_E2_MAX[m - 1] is the
-# largest e^2 that m terms serve.  The sum is then the 60-term sum to the
-# bit at every e = (2K - N)/N with N < 4096 (1,911,738 values below the
-# seam); with 2^-74 in place of 2^-80 it still is, with 2^-70 7 differ.
-_GAMMA_HORNER = tuple(_GAMMA_COEFFS[:m][::-1] for m in range(61))
-_GAMMA_E2_MAX = tuple((2.0 ** -80 * _GAMMA_COEFFS[0] / _GAMMA_COEFFS[m])
-                      ** (1.0 / m) for m in range(1, 60))
 
 # B_2m / (2m (2m - 1)) for m = 1..6, from B_2..B_12 = 1/6, -1/30, 1/42,
 # -1/30, 5/66, -691/2730: the coefficients of n^-(2m-1) in the Stirling
@@ -91,7 +81,7 @@ def _gamma(e: float) -> float:
     if e < _GAMMA_SEAM:
         e2 = e * e
         g = 0.0
-        for c in _GAMMA_HORNER[bisect_left(_GAMMA_E2_MAX, e2) + 1]:
+        for c in reversed(_GAMMA_COEFFS):
             g = g * e2 + c
         return g
     return ((1.0 + e) * math.log1p(e) + (1.0 - e) * math.log1p(-e)

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain, groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import __version__
@@ -177,15 +178,14 @@ def _add(checks: dict[str, CheckRows], name: str, ns: list[int],
     rows.slack.extend(slacks)
 
 
-def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows]
-                 ) -> tuple[dict[str, list], float]:
-    """Add every check of one n to ``checks``; return the coupling constant
-    of this n and the raw quantities the constant fits need, one list over
-    k each: x = epsilon sqrt(N), n_r_k = N r_k, n_theta_k = N theta_k (nan
-    where the expansion does not apply), d = beta_k - k + 1/2,
-    t = |k - n/2|^3 / n^2, tail, whether k > n/2 with x >= X_SPLIT, and
-    log_N = log(n - 1), log_n = log(n) and sqrt_n = sqrt(n), beside the
-    columns n and k."""
+def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows],
+                 fits: dict[str, list]) -> None:
+    """Add every check of one n to ``checks``, and to ``fits`` the rows
+    each fitted constant reads, keyed by constant: (n, k, N r_k, log N, 1)
+    for c_thm1 and (n, k, N theta_k, x + 1, x + log N) for c_thm2 and
+    c_thm2_tail_regime, x = epsilon sqrt(N); (n, k, d, t) for eq. (5),
+    d = beta_k - k + 1/2 and t = |k - n/2|^3 / n^2; and the coupling
+    constant of this n for c_coupling."""
     table = build_table(n)
     # the expansion reads its exact tails from a second pass (the table's
     # log_tail holds the same values)
@@ -195,9 +195,7 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows]
     ks = select_ks(n, k_policy)
     tol_lt, tol_sym = TOLERANCES["log_tail"], TOLERANCES["symmetry"]
     half_n, n_sq, two_n, top = n / 2, n ** 2, 2.0 * n, 1.5 * n
-    split_sq = X_SPLIT ** 2 * N
-    z_k, psi_z, s_def, s_sym, s_lo, s_up, d, t, tail = (
-        [] for _ in range(9))
+    z_k, psi_z, s_def, s_sym, s_lo, s_up, d, t = ([] for _ in range(8))
     for k in ks:
         z, beta, lt = all_z[k - 1], all_beta[k - 1], all_lt[k - 1]
         # the one negative z, at k = n/2 for even n, takes psi's left route
@@ -213,14 +211,12 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows]
         s_up.append(top - math.sqrt(two_n * (n - k)) - beta)
         d.append(beta - k + 0.5)
         t.append(abs(k - half_n) ** 3 / n_sq)
-        tail.append(k > half_n and (2 * k - n - 1) ** 2 >= split_sq)
-    size = len(ks)
-    ns = [n] * size
+    ns = [n] * len(ks)
     for name, s in (("defining_eq", s_def), ("symmetry", s_sym),
                     ("tusnady_lower", s_lo), ("tusnady_upper", s_up)):
         _add(checks, name, ns, ks, s)
+    fits.setdefault("eq5", []).extend(zip(ns, ks, d, t))
 
-    x, n_r_k, n_theta_k = ([math.nan] * size for _ in range(3))
     # the expansion's k, n/2 < k <= n - 1 from n = 28: a run of ks
     dom = slice(bisect_right(ks, n // 2), bisect_right(ks, N) if n >= 28
                 else 0)
@@ -228,19 +224,26 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows]
     if dom_ks:
         dom_tails, dom_z = [tails[k] for k in dom_ks], z_k[dom]
         ex = expansion_terms(n, dom_ks, dom_tails, dom_z, psi_z[dom])
-        x[dom] = ex.x
-        n_r_k[dom] = [N * r for r in ex.r_k]
-        n_theta_k[dom] = [N * v for v in ex.theta]
-        dom_ns = ns[dom]
+        dom_ns, log_N = ns[dom], math.log(N)
         _add(checks, "eq11_lower", dom_ns, dom_ks,
              [lt - v for lt, v in zip(dom_tails, ex.eq11_lower)])
         _add(checks, "eq11_upper", dom_ns, dom_ks,
              [v - lt for lt, v in zip(dom_tails, ex.eq11_upper)])
+        fits.setdefault("c_thm1", []).extend(
+            (n, k, N * r, log_N, 1.0) for k, r in zip(dom_ks, ex.r_k))
+        # theta is undefined at e = 0, the centre k = (n + 1)/2 of an odd
+        # n, which can only be the first row
+        c = int(2 * dom_ks[0] == n + 1)
+        thm2 = [(n, k, N * v, x + 1.0, x + log_N)
+                for k, v, x in zip(dom_ks[c:], ex.theta[c:], ex.x[c:])]
+        fits.setdefault("c_thm2", []).extend(thm2)
 
         # the two-root sandwich, where x >= X_SPLIT: (2k - n - 1)^2 grows
-        # with k > n/2, so those rows end ks, and the sandwich takes the
-        # expansion's rows from o on
-        o = max(0, size - sum(tail) - dom.start)
+        # with k > n/2, so those rows end the expansion's, from o on; o >= c,
+        # as the centre's 0 is below X_SPLIT^2 N
+        o = bisect_left(dom_ks, X_SPLIT ** 2 * N,
+                        key=lambda k: (2 * k - n - 1) ** 2)
+        fits.setdefault("c_thm2_tail_regime", []).extend(thm2[o - c:])
         zs, xs = dom_z[o:], ex.x[o:]
         s_lo = [z - (v + d2) for z, v, d2 in zip(zs, xs, ex.d2[o:])]
         s_up = [(v + d1) - z for z, v, d1 in zip(zs, xs, ex.d1[o:])]
@@ -252,11 +255,7 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows]
 
     max_excess, c_coupling = coupling_check(table)
     _add(checks, "coupling_k_minus_beta", [n], [0], [1.0 - max_excess])
-    fit = {"n": ns, "k": ks, "x": x, "n_r_k": n_r_k, "n_theta_k": n_theta_k,
-           "d": d, "t": t, "tail": tail,
-           "log_N": [math.log(N) if N > 0 else math.nan] * size,
-           "log_n": [math.log(n)] * size, "sqrt_n": [math.sqrt(n)] * size}
-    return fit, c_coupling
+    fits.setdefault("c_coupling", []).append(c_coupling)
 
 
 def _max(values) -> float:
@@ -264,58 +263,54 @@ def _max(values) -> float:
     return max(_CONSTANT_FLOOR, max(values, default=_CONSTANT_FLOOR))
 
 
-def _fit_constants(fit: dict[str, list], c_coupling: float,
-                   checks: dict[str, CheckRows]) -> ConstantsReport:
-    """Fit each constant as the largest need of its inequality over the
-    rows, which ascend in n; add to ``checks`` the inequality's margins
-    under it (feasible by construction, recorded so the report shows them).
-    One pass over the rows takes the needs, a second the margins."""
-    n, k, x, log_N = fit["n"], fit["k"], fit["x"], fit["log_N"]
-    nr, nt = fit["n_r_k"], fit["n_theta_k"]
-    rows_r = [i for i, v in enumerate(nr) if not math.isnan(v)]
-    rows_t = [i for i, v in enumerate(nt) if not math.isnan(v)]
-    x1 = [v + 1.0 for v in x]
-    x_log_N = [v + w for v, w in zip(x, log_N)]
-    # Theorems 1 and 2, each -C a <= v <= C b over its rows, declared once
-    # as (constant, residual check or None, rows, v, a, b)
-    bounds = (("c_thm1", "thm1_residual", rows_r, nr, log_N, [1.0] * len(n)),
-              ("c_thm2", "thm2_residual", rows_t, nt, x1, x_log_N),
-              ("c_thm2_tail_regime", None,
-               [i for i in rows_t if fit["tail"][i]], nt, x1, x_log_N))
+def _fit_constants(fits: dict[str, list], checks: dict[str, CheckRows]
+                   ) -> ConstantsReport:
+    """Fit each constant as the largest need of its inequality over its
+    rows in ``fits``, which ascend in n; add to ``checks`` the inequality's
+    margins under it (feasible by construction, recorded so the report
+    shows them).  One pass over the rows takes the needs, a second the
+    margins."""
+    # Theorems 1 and 2, each -C a <= v <= C b over rows (n, k, v, a, b),
+    # with the residual check that records its margins, if any
     consts, ratio = {}, 1.0
-    for name, check, rows, v, a, b in bounds:
-        vab = [(v[i], a[i], b[i]) for i in rows]
-        need = [max(-vi / ai, vi / bi) for vi, ai, bi in vab]
+    for name, check in (("c_thm1", "thm1_residual"),
+                        ("c_thm2", "thm2_residual"),
+                        ("c_thm2_tail_regime", None)):
+        rows = fits.get(name, ())
+        need = [max(-v / a, v / b) for _, _, v, a, b in rows]
         c = consts[name] = _max(need)
         # C re-fit on each half of n, where both halves bound it; the n <=
         # 384 half, {<=256} of the default sweep, is a run of the first rows
-        low = bisect_right(rows, 384, key=n.__getitem__)
+        low = bisect_right(rows, 384, key=itemgetter(0))
         h1, h2 = _max(need[:low]), _max(need[low:])
         if min(h1, h2) > _CONSTANT_FLOOR:
             ratio = max(ratio, h1 / h2, h2 / h1)
         if check:
-            _add(checks, check, [n[i] for i in rows], [k[i] for i in rows],
-                 [min(c * bi - vi, vi + c * ai) for vi, ai, bi in vab])
+            _add(checks, check, [row[0] for row in rows],
+                 [row[1] for row in rows],
+                 [min(c * b - v, v + c * a) for _, _, v, a, b in rows])
 
     # Eq. (5): the quadruple is anchored on the cubic-dominated rows, then
     # the sqrt(n) terms absorb whatever is left near the center
-    d, t, log_n, sqrt_n = fit["d"], fit["t"], fit["log_n"], fit["sqrt_n"]
-    ratio_dt = [dd / tt for dd, tt in zip(d, t) if tt >= 1.0]
+    rows = fits.get("eq5", ())
+    ratio_dt = [d / t for _, _, d, t in rows if t >= 1.0]
     if ratio_dt:
         c4 = max(max(ratio_dt), _CONSTANT_FLOOR)
         c2 = max(min(ratio_dt), _CONSTANT_FLOOR)
     else:
         c2, c4 = _CONSTANT_FLOOR, 1.0
-    c1 = _max([s * (c2 * tt - dd) for s, tt, dd in zip(sqrt_n, t, d)])
+    sqrt, log = math.sqrt, math.log
+    c1 = _max([sqrt(n) * (c2 * t - d) for n, _, d, t in rows])
     # at n = 1 the C3 term log(n)/sqrt(n) is 0: that row does not bound C3
-    c3 = _max([s * (dd - c4 * tt) / ln
-               for s, tt, dd, ln in zip(sqrt_n, t, d, log_n) if ln > 0.0])
-    _add(checks, "eq5_window", n, k,
-         [min(dd - (-c1 / s + c2 * tt), (c3 * ln / s + c4 * tt) - dd)
-          for s, tt, dd, ln in zip(sqrt_n, t, d, log_n)])
+    c3 = _max([sqrt(n) * (d - c4 * t) / log(n) for n, _, d, t in rows
+               if n > 1])
+    _add(checks, "eq5_window", [row[0] for row in rows],
+         [row[1] for row in rows],
+         [min(d - (-c1 / sqrt(n) + c2 * t),
+              (c3 * log(n) / sqrt(n) + c4 * t) - d) for n, _, d, t in rows])
     return ConstantsReport(
         **consts, c1_eq5=c1, c2_eq5=c2, c3_eq5=c3, c4_eq5=c4,
-        c_coupling=c_coupling, stability_ratio=ratio)
+        c_coupling=_max(fits.get("c_coupling", ())), stability_ratio=ratio)
 
 
 def run_sweep(config: SweepConfig | None = None
@@ -328,14 +323,10 @@ def run_sweep(config: SweepConfig | None = None
     """
     config = config or SweepConfig()
     checks: dict[str, CheckRows] = {}
-    fit: dict[str, list] = {}
-    c_coupling = _CONSTANT_FLOOR
+    fits: dict[str, list] = {}
     for n in config.n_values:
-        fit_n, c_cpl = _sweep_one_n(n, config.k_policy, checks)
-        for key, column in fit_n.items():
-            fit.setdefault(key, []).extend(column)
-        c_coupling = max(c_coupling, c_cpl)
-    c = _fit_constants(fit, c_coupling, checks)
+        _sweep_one_n(n, config.k_policy, checks, fits)
+    c = _fit_constants(fits, checks)
 
     # every n adds its rows in k order, and the n ascend: each check's
     # rows are in (n, k) order

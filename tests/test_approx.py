@@ -73,8 +73,8 @@ class TestGamma:
                 assert abs(have - want) <= 4e-15 * want, e
 
     def test_array_form_matches_scalar(self):
-        # two algorithms below the seam: the package's Horner sum over the
-        # coefficients each e needs and the reference's forward sum until a
+        # two algorithms below the seam: the package's Horner sum over all
+        # 60 coefficients and the reference's forward sum until a
         # term falls below 1e-17 (9.4e-16 relative apart at most over this
         # grid).  Above it both take the closed form by math.log1p.
         es = np.concatenate([np.linspace(0.0, 0.75, 30001)[:-1],
@@ -85,9 +85,9 @@ class TestGamma:
         assert (np.abs(got - want) <= bound).all()
 
     def test_truncated_sum_equals_the_60_term_sum(self):
-        # below the seam the package sums only the terms each e needs; the
-        # sum is the 60-term Horner sum to the bit at every e = (2K - N)/N
-        # of the n < 1024 and of the sweep-dense n
+        # below the seam the package's sum is the 60-term Horner sum to the
+        # bit at every e = (2K - N)/N of the n < 1024 and of the sweep-dense
+        # n
         ns = [*range(2, 1024), *DENSE_N]
         es = np.unique([(2 * K - (n - 1)) / (n - 1) for n in ns
                         for K in range(n // 2, n)])

@@ -127,9 +127,9 @@ def expansion_point(draw):
 @settings(max_examples=40, deadline=None)
 def test_theorem1_remainder_agrees_with_50_digits(nk):
     n, k = nk
-    fit, _ = _sweep_one_n(n, "all", {})
-    i = k - (n + 1) // 2
-    assert fit["k"][i] == k
+    fits = {}
+    _sweep_one_n(n, "all", {}, fits)
+    n_r_k = {row[1]: row[2] for row in fits["c_thm1"]}
     N, K = n - 1, k - 1
     with mp.workdps(DPS):
         e = mp.mpf(2 * K - N) / N
@@ -139,7 +139,7 @@ def test_theorem1_remainder_agrees_with_50_digits(nk):
         want = N * (log_tail_mp(n, k) + psi_x + gamma_term
                     + mp.log(1 - e * e) / 2 + lambda_mp(N - K))
     bound = RK_ULPS * N * 2.0 ** -52 * max(1.0, float(psi_x))
-    assert abs(fit["n_r_k"][i] - float(want)) <= bound, (n, k)
+    assert abs(n_r_k[k] - float(want)) <= bound, (n, k)
 
 
 # The two-root sandwich's d1 and d2 as the sweep computes them, from the

@@ -285,11 +285,18 @@ class TestRunSweep:
                        for name in names)
 
     def test_n1_sweeps_without_dividing_by_log_1(self):
+        # n <= 3 has no expansion row, no sandwich row and no t >= 1: the
+        # constants of Theorems 1 and 2 and C2 are left at the floor, C4 at
+        # 1, and C1, C3 and c_coupling come from the rows there are
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            checks, constants = run_sweep(SweepConfig(n_values=(1, 2)))
+            checks, constants = run_sweep(SweepConfig(n_values=(1, 2, 3)))
         assert all(all(rows.passed) for rows in checks.values())
-        assert math.isfinite(constants.c3_eq5)
+        assert constants._asdict() == {
+            "c_thm1": 1e-9, "c_thm2": 1e-9, "c1_eq5": 0.03261703134401901,
+            "c2_eq5": 1e-9, "c3_eq5": 0.047056428858466386, "c4_eq5": 1.0,
+            "c_coupling": 0.4931506849315069, "stability_ratio": 1.0,
+            "c_thm2_tail_regime": 1e-9}
 
     def test_x_equal_to_3_is_in_the_tail_regime(self):
         # at (2210, 1176) x = 141/47 = 3 exactly (N = 2209 = 47^2); the
@@ -628,6 +635,43 @@ def test_sandwich_rows_are_lemma1_iii(dense_sweep):
     d, r, xs = delta[closest], rho_x[closest], x[closest]
     lead = d ** 2 * (1.0 - r * (r - xs)) / (2.0 * r)
     assert np.abs(lead / lo_slack[closest] - 1.0).max() < 1.2e-4
+
+
+@pytest.mark.parametrize("config", [
+    DENSE, SweepConfig(n_values=(2210,), k_policy="all"),
+    load_config(str(GOLDEN / "sweep_stride.cfg"))])
+def test_each_constant_reads_its_own_rows(config, monkeypatch):
+    # the (n, k) each fitted constant reads, as run_sweep hands them to the
+    # fit, against the rows of the checks that share its domain
+    fits = {}
+    real = verify._fit_constants
+
+    def seen(rows, checks):
+        fits.update(rows)
+        return real(rows, checks)
+
+    monkeypatch.setattr(verify, "_fit_constants", seen)
+    checks, constants = run_sweep(config)
+
+    def at(name):
+        return list(zip(checks[name].n, checks[name].k))
+
+    def read(name):
+        return [(row[0], row[1]) for row in fits[name]]
+
+    expansion = at("eq11_lower")
+    assert read("c_thm1") == expansion
+    # theta is undefined at the centre k = (n + 1)/2 of an odd n
+    centre = [(n, k) for n, k in expansion if 2 * k == n + 1]
+    assert centre == [(n, (n + 1) // 2) for n in config.n_values
+                      if n % 2 and n >= 28]
+    assert read("c_thm2") == [nk for nk in expansion if nk not in centre]
+    assert read("c_thm2_tail_regime") == at("sandwich_lower")
+    if 2210 in config.n_values:
+        assert (2210, 1176) in read("c_thm2_tail_regime")
+    assert read("eq5") == at("eq5_window")
+    assert constants.c_coupling == max(
+        1e-9, *(coupling_check(build_table(n))[1] for n in config.n_values))
 
 
 def test_stability_ratio_compares_the_halves_of_n(dense_sweep):
@@ -1032,8 +1076,8 @@ def scalar_checks(n: int, tol: dict[str, float]):
 def test_kernels_match_scalar_reference(n):
     tol = verify.TOLERANCES
     ref, r_k, theta, (max_excess, c_ref) = scalar_checks(n, tol)
-    checks = {}
-    fit, c = verify._sweep_one_n(n, "all", checks)
+    checks, fits = {}, {}
+    verify._sweep_one_n(n, "all", checks, fits)
     got = {}
     for name, (ns, ks, passed, slack) in checks.items():
         assert set(ns) == {n}
@@ -1041,7 +1085,7 @@ def test_kernels_match_scalar_reference(n):
             got[name, k] = (p, s)
     coupling = got.pop(("coupling_k_minus_beta", 0))
     assert coupling == (max_excess <= 1.0 + tol["cutpoint"], 1.0 - max_excess)
-    assert c == pytest.approx(c_ref, rel=1e-12)
+    assert fits["c_coupling"] == [pytest.approx(c_ref, rel=1e-12)]
 
     # the same checks run and are skipped
     assert got.keys() == ref.keys()
@@ -1051,10 +1095,8 @@ def test_kernels_match_scalar_reference(n):
 
     # the raw terms behind the fitted constants
     N = n - 1
-    ks = fit["k"]
-    for name, want in (("n_r_k", r_k), ("n_theta_k", theta)):
-        have = {k: v / N for k, v in zip(ks, fit[name])
-                if not math.isnan(v)}
+    for name, want in (("c_thm1", r_k), ("c_thm2", theta)):
+        have = {k: v / N for _, k, v, _, _ in fits.get(name, [])}
         assert have.keys() == want.keys()
         for k, v in want.items():
             assert abs(have[k] - v) <= 1e-9 * max(1.0, abs(v)), (name, k)

@@ -55,6 +55,10 @@ COMMANDS = [
     # the one n <= 4096 whose float x rounds an exact 3 down, at k = 1176
     ["sweep", "--config", str(CFG / "sweep_2210.cfg"), "--format", "json",
      "--out", OUT],
+    # the fits' edges: n with no expansion row, the expansion's first n
+    # (28) and both sides of the n <= 384 split
+    ["sweep", "--config", str(CFG / "sweep_edges.cfg"), "--format", "json",
+     "--out", OUT],
     ["cutpoints", "1"],
     ["cutpoints", "4"],
     ["cutpoints", "29"],

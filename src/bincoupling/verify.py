@@ -23,7 +23,7 @@ from .approx import expansion_terms
 from .binom_exact import log_tail_exact_all
 from .cutpoints import N_MAX_TABLE, CutpointTable, build_table
 from .errors import DomainError, check_count
-from .normal_tail import _psi_rho, psi
+from .normal_tail import _psi_rho
 
 __all__ = [
     "SweepConfig",
@@ -198,8 +198,7 @@ def _sweep_one_n(n: int, k_policy: str, checks: dict[str, CheckRows],
     z_k, psi_z, s_def, s_sym, s_lo, s_up, d, t = ([] for _ in range(8))
     for k in ks:
         z, beta, lt = all_z[k - 1], all_beta[k - 1], all_lt[k - 1]
-        # the one negative z, at k = n/2 for even n, takes psi's left route
-        p = _psi_rho(z)[0] if z >= 0.0 else psi(z)
+        p = _psi_rho(z)[0]
         z_k.append(z)
         psi_z.append(p)
         # defining equation psi(z_k) = -log tail, re-checked post hoc

@@ -258,6 +258,8 @@ def eq5_point(draw):
 @example((28, 21))
 @example((29, 24))
 @example((4096, 4096))
+@example((4096, 2049))
+@example((2, 2))
 @settings(max_examples=40, deadline=None)
 def test_eq5_gap_agrees_with_50_digits(nk):
     n, k = nk

@@ -3,11 +3,8 @@ import csv
 import functools
 import math
 import pickle
-import re
 import sys
 from bisect import bisect_left
-from decimal import Decimal
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -303,6 +300,8 @@ Z_UNITS = 3.0
 
 @given(upper_cutpoint())
 @example((1217, 1032))
+@example((4096, 2049))
+@example((2, 2))
 @settings(max_examples=40, deadline=None)
 def test_cutpoint_is_within_a_few_units_of_the_50_digit_root(nk):
     n, k = nk
@@ -339,26 +338,6 @@ class TestCouple:
         for y in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 couple(table, y)
-
-    @pytest.mark.parametrize("y", ["2049", b"2049", bytearray(b"10"), True,
-                                   np.True_, None])
-    def test_a_draw_that_is_not_a_number_is_a_domain_error(self, y):
-        # float() reads the first five as 2049, 2049, 10, 1 and 1
-        with pytest.raises(DomainError, match=re.escape(repr(y))):
-            couple(build_table(4096), y)
-
-    @pytest.mark.parametrize("y", [
-        10**400, -10**400, 10**5000, Fraction(10**400), Decimal("sNaN"),
-        Decimal("Infinity"), np.float64("nan"), np.float32("inf")],
-        ids=["1e400", "-1e400", "1e5000", "Fraction", "sNaN", "Decimal-inf",
-             "np-nan", "np-inf"])
-    def test_a_draw_no_float_can_hold_is_a_domain_error(self, y):
-        # float() overflows on the first four and refuses a signalling nan;
-        # 10**5000 has no repr past Python's 4300-digit limit, so the
-        # message names the type of a y that is not yet a float
-        with pytest.raises(DomainError, match="must be finite") as refused:
-            couple(build_table(64), y)
-        assert len(str(refused.value)) < 60
 
     @pytest.mark.parametrize("y", [31.7, np.float64(31.7), np.int64(32)])
     def test_the_coupled_value_is_a_python_int(self, y):

@@ -603,6 +603,37 @@ class TestCouplingCheck:
                                 if m == n and k > n / 2)
 
 
+def test_cutpoint_profile_lies_in_a_log_n_window():
+    # d = beta_k - k + 1/2 against t g(u) = (n/2)(sqrt(2 H(u)) - u), with
+    # u = (2k - n)/n and H(u) = ((1 + u) log(1 + u) + (1 - u) log(1 - u))/2,
+    # at every k > n/2 of every n <= 512 and of the sweep-dense n, odd-n
+    # centres (d = 0) left out: 71,120 rows.  d sits below t g(u), and at
+    # most c log n + 0.054 below it, c = 1/(4 sqrt(2 log 2)), the slope of
+    # z_n = psi^-1(n log 2) at k = n.  Measured: the least n (t g - d) is
+    # 0.04175, at (4096, 2049), close to 1/24; the least d - t g + c log n
+    # is -0.05330, at (2, 2).  Both sides are measured facts, not yet
+    # argued: Zubkov & Serov's entropy bound (Theory Probab. Appl. 57,
+    # 2013) gives d <= t g(u) + 1/2 only.  Eq. (5)'s fitted window is
+    # O(n) wide; this one is O(log n).
+    log_2 = math.log(2.0)
+    c = 1.0 / (4.0 * math.sqrt(2.0 * log_2))
+    upper, lower = [], []
+    for n in sorted({*range(2, 513), *DENSE.n_values}):
+        beta, log_n = build_table(n).beta, math.log(n)
+        for k in range(n // 2 + 1 + n % 2, n + 1):
+            u = (2 * k - n) / n
+            h = log_2 if k == n else ((1.0 + u) * math.log1p(u)
+                                      + (1.0 - u) * math.log1p(-u)) / 2
+            tg = n / 2 * (math.sqrt(2.0 * h) - u)
+            d = beta[k - 1] - k + 0.5
+            upper.append((n * (tg - d), n, k))
+            lower.append((d - tg + c * log_n, n, k))
+    assert len(upper) == 71120
+    least_upper, least_lower = min(upper), min(lower)
+    assert least_upper[0] >= 0.041, least_upper
+    assert least_lower[0] >= -0.054, least_lower
+
+
 def test_sandwich_rows_are_lemma1_iii(dense_sweep):
     # with delta = z - x and b = psi(z) - psi(x) > 0, d1 and d2 are the
     # positive roots of delta^2/2 + x delta = b and of delta^2/2 + rho(x)

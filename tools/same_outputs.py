@@ -82,6 +82,8 @@ COMMANDS = [
     ["coupling", "100"],
     ["coupling", "4096"],
     ["lemma1"],
+    # the left envelope out to X_MIN, past the default grid's -8
+    ["lemma1", "--grid=-37.5:0:0.0375"],
     # refusals main reports as one error line and exit 2
     ["cutpoints", "5000"],
     ["coupling", "0"],

@@ -14,9 +14,10 @@ probability underflows (the cutpoint solver routinely needs psi at x > 50):
 Left of 0 both come from the right side at -x: with q = P{Z > -x} =
 phi(x) / rho(-x), tail(x) = 1 - q, so psi = -log1p(-q) and
 rho = phi(x) / (1 - q), where 1 - q >= 1/2 cancels nothing.
-Against 40-digit values both stay within 4e-15 relative over [-8, 200];
-further left the rounding of x^2 in exp(-x^2/2) allows up to about x^2/2
-ulp, the left tail's own condition number.  The envelope ends at
+Against 40 digits both stay within 4e-15 relative over [0, 200]; over
+[-8, 0) rho within 2.2e-15 and psi within 4.1e-15 (4.01e-15 at -6.75):
+there and further left the rounding of x^2 in exp(-x^2/2) allows about
+x^2/2 ulp, the left tail's own condition number.  The envelope ends at
 X_MIN = -37.5, where psi and rho are still normal floats.
 
 psi, rho, the scalar Newton solve inverse_psi and the sweep all read one

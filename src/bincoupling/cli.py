@@ -10,9 +10,9 @@ import argparse
 import math
 import sys
 
-from .binom_exact import _log_tail, tail_numerator
+from .binom_exact import N_MAX_EXACT, _log_tail, tail_numerator
 from .cutpoints import build_table, table_csv
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, check_count
 from .normal_tail import _check_envelope, psi, rho
 from .verify import (
     SweepConfig,
@@ -43,14 +43,18 @@ TAILS_MAX_BIT_TERMS = 10 ** 10
 
 
 def cmd_tails(args) -> int:
-    bit_terms = (args.n - args.k + 1) * args.n
+    # n and k as tail_numerator reads them, so a bad n is refused the same
+    # way whatever k is
+    n = check_count("n", args.n, 1, N_MAX_EXACT)
+    k = check_count("k", args.k, 0, n)
+    bit_terms = (n - k + 1) * n
     if bit_terms > TAILS_MAX_BIT_TERMS:
-        raise DomainError(f"tails {args.n} {args.k} sums {bit_terms} "
+        raise DomainError(f"tails {n} {k} sums {bit_terms} "
                           f"bit-terms, more than {TAILS_MAX_BIT_TERMS}")
     # one O(n^2)-bit sum serves both lines
-    num = tail_numerator(args.n, args.k)
-    log_prob = _log_tail(args.n, args.k, num)
-    print(f"n = {args.n}  k = {args.k}")
+    num = tail_numerator(n, k)
+    log_prob = _log_tail(n, k, num)
+    print(f"n = {n}  k = {k}")
     print(f"numerator bits = {num.bit_length()}")
     print(f"log_prob = {_fmt(log_prob)}")
     print(f"prob     = {_fmt(math.exp(log_prob))}")

@@ -36,7 +36,7 @@ class CutpointTable:
     """Cutpoints of one n as tuples of floats over k = 1 .. n (entry
     k - 1), with beta strictly increasing.  ``cells`` is (-inf, beta_1,
     ..., beta_n, +inf), built once: entry k is the left end of the
-    coupling map's cell k, and ``betas`` is its finite part.  A table is
+    coupling map's cell k, and ``beta`` is its finite part.  A table is
     read-only, equal only to itself, and pickles and copies by rebuilding
     through the constructor."""
 
@@ -68,7 +68,9 @@ class CutpointTable:
 
     @property
     def betas(self) -> tuple[float, ...]:
-        """beta_1, ..., beta_n: the tuple ``beta``."""
+        """beta_1, ..., beta_n: the tuple ``beta``.  An alias whose one
+        reader is perfbench/couple_stream.py; it goes when that reads
+        ``beta``."""
         return self.beta
 
 

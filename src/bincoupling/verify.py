@@ -426,8 +426,9 @@ def load_config(path: str) -> SweepConfig:
     kwargs: dict = {}
     given: dict[str, int] = {}  # the line each key is given on
     # surrogateescape keeps a byte that is not UTF-8 as a lone surrogate,
-    # which encode() then refuses, so the line it is on can be named
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # which encode() then refuses, so the line it is on can be named;
+    # utf-8-sig drops a leading byte-order mark
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 line.encode()

@@ -126,10 +126,10 @@ def test_criterion_06_tusnady(default_tables):
     ok = True
     for n, table in default_tables.items():
         for k in range(math.ceil(n / 2), n + 1):
-            lo, up = tusnady_bounds(n, k, table.betas[k - 1])
+            lo, up = tusnady_bounds(n, k, table.beta[k - 1])
             ok &= lo >= -1e-9 and up >= -1e-9
         if n >= 512:
-            _, up = tusnady_bounds(n, n - 1, table.betas[n - 2])
+            _, up = tusnady_bounds(n, n - 1, table.beta[n - 2])
             ok &= up > 0.072 * n
     _verdict(6, ok, "classical cutpoint bracket plus extreme-k slack margin")
     assert ok
@@ -197,7 +197,7 @@ def test_criterion_09_extreme_cutpoint_residual(default_tables):
     ns = (64, 128, 256, 512, 1024, 2048)
     ok = True
     for B in (1, 2, 3):
-        resid = {n: default_tables[n].betas[n - B - 1] - eq4_extreme(n, B)
+        resid = {n: default_tables[n].beta[n - B - 1] - eq4_extreme(n, B)
                  for n in ns}
         all_range = max(resid.values()) - min(resid.values())
         top = [resid[1024], resid[2048]]
@@ -219,7 +219,7 @@ def test_criterion_10_window_quadruple(timed_sweep, default_tables):
                   quad[2] * (1 + 1e-9), quad[3] * (1 + 1e-9))
     for n, table in default_tables.items():
         for k in range(math.ceil(n / 2), n + 1):
-            ok &= eq5_bounds(n, k, table.betas[k - 1], slack_quad)
+            ok &= eq5_bounds(n, k, table.beta[k - 1], slack_quad)
     _verdict(10, ok, "feasible window quadruple "
                      f"(C1..C4) = ({quad[0]:.4f}, {quad[1]:.4f}, "
                      f"{quad[2]:.4f}, {quad[3]:.4f})")
@@ -235,7 +235,7 @@ def test_criterion_11_coupling(default_tables):
     def center_max(n):
         table = default_tables[n]
         lim = n ** 0.6
-        return max(abs(table.betas[k - 1] - k + 0.5)
+        return max(abs(table.beta[k - 1] - k + 0.5)
                    for k in range(1, n + 1) if abs(k - n / 2) <= lim)
 
     m256, m2048 = center_max(256), center_max(2048)

@@ -116,7 +116,7 @@ class TestBuildTable:
         # upper half is constructed from z directly; the lower half is
         # mirrored, so allow one rounding step there
         table = build_table(64)
-        for z, beta in zip(table.z, table.betas):
+        for z, beta in zip(table.z, table.beta):
             assert beta == pytest.approx(64 / 2 + math.sqrt(64) * z / 2,
                                          abs=1e-12)
 
@@ -136,7 +136,7 @@ class TestBuildTable:
             with pytest.raises(DomainError, match=name):
                 CutpointTable(n=5, **arrays)
         arrays = {a: getattr(table, a) for a in names}
-        assert CutpointTable(n=5, **arrays).betas == table.betas
+        assert CutpointTable(n=5, **arrays).beta == table.beta
 
     def test_read_only_equal_to_itself_and_picklable(self):
         table = build_table(29)
@@ -209,7 +209,6 @@ class TestVectorSolve:
     def test_arrays_and_records_agree(self):
         table = build_table(29)
         assert len(table.z) == len(table.beta) == len(table.log_tail) == 29
-        assert table.betas is table.beta
         # each CSV row holds its k's epsilon and array entries, exactly
         rows = list(csv.DictReader(table_csv(table).splitlines()))
         for k, row in zip(range(1, 30), rows):
@@ -217,9 +216,8 @@ class TestVectorSolve:
                     float(row["log_tail"])) == (
                 (2 * (k - 1) - 28) / 28, table.z[k - 1], table.beta[k - 1],
                 table.log_tail[k - 1])
-            assert table.betas[k - 1] == table.beta[k - 1]
         assert table.cells is table.cells  # built once per table
-        assert table.betas == table.cells[1:-1]
+        assert table.beta == table.cells[1:-1]
 
     @pytest.mark.parametrize("L", [
         math.log(2.0), math.nextafter(2.5, -math.inf), 2.5,
@@ -323,7 +321,7 @@ class TestCouple:
     def test_boundary_goes_down(self):
         table = build_table(28)
         for k in (1, 10, 20, 28):
-            assert couple(table, table.betas[k - 1]) == k - 1
+            assert couple(table, table.beta[k - 1]) == k - 1
 
     def test_top_cell(self):
         table = build_table(28)
@@ -348,7 +346,7 @@ class TestCouple:
         # round(y) is floor(y + 0.5), clamped to [0, n]: the draws at the
         # seams of that rounding and of both clamps
         table = build_table(n)
-        betas = table.betas
+        betas = table.beta
         big = sys.float_info.max
         ys = [-0.5, math.nextafter(-0.5, 0.0), -0.0, 0.49999999999999994,
               *(k + 0.5 for k in range(n + 1)), n + 0.5, big, -big]
@@ -361,7 +359,7 @@ class TestCouple:
     @pytest.mark.parametrize("n", [1, 2, 3, 28, 64, 256, 1024, 4096])
     def test_walk_agrees_with_bisection_at_every_cutpoint(self, n):
         table = build_table(n)
-        betas = table.betas
+        betas = table.beta
         for b in betas:
             for y in (math.nextafter(b, -math.inf), b,
                       math.nextafter(b, math.inf)):
@@ -372,7 +370,7 @@ class TestCouple:
         # table and walks about 200 cells at n = 4096
         n = 4096
         table = build_table(n)
-        betas = table.betas
+        betas = table.beta
         rng = np.random.default_rng(37)
         far = [*rng.uniform(betas[0], 0.0, 10_000).tolist(),
                *rng.uniform(math.nextafter(n, math.inf), betas[-1],
@@ -387,7 +385,7 @@ class TestCouple:
         for v in (-3.7, 0.4, 31.5, 32.0, 32.5, 40.25, 63.9, 70.0):
             for y in (np.float64(v), np.float32(v), np.int64(round(v))):
                 assert couple(table, y) == couple(table, float(y)), y
-        assert couple(table, np.float64(table.betas[40])) == 40
+        assert couple(table, np.float64(table.beta[40])) == 40
 
     def test_induced_distribution_is_exact(self):
         # P{couple(Y) >= k} = P{Y > beta_k} = tail(z_k) must equal the exact
@@ -407,7 +405,7 @@ _cached_table = functools.cache(build_table)
 @settings(max_examples=300)
 def test_couple_returns_enclosing_cell(n, data):
     table = _cached_table(n)
-    betas = table.betas
+    betas = table.beta
     # Tusnady's bracket and symmetry put every cutpoint in [-n/2, 3n/2]; a
     # draw equal to one is a tie, which belongs to the cell below it
     y = data.draw(st.one_of(st.floats(min_value=-n - 1.0,
@@ -455,9 +453,9 @@ class TestTusnadyInequality:
         cutpoints need, the smallest a that every y needs)"""
         n = table.n
         j = np.arange(1, n + 1)
-        assert [couple(table, b) for b in table.betas] == list(j - 1)
+        assert [couple(table, b) for b in table.beta] == list(j - 1)
         assert [couple(table, math.nextafter(b, math.inf))
-                for b in table.betas] == list(j)
+                for b in table.beta] == list(j)
         excess, z_sq = self.excess(n, np.concatenate([j - 1, j]),
                                    np.concatenate([table.beta, table.beta]))
         a_ends = self.sharpest_a(excess, z_sq)

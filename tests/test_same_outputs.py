@@ -1,19 +1,53 @@
+import hashlib
 import json
 import pathlib
+import re
 import sys
 from bisect import bisect_left
+from collections import Counter
+
+import pytest
 
 from bincoupling import build_table
+from bincoupling.cli import EXIT_OK, main
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 from same_outputs import (  # noqa: E402
+    CFG,
+    COMMANDS,
     COUPLE_PROBE,
+    OUT,
     ROOT,
     RUNS,
     outputs,
     report_differences,
     table_differences,
 )
+
+
+PINNED = [(argv, pin) for argv, pin in COMMANDS if pin]
+
+
+@pytest.mark.parametrize("argv, pin", PINNED, ids=[pin for _, pin in PINNED])
+def test_pinned_output(argv, pin, tmp_path, monkeypatch, capsysbinary):
+    # every byte as first recorded: the --out file if the command writes
+    # one, else stdout; a .sha256 pin masks the Python version
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_OK
+    out = capsysbinary.readouterr().out
+    if OUT in argv:
+        out = (tmp_path / OUT).read_bytes()
+    if pin.endswith(".sha256"):
+        out = re.sub(rb'"python": "[^"]*"', b'"python": "<python>"', out)
+        want = (CFG / pin).read_text().split()[0]
+        assert hashlib.sha256(out).hexdigest() == want
+    else:
+        assert out == (CFG / pin).read_bytes()
+
+
+def test_every_fixture_is_pinned_by_one_command():
+    fixtures = Counter(f.name for f in CFG.iterdir() if f.suffix != ".cfg")
+    assert Counter(pin for _, pin in PINNED) == fixtures
 
 
 def report(records, constants):
@@ -147,7 +181,7 @@ def test_the_couple_probe_prints_each_cell_and_each_refusal():
     assert (out["exit code"], out["stderr"]) == (b"0", b"")
     lines = [line.split(" ", 3) for line in out["stdout"].decode().split("\n")
              if line]
-    betas = {n: build_table(n).betas for n in (64, 1024, 4096)}
+    betas = {n: build_table(n).beta for n in (64, 1024, 4096)}
     refused, numpy_draws = [], 0
     for n, kind, y, rest in lines:
         n = int(n)

@@ -23,6 +23,13 @@ many rows moved and the largest relative change, and the smallest |z|
 among the rows that moved.
 Exit 0 when every output matches; exit 1 naming each difference; exit 2
 when REF cannot be extracted.
+
+Each command is paired with None or the name of the fixture beside the
+configs that pins its output, the ``--out`` file if it writes one, else
+stdout: a golden of the bytes, or a ``.sha256`` of them with the JSON
+meta's "python" value masked as ``<python>``.  tests/test_same_outputs.py
+holds every pinned command to its fixture, and every fixture to one
+command.
 """
 
 import csv
@@ -42,53 +49,66 @@ OUT = "report.out"
 CSV_HEADER = "n,k,check,passed,slack"
 
 COMMANDS = [
-    ["sweep"],
-    ["sweep", "--format", "json", "--out", OUT],
-    ["sweep", "--config", str(CFG / "sweep_dense.cfg"), "--format", "json",
-     "--out", OUT],
-    ["sweep", "--config", str(CFG / "sweep_28_29.cfg"), "--format", "json",
-     "--out", OUT],
-    ["sweep", "--config", str(CFG / "sweep_grid.cfg"), "--format", "json",
-     "--out", OUT],
-    ["sweep", "--config", str(CFG / "sweep_stride.cfg"), "--format", "json",
-     "--out", OUT],
+    (["sweep"], None),
+    (["sweep", "--format", "json", "--out", OUT], "sweep_default.json.sha256"),
+    # k_policy = all over the twelve sweep-dense n: 72324 rows, and nine
+    # constants whose n lie on both sides of the stability split
+    (["sweep", "--config", str(CFG / "sweep_dense.cfg")],
+     "sweep_dense.csv.sha256"),
+    (["sweep", "--config", str(CFG / "sweep_dense.cfg"), "--format", "json",
+      "--out", OUT], "sweep_dense.json.sha256"),
+    (["sweep", "--config", str(CFG / "sweep_28_29.cfg")], "sweep_28_29.csv"),
+    (["sweep", "--config", str(CFG / "sweep_28_29.cfg"), "--format", "json",
+      "--out", OUT], "sweep_28_29.json.sha256"),
+    # every k at n = 1023, 2046, 3001 and 4096
+    (["sweep", "--config", str(CFG / "sweep_grid.cfg")],
+     "sweep_grid.csv.sha256"),
+    (["sweep", "--config", str(CFG / "sweep_grid.cfg"), "--format", "json",
+      "--out", OUT], None),
+    # stride:7 at n = 100 and 1001
+    (["sweep", "--config", str(CFG / "sweep_stride.cfg")],
+     "sweep_stride.csv.sha256"),
+    (["sweep", "--config", str(CFG / "sweep_stride.cfg"), "--format", "json",
+      "--out", OUT], None),
     # the one n <= 4096 whose float x rounds an exact 3 down, at k = 1176
-    ["sweep", "--config", str(CFG / "sweep_2210.cfg"), "--format", "json",
-     "--out", OUT],
+    (["sweep", "--config", str(CFG / "sweep_2210.cfg"), "--format", "json",
+      "--out", OUT], "sweep_2210.json.sha256"),
     # the fits' edges: n with no expansion row, the expansion's first n
     # (28) and both sides of the n <= 384 split
-    ["sweep", "--config", str(CFG / "sweep_edges.cfg"), "--format", "json",
-     "--out", OUT],
-    ["cutpoints", "1"],
-    ["cutpoints", "4"],
-    ["cutpoints", "29"],
-    ["cutpoints", "100"],
-    ["cutpoints", "4096"],
-    ["tails", "4", "3"],
-    ["tails", "1000", "700"],
-    ["tails", "65536", "0"],
+    (["sweep", "--config", str(CFG / "sweep_edges.cfg"), "--format", "json",
+      "--out", OUT], "sweep_edges.json.sha256"),
+    (["cutpoints", "1"], "cutpoints_1.csv"),
+    (["cutpoints", "4"], "cutpoints_4.csv"),
+    (["cutpoints", "29"], "cutpoints_29.csv"),
+    (["cutpoints", "100"], None),
+    (["cutpoints", "4096"], None),
+    (["tails", "4", "3"], "tails_4_3.txt"),
+    (["tails", "1000", "700"], "tails_1000_700.txt"),
+    (["tails", "65536", "0"], None),
     # lower-half tails: two near 1, one at the centre
-    ["tails", "100", "1"],
-    ["tails", "100", "2"],
-    ["tails", "100", "49"],
+    (["tails", "100", "1"], None),
+    (["tails", "100", "2"], None),
+    (["tails", "100", "49"], None),
     # both routes to a numerator's leading bits: 1, 44 and 54 bits (the
     # first that is shifted down); a tail of exactly 1/2; an even centre,
     # in the lower half
-    ["tails", "4096", "4096"],
-    ["tails", "4096", "4092"],
-    ["tails", "4096", "4091"],
-    ["tails", "4095", "2048"],
-    ["tails", "4096", "2048"],
-    ["coupling", "100"],
-    ["coupling", "4096"],
-    ["lemma1"],
+    (["tails", "4096", "4096"], None),
+    (["tails", "4096", "4092"], None),
+    (["tails", "4096", "4091"], None),
+    (["tails", "4095", "2048"], None),
+    (["tails", "4096", "2048"], None),
+    (["coupling", "100"], None),
+    (["coupling", "4096"], None),
+    (["lemma1"], None),
+    (["lemma1", "--grid=-3:3:0.01"], "lemma1_-3_3_0.01.txt"),
     # the left envelope out to X_MIN, past the default grid's -8
-    ["lemma1", "--grid=-37.5:0:0.0375"],
+    (["lemma1", "--grid=-37.5:0:0.0375"], None),
     # refusals main reports as one error line and exit 2
-    ["cutpoints", "5000"],
-    ["coupling", "0"],
-    ["tails", "1048576", "0"],
-    ["lemma1", "--grid=-40:190:0.0517"],
+    (["cutpoints", "5000"], None),
+    (["coupling", "0"], None),
+    (["tails", "1048576", "0"], None),
+    (["tails", "1048577", "0"], None),
+    (["lemma1", "--grid=-40:190:0.0517"], None),
 ]
 
 # seeded N(n/2, n/4) draws at n = 64, 1024 and 4096, as couple-stream makes
@@ -104,7 +124,7 @@ from bincoupling import build_table, couple
 rng = random.Random(3)
 for n in (64, 1024, 4096):
     table = build_table(n)
-    b = table.betas
+    b = table.beta
     ys = [rng.gauss(n / 2, math.sqrt(n) / 2) for _ in range(500)]
     ys += [rng.uniform(b[0], 0.0) for _ in range(50)]
     ys += [rng.uniform(n, b[-1]) for _ in range(50)]
@@ -119,7 +139,8 @@ for n in (64, 1024, 4096):
         except Exception as e:
             print(n, type(y).__name__, repr(y), type(e).__name__, e)
 """
-RUNS = [(" ".join(cmd), ["-m", "bincoupling.cli", *cmd]) for cmd in COMMANDS]
+RUNS = [(" ".join(cmd), ["-m", "bincoupling.cli", *cmd])
+        for cmd, _ in COMMANDS]
 RUNS.append(("couple probe", ["-c", COUPLE_PROBE]))
 
 

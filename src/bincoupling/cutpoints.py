@@ -16,6 +16,7 @@ tuples of floats.
 from __future__ import annotations
 
 import math
+import operator
 
 from .binom_exact import log_tail_exact_all
 from .errors import DomainError, RangeError, check_count, check_real
@@ -34,11 +35,12 @@ N_MAX_TABLE = 4096
 
 class CutpointTable:
     """Cutpoints of one n as tuples of floats over k = 1 .. n (entry
-    k - 1), with beta strictly increasing.  ``cells`` is (-inf, beta_1,
-    ..., beta_n, +inf), built once: entry k is the left end of the
-    coupling map's cell k, and ``beta`` is its finite part.  A table is
-    read-only, equal only to itself, and pickles and copies by rebuilding
-    through the constructor."""
+    k - 1), with beta finite and strictly increasing: any other beta is a
+    DomainError.  ``cells`` is (-inf, beta_1, ..., beta_n, +inf), built
+    once: entry k is the left end of the coupling map's cell k, and
+    ``beta`` is its finite part.  A table is read-only, equal only to
+    itself, and pickles and copies by rebuilding through the
+    constructor."""
 
     # n; z, psi(z) = -log_tail; beta = n/2 + sqrt(n) z / 2; log_tail; cells
     __slots__ = ("n", "z", "beta", "log_tail", "cells")
@@ -55,7 +57,12 @@ class CutpointTable:
                 raise DomainError(f"{name} must hold n = {n} entries, "
                                   f"got {len(a)}")
             init(self, name, a)
-        init(self, "cells", (-math.inf, *self.beta, math.inf))
+        cells = (-math.inf, *self.beta, math.inf)
+        # couple's walk stops only between strictly increasing cells; nan
+        # and +-inf fail the comparison too
+        if not all(map(operator.lt, cells, cells[1:])):
+            raise DomainError("beta must be finite and strictly increasing")
+        init(self, "cells", cells)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"CutpointTable is read-only: {name!r}")

@@ -148,7 +148,9 @@ def inverse_psi(L: float) -> float:
     for the exact tail (measured in 50 digits; the second term is L's
     rounding).  The result is checked
     to |psi(x) - L| <= 1e-10 max(1, L); an L above psi(X_MAX) is a
-    RangeError."""
+    RangeError.  L is read as psi reads x, by errors.check_real."""
+    if L.__class__ is not float:
+        L = check_real("L", L)
     if not (math.isfinite(L) and L >= LOG_2):
         raise DomainError(f"L must be finite and at least log 2, got {L!r}")
     if L > _PSI_X_MAX:

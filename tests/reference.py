@@ -48,17 +48,6 @@ def upper_tail(x: float) -> float:
     return 0.5 * math.erfc(x * INV_SQRT_2)
 
 
-def inv_tail_asymptotic(p: float) -> float:
-    """First-order asymptotic inverse of the upper tail for small p:
-    y - log(y)/y with y = sqrt(2 log(1/p)).  O(1/y) accuracy only; the
-    Newton seed of inverse_psi_newton for L > 2.5 is the same formula in L."""
-    p = float(p)
-    if not (0.0 < p < 0.1):
-        raise DomainError(f"p must lie in (0, 0.1), got {p!r}")
-    y = math.sqrt(2.0 * math.log(1.0 / p))
-    return y - math.log(y) / y
-
-
 def inverse_psi_newton(L: float) -> float:
     """Solve psi(x) = L for x, to |psi(x) - L| <= 1e-10 * max(1, L), and to
     1e-10 * L for psi(X_MIN) <= L < log 2, where the root is negative.

@@ -7,7 +7,7 @@ import pytest
 
 from bincoupling import DomainError, log_tail_exact_all, tail_numerator
 from bincoupling.approx import lambda_table
-from bincoupling.binom_exact import N_MAX_EXACT, _log_ratios
+from bincoupling.binom_exact import _log_ratios
 from bincoupling.normal_tail import LOG_SQRT_2PI
 from conftest import lambda_mp, log_tail_beta_integral
 from reference import _log_tail, lambda_n, log_tail_exact
@@ -261,6 +261,3 @@ class TestLambdaN:
     def test_domain(self):
         with pytest.raises(DomainError):
             lambda_n(0)
-        for bad in (-1, N_MAX_EXACT + 1):
-            with pytest.raises(DomainError):
-                lambda_table(bad)

@@ -22,7 +22,7 @@ from bincoupling import (
 from bincoupling.approx import lambda_table
 from bincoupling.binom_exact import N_MAX_EXACT
 from bincoupling.cutpoints import N_MAX_TABLE
-from bincoupling.normal_tail import psi, rho
+from bincoupling.normal_tail import inverse_psi, psi, rho
 
 
 def hand_built_table(n):
@@ -84,6 +84,7 @@ REALS = {
     "couple": lambda y: couple(TABLE_4096, y),
     "psi": psi,
     "rho": rho,
+    "inverse_psi": inverse_psi,
 }
 
 

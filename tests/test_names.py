@@ -5,9 +5,9 @@ metrics reading 0.  The package exports what a caller of the CLI, the sweep
 or the coupling map uses, and defines no public function that only the
 tests reach, nor one that tests/reference.py defines too.  The lazy package
 namespace binds each export to its defining module's object and loads only
-the modules a caller reaches.  The README's CLI block lists exactly the
-commands the parser has, and the CLI reports a refusal in one place
-only."""
+the modules a caller reaches, and no command loads a module only the tests
+use.  The README's CLI block lists exactly the commands the parser has, and
+the CLI reports a refusal in one place only."""
 
 import argparse
 import ast
@@ -173,25 +173,21 @@ def modules_loaded_by(code: str = "", argv: list[str] | None = None
                               ).stdout.split())
 
 
+# modules only the tests may load: numpy, scipy and mpmath, and
+# dataclasses, which loads inspect
+TEST_ONLY = {"numpy", "scipy", "mpmath", "dataclasses", "inspect"}
+
+
 def test_coupling_alone_skips_the_sweep_harness():
-    out = modules_loaded_by("import bincoupling\n"
-                            "t = bincoupling.build_table(64)\n"
-                            "bincoupling.couple(t, 32.0)")
-    assert "bincoupling.cutpoints" in out
-    loaded = {"bincoupling.approx", "bincoupling.verify", "json"} & out
-    assert not loaded
-
-
-def test_coupling_alone_never_loads_numpy():
-    # the coupling core (normal_tail, binom_exact, cutpoints, errors) is
-    # plain Python, like the rest of the package; it loads neither numpy
-    # nor dataclasses, which loads inspect
+    # the coupling core (normal_tail, binom_exact, cutpoints, errors) loads
+    # neither the sweep's modules nor json
     out = modules_loaded_by("import bincoupling\n"
                             "for n in (64, 1024, 4096):\n"
                             "    t = bincoupling.build_table(n)\n"
                             "assert bincoupling.couple(t, 2048.3) == 2048")
     assert "bincoupling.cutpoints" in out
-    assert not {"numpy", "dataclasses", "inspect"} & out
+    assert not (TEST_ONLY | {"bincoupling.approx", "bincoupling.verify",
+                             "json"}) & out
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,12 +198,10 @@ def test_coupling_alone_never_loads_numpy():
     ["cutpoints", "64"],
     ["coupling", "64"],
 ], ids=lambda argv: argv[0])
-def test_no_command_loads_numpy(argv):
-    # the package is plain Python and math: numpy serves the tests only,
-    # and no module of the package loads dataclasses, which loads inspect
+def test_no_command_loads_a_test_only_module(argv):
     out = modules_loaded_by(argv=argv)
     assert "bincoupling.cli" in out
-    assert not {"numpy", "dataclasses", "inspect"} & out
+    assert not TEST_ONLY & out
 
 
 def test_exports_are_the_defining_modules_objects():

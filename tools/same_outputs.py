@@ -97,7 +97,7 @@ COMMANDS = [
     (["tails", "4096", "4091"], None),
     (["tails", "4095", "2048"], None),
     (["tails", "4096", "2048"], None),
-    (["coupling", "100"], None),
+    (["coupling", "100"], "coupling_100.txt"),
     (["coupling", "4096"], None),
     (["lemma1"], None),
     (["lemma1", "--grid=-3:3:0.01"], "lemma1_-3_3_0.01.txt"),
